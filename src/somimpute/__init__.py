@@ -27,7 +27,7 @@ from .evaluation import (
     rmse_deleted,
 )
 from .imputation import (
-    CellFill,
+    Fills,
     ImputationReport,
     apply_column_mean_fallback,
     impute,
@@ -35,8 +35,11 @@ from .imputation import (
     impute_multi,
 )
 from .metric import (
+    UNCLASSIFIABLE,
+    Assignment,
     CodeBook,
     UnclassifiableRowError,
+    assign,
     masked_sq_distance,
     masked_sq_distances,
     winner,
@@ -49,8 +52,6 @@ from .superclass import (
 )
 from .topology import GridTopology, NeighborhoodState
 from .trainer import (
-    UNCLASSIFIABLE,
-    Assignment,
     ForgyResult,
     TrainingMode,
     TrainingSchedule,
@@ -66,10 +67,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "CellFill",
     "CodeBook",
     "DataMatrix",
     "EvalReport",
+    "Fills",
     "ForgyResult",
     "GridTopology",
     "ImputationReport",
@@ -85,6 +86,7 @@ __all__ = [
     "UNCLASSIFIABLE",
     "UnclassifiableRowError",
     "apply_column_mean_fallback",
+    "assign",
     "classify_supplementary",
     "deletion_curve",
     "destandardize",

@@ -206,10 +206,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_model_columns(args, markers, model: SomModel):
+    """Read the input CSV and require its numeric columns to be the model's,
+    by name and in order; the error names the first position that differs."""
+    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+    got, expected = data.col_names, model.codebook.col_names
+    if got != expected:
+        k = next(
+            (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+            min(len(got), len(expected)),
+        )
+        seen = repr(got[k]) if k < len(got) else "missing"
+        want = repr(expected[k]) if k < len(expected) else "no column"
+        raise ValueError(
+            f"{args.input}: numeric column {k + 1} is {seen}, the model has {want} there"
+        )
+    return data
+
+
 def cmd_classify(args) -> int:
     markers = _effective_markers(args)
     model = load_model(args.model)
-    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+    data = _read_model_columns(args, markers, model)
     assignment = classify_supplementary(
         model.codebook, standardize(data, model.standardizer)
     )
@@ -221,12 +239,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _destandardized_report(report: ImputationReport, params) -> ImputationReport:
-    filled = destandardize(report.filled, params)
-    fills = tuple(
-        replace(f, value=float(f.value * params.stds[f.col] + params.means[f.col]))
-        for f in report.fills
-    )
+def _destandardized_report(report: ImputationReport, data, params) -> ImputationReport:
+    """The report in the units of ``data``: filled cells are destandardized,
+    observed cells are taken verbatim from ``data`` (a standardize and
+    destandardize round trip may move them in their last bits)."""
+    back = destandardize(report.filled, params)
+    filled = data.with_cells(np.where(data.mask, data.values, back.values), back.mask)
+    f = report.fills
+    fills = replace(f, values=back.values[f.rows, f.cols])
     return ImputationReport(filled, fills, report.unresolved)
 
 
@@ -237,7 +257,7 @@ def cmd_impute(args) -> int:
         if args.n_maps != 1:
             raise ValueError("--n-maps > 1 trains its own maps; it cannot be combined with --model")
         model = load_model(args.model)
-        data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+        data = _read_model_columns(args, markers, model)
         params = model.standardizer
         report = impute(model.codebook, standardize(data, params))
         digests["model"] = args.model
@@ -257,7 +277,7 @@ def cmd_impute(args) -> int:
         )
     if args.fallback == "column-mean":
         report = apply_column_mean_fallback(report, standardize(data, params))
-    out_report = _destandardized_report(report, params)
+    out_report = _destandardized_report(report, data, params)
     outdir = _outdir(args)
     write_csv(out_report.filled, outdir / "imputed.csv")
     write_provenance_csv(
@@ -292,7 +312,7 @@ def cmd_evaluate(args) -> int:
 def cmd_render(args) -> int:
     markers = _effective_markers(args)
     model = load_model(args.model)
-    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+    data = _read_model_columns(args, markers, model)
     std = standardize(data, model.standardizer)
     assignment = classify_supplementary(model.codebook, std)
     if model.mode is TrainingMode.COMPLETE_ONLY:

@@ -99,11 +99,13 @@ class DataMatrix:
     ) -> "DataMatrix":
         """Build a matrix treating NaN entries of ``values`` as missing.
 
-        Boundary convenience for ingestion and tests; internally the mask
-        remains the only authority on missingness.
+        Only NaN means missing: an infinite entry is an observed cell and is
+        rejected like any other non-finite observation.  Boundary convenience
+        for ingestion and tests; internally the mask remains the only
+        authority on missingness.
         """
         values = np.asarray(values, dtype=float)
-        mask = np.isfinite(values)
+        mask = ~np.isnan(values)
         n, p = values.shape
         if row_labels is None:
             row_labels = tuple(f"r{i}" for i in range(n))
@@ -157,9 +159,13 @@ class DataMatrix:
 
     def with_values(self, values: np.ndarray) -> "DataMatrix":
         """Same mask, labels and metadata, new cell values."""
+        return self.with_cells(values, self.mask)
+
+    def with_cells(self, values: np.ndarray, mask: np.ndarray) -> "DataMatrix":
+        """Same labels and metadata, new cell values and mask."""
         return DataMatrix(
             values,
-            self.mask,
+            mask,
             self.row_labels,
             self.col_names,
             self.categorical,

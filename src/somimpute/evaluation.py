@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataMatrix, fit_standardizer, standardize
-from .imputation import CellFill, ImputationReport, impute, impute_multi
+from .imputation import Fills, ImputationReport, _with_fills, impute, impute_multi
+from .metric import Assignment
 from .topology import GridTopology
-from .trainer import Assignment, TrainingMode, TrainingSchedule, replicate_schedule, train
+from .trainer import TrainingMode, TrainingSchedule, replicate_schedule, train
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,7 @@ def mask_random(data: DataMatrix, plan: MaskingPlan) -> tuple[DataMatrix, Maskin
             new_mask[i, chosen] = False
             cells.extend((i, int(k)) for k in chosen)
     truths = np.array([data.values[c] for c in cells], dtype=float)
-    masked = DataMatrix(
-        data.values, new_mask, data.row_labels, data.col_names,
-        data.categorical, data.categorical_name,
-    )
-    return masked, MaskingLedger(tuple(cells), truths)
+    return data.with_cells(data.values, new_mask), MaskingLedger(tuple(cells), truths)
 
 
 def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
@@ -121,20 +118,25 @@ def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
     """
     if len(ledger) == 0:
         raise ValueError("empty ledger: no deleted cells to score")
-    unresolved = set(report.unresolved)
-    sq_sum = 0.0
-    n_used = 0
-    for cell, truth in zip(ledger.cells, ledger.true_values):
-        if cell in unresolved:
-            continue
-        if not report.has_fill(*cell):
-            raise ValueError(f"deleted cell {cell} is neither filled nor unresolved")
-        err = report.estimate_at(*cell) - truth
-        sq_sum += err * err
-        n_used += 1
-    if n_used == 0:
+    shape = report.filled.values.shape
+    fills = report.fills
+    position = np.full(shape, -1)
+    position[fills.rows, fills.cols] = np.arange(len(fills))
+    unresolved = np.zeros(shape, dtype=bool)
+    if report.unresolved:
+        unresolved[tuple(np.array(report.unresolved).T)] = True
+    rows, cols = np.array(ledger.cells).reshape(-1, 2).T
+    used = ~unresolved[rows, cols]
+    pos = position[rows[used], cols[used]]
+    if (pos < 0).any():
+        i = int(np.flatnonzero(pos < 0)[0])
+        cell = (int(rows[used][i]), int(cols[used][i]))
+        raise ValueError(f"deleted cell {cell} is neither filled nor unresolved")
+    if pos.size == 0:
         raise ValueError("every deleted cell is unresolved; RMSE undefined")
-    return math.sqrt(sq_sum / n_used)
+    err = fills.values[pos] - ledger.true_values[used]
+    # a running sum, in ledger order, not numpy's pairwise one
+    return math.sqrt(np.cumsum(err * err)[-1] / pos.size)
 
 
 def count_unresolved_deleted(ledger: MaskingLedger, report: ImputationReport) -> int:
@@ -148,19 +150,10 @@ def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
     The baseline the codebook method is judged against; on standardized data
     every filled value is 0 by construction.
     """
-    col_means = np.nanmean(data.values, axis=0)
-    new_values = data.values.copy()
-    new_mask = np.ones_like(data.mask)
-    fills: list[CellFill] = []
-    for i, k in zip(*np.nonzero(~data.mask)):
-        v = float(col_means[k])
-        new_values[i, k] = v
-        fills.append(CellFill(int(i), int(k), v, (), (), source="column-mean"))
-    filled = DataMatrix(
-        new_values, new_mask, data.row_labels, data.col_names,
-        data.categorical, data.categorical_name,
-    )
-    return ImputationReport(filled, tuple(fills), ())
+    rows, cols = np.nonzero(~data.mask)
+    values = np.nanmean(data.values, axis=0)[cols]
+    fills = Fills(rows, cols, values, np.empty((rows.size, 0)), source="column-mean")
+    return ImputationReport(_with_fills(data, fills), fills, ())
 
 
 @dataclass(frozen=True)
@@ -178,6 +171,41 @@ class EvalReport:
 
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def _deletion_arm(
+    data: DataMatrix,
+    d: int,
+    rep: int,
+    topology: GridTopology,
+    schedule: TrainingSchedule,
+    n_maps: int,
+    mode: TrainingMode,
+    global_mcar: bool,
+) -> tuple[float, float, int, int]:
+    """One mask/train/impute arm of the deletion study: (SOM RMSE, baseline
+    RMSE, deleted cells, unresolved deleted cells)."""
+    mask_seed = _derive_seed(schedule.rng_seed, d, rep, 0)
+    train_seed = _derive_seed(schedule.rng_seed, d, rep, 1)
+    masked, ledger = mask_random(data, MaskingPlan(d, mask_seed, global_mcar=global_mcar))
+    params = fit_standardizer(masked)
+    std_masked = standardize(masked, params)
+    cols = np.array([k for _, k in ledger.cells], dtype=int)
+    std_truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
+    std_ledger = MaskingLedger(ledger.cells, std_truth)
+    if n_maps == 1:
+        fit = train(std_masked, topology, replicate_schedule(schedule, train_seed), mode)
+        report = impute(fit.codebook, std_masked)
+    else:
+        report = impute_multi(
+            std_masked, topology, schedule, n_maps, base_seed=train_seed, mode=mode
+        )
+    return (
+        rmse_deleted(std_ledger, report),
+        rmse_deleted(std_ledger, mean_impute_baseline(std_masked)),
+        len(ledger),
+        count_unresolved_deleted(std_ledger, report),
+    )
 
 
 def deletion_curve(
@@ -215,31 +243,16 @@ def deletion_curve(
         cells = 0
         unres = 0
         for rep in range(n_repeats):
-            mask_seed = _derive_seed(schedule.rng_seed, d, rep, 0)
-            train_seed = _derive_seed(schedule.rng_seed, d, rep, 1)
-            masked, ledger = mask_random(
-                data, MaskingPlan(d, mask_seed, global_mcar=global_mcar)
-            )
-            params = fit_standardizer(masked)
-            std_masked = standardize(masked, params)
-            std_truth = np.array(
-                [
-                    (t - params.means[k]) / params.stds[k]
-                    for (_, k), t in zip(ledger.cells, ledger.true_values)
-                ]
-            )
-            std_ledger = MaskingLedger(ledger.cells, std_truth)
-            if n_maps == 1:
-                fit = train(std_masked, topology, replicate_schedule(schedule, train_seed), mode)
-                report = impute(fit.codebook, std_masked)
-            else:
-                report = impute_multi(
-                    std_masked, topology, schedule, n_maps, base_seed=train_seed, mode=mode
+            try:
+                som, base, n_deleted, n_unresolved = _deletion_arm(
+                    data, d, rep, topology, schedule, n_maps, mode, global_mcar
                 )
-            som_arm.append(rmse_deleted(std_ledger, report))
-            base_arm.append(rmse_deleted(std_ledger, mean_impute_baseline(std_masked)))
-            cells += len(ledger)
-            unres += count_unresolved_deleted(std_ledger, report)
+            except ValueError as exc:
+                raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
+            som_arm.append(som)
+            base_arm.append(base)
+            cells += n_deleted
+            unres += n_unresolved
         rmse_som[d] = float(np.mean(som_arm))
         rmse_base[d] = float(np.mean(base_arm))
         n_cells[d] = cells

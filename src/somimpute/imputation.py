@@ -12,22 +12,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix
-from .metric import CodeBook, masked_sq_distances
+from .data import DataMatrix, _readonly
+from .metric import UNCLASSIFIABLE, CodeBook, assign
 from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule, replicate_schedule, train
 
 
 @dataclass(frozen=True)
-class CellFill:
-    """Provenance for one originally-missing cell."""
+class Fills:
+    """Provenance of the filled cells as parallel arrays, one entry per cell.
 
-    row: int
-    col: int
-    value: float
-    units: tuple[int, ...]
-    seeds: tuple[int, ...]
-    source: str = "codebook"
+    Cell ``j`` is ``(rows[j], cols[j])`` and was given ``values[j]``;
+    ``units[j]`` holds its winning unit on each map (shape
+    ``(n_cells, n_maps)``; ``UNCLASSIFIABLE`` for a cell that no map filled),
+    ``seeds`` the maps' training seeds when known (else empty), and
+    ``source[j]`` how the cell was filled (``"codebook"`` or
+    ``"column-mean"``).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    units: np.ndarray
+    seeds: tuple[int, ...] = ()
+    source: np.ndarray | str = "codebook"
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=int)
+        cols = np.array(self.cols, dtype=int)
+        values = np.array(self.values, dtype=float)
+        units = np.array(self.units, dtype=int)
+        if rows.ndim != 1 or cols.shape != rows.shape or values.shape != rows.shape:
+            raise ValueError("rows, cols and values must be 1-D arrays of equal length")
+        if units.ndim != 2 or units.shape[0] != rows.shape[0]:
+            raise ValueError("units must have one row per cell")
+        source = np.broadcast_to(np.asarray(self.source, dtype=str), rows.shape).copy()
+        for name, a in (("rows", rows), ("cols", cols), ("values", values),
+                        ("units", units), ("source", source)):
+            object.__setattr__(self, name, _readonly(a))
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -41,58 +67,53 @@ class ImputationReport:
     """
 
     filled: DataMatrix
-    fills: tuple[CellFill, ...]
+    fills: Fills
     unresolved: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_cell", {(f.row, f.col): f for f in self.fills})
+    def _position(self, row: int, col: int) -> int | None:
+        hit = np.flatnonzero((self.fills.rows == row) & (self.fills.cols == col))
+        return int(hit[0]) if hit.size else None
 
     def estimate_at(self, row: int, col: int) -> float:
-        fill = self._by_cell.get((row, col))
-        if fill is None:
+        j = self._position(row, col)
+        if j is None:
             raise KeyError(f"cell ({row}, {col}) was not filled")
-        return fill.value
+        return float(self.fills.values[j])
 
     def has_fill(self, row: int, col: int) -> bool:
-        return (row, col) in self._by_cell
+        return self._position(row, col) is not None
+
+
+def _with_fills(data: DataMatrix, fills: Fills) -> DataMatrix:
+    """``data`` with every cell of ``fills`` set and marked observed."""
+    values = data.values.copy()
+    values[fills.rows, fills.cols] = fills.values
+    mask = data.mask.copy()
+    mask[fills.rows, fills.cols] = True
+    return data.with_cells(values, mask)
 
 
 def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
     """Fill each missing cell with the winning unit's code component.
 
     The codebook must have been trained on data scaled the same way as
-    ``data`` (normally: both standardized with the same parameters).
+    ``data`` (normally: both standardized with the same parameters).  Cells
+    are listed in row-major order.
     """
     if codebook.n_features != data.n_cols:
         raise ValueError(
             f"codebook has {codebook.n_features} components, data has {data.n_cols}"
         )
-    new_values = data.values.copy()
-    new_mask = data.mask.copy()
-    fills: list[CellFill] = []
-    unresolved: list[tuple[int, int]] = []
-    for i in range(data.n_rows):
-        obs = data.mask[i]
-        missing_idx = np.flatnonzero(~obs)
-        if missing_idx.size == 0:
-            continue
-        if not obs.any():
-            unresolved.extend((i, int(k)) for k in missing_idx)
-            continue
-        d = masked_sq_distances(data.values[i], obs, codebook.codes)
-        w = int(np.argmin(d))
-        for k in missing_idx:
-            v = codebook.codes[w, k]
-            new_values[i, k] = v
-            new_mask[i, k] = True
-            fills.append(CellFill(i, int(k), float(v), (w,), ()))
-    if not fills and all(data.is_row_all_missing(i) for i in range(data.n_rows)):
+    if not data.mask.any():
         raise ValueError("every row is entirely missing; nothing can be imputed")
-    filled = DataMatrix(
-        new_values, new_mask, data.row_labels, data.col_names,
-        data.categorical, data.categorical_name,
-    )
-    return ImputationReport(filled, tuple(fills), tuple(unresolved))
+    holed = np.flatnonzero(~data.mask.all(axis=1))
+    units = np.full(data.n_rows, UNCLASSIFIABLE)
+    units[holed] = assign(codebook.codes, data.values[holed], data.mask[holed]).units
+    missing = ~data.mask
+    rows, cols = np.nonzero(missing & (units >= 0)[:, None])
+    fills = Fills(rows, cols, codebook.codes[units[rows], cols], units[rows, None])
+    unresolved = tuple(map(tuple, np.argwhere(missing & (units < 0)[:, None]).tolist()))
+    return ImputationReport(_with_fills(data, fills), fills, unresolved)
 
 
 def impute_ensemble(
@@ -100,29 +121,23 @@ def impute_ensemble(
     data: DataMatrix,
     seeds: tuple[int, ...] | None = None,
 ) -> ImputationReport:
-    """Average the per-map estimates of several codebooks, cell by cell."""
+    """Average the per-map estimates of several codebooks, cell by cell.
+
+    Every map fills the same cells (the missing cells of the classifiable
+    rows), in the same order.
+    """
     if not codebooks:
         raise ValueError("need at least one codebook")
     reports = [impute(cb, data) for cb in codebooks]
-    first = reports[0]
-    if seeds is None:
-        seeds = ()
-    new_values = data.values.copy()
-    new_mask = data.mask.copy()
-    fills: list[CellFill] = []
-    for group in zip(*(r.fills for r in reports)):
-        cell = (group[0].row, group[0].col)
-        assert all((f.row, f.col) == cell for f in group)
-        value = float(np.mean([f.value for f in group]))
-        units = tuple(f.units[0] for f in group)
-        new_values[cell] = value
-        new_mask[cell] = True
-        fills.append(CellFill(cell[0], cell[1], value, units, tuple(seeds)))
-    filled = DataMatrix(
-        new_values, new_mask, data.row_labels, data.col_names,
-        data.categorical, data.categorical_name,
+    first = reports[0].fills
+    fills = Fills(
+        first.rows,
+        first.cols,
+        np.stack([r.fills.values for r in reports], axis=1).mean(axis=1),
+        np.concatenate([r.fills.units for r in reports], axis=1),
+        seeds or (),
     )
-    return ImputationReport(filled, tuple(fills), first.unresolved)
+    return ImputationReport(_with_fills(data, fills), fills, reports[0].unresolved)
 
 
 def impute_multi(
@@ -149,21 +164,19 @@ def apply_column_mean_fallback(report: ImputationReport, data: DataMatrix) -> Im
     """Fill the report's unresolved cells with per-column observed means.
 
     Deliberately a separate, explicit step: the codebook method gives those
-    cells no winner, and falling back silently would hide that.
+    cells no winner, and falling back silently would hide that.  The new
+    cells follow the report's own, with no winning unit.
     """
     if not report.unresolved:
         return report
-    col_means = np.nanmean(data.values, axis=0)
-    new_values = report.filled.values.copy()
-    new_mask = report.filled.mask.copy()
-    extra: list[CellFill] = []
-    for (i, k) in report.unresolved:
-        v = float(col_means[k])
-        new_values[i, k] = v
-        new_mask[i, k] = True
-        extra.append(CellFill(i, k, v, (), (), source="column-mean"))
-    filled = DataMatrix(
-        new_values, new_mask, data.row_labels, data.col_names,
-        data.categorical, data.categorical_name,
+    rows, cols = np.array(report.unresolved).T
+    old = report.fills
+    fills = Fills(
+        np.concatenate([old.rows, rows]),
+        np.concatenate([old.cols, cols]),
+        np.concatenate([old.values, np.nanmean(data.values, axis=0)[cols]]),
+        np.concatenate([old.units, np.full((rows.size, old.units.shape[1]), UNCLASSIFIABLE)]),
+        old.seeds,
+        np.concatenate([old.source, np.full(rows.size, "column-mean")]),
     )
-    return ImputationReport(filled, report.fills + tuple(extra), ())
+    return ImputationReport(_with_fills(report.filled, fills), fills, ())

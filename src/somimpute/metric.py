@@ -56,6 +56,117 @@ class CodeBook:
         return CodeBook(codes, self.topology, self.col_names)
 
 
+
+
+UNCLASSIFIABLE = -1
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """Winning unit and masked squared distance per row.
+
+    Rows with no observed component carry ``UNCLASSIFIABLE`` (-1) and a NaN
+    distance.
+    """
+
+    units: np.ndarray
+    sq_distances: np.ndarray
+    n_units: int
+
+    def __post_init__(self) -> None:
+        units = np.array(self.units, dtype=int)
+        dists = np.array(self.sq_distances, dtype=float)
+        if units.ndim != 1 or dists.shape != units.shape:
+            raise ValueError("units and sq_distances must be 1-D arrays of equal length")
+        if units.size and (units.max() >= self.n_units or units.min() < UNCLASSIFIABLE):
+            raise ValueError("unit index out of range")
+        object.__setattr__(self, "units", _readonly(units))
+        object.__setattr__(self, "sq_distances", _readonly(dists))
+
+    @property
+    def n_rows(self) -> int:
+        return self.units.shape[0]
+
+    def unclassifiable_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.units == UNCLASSIFIABLE)
+
+
+# rows per chunk are chosen so that a chunk's (rows, n_units) distance buffer
+# holds about this many float64 cells (512 KiB)
+_CHUNK_CELLS = 1 << 16
+
+
+def _sq_distances(codes: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``(rows, n_units)`` masked squared distances of a block of rows.
+
+    Entry ``[i, u]`` is ``sum_k m_ik * (x_ik - c_uk)**2``, accumulated column
+    by column in ascending ``k`` from 0.0, which is exactly the sequential
+    sum over observed components; missing cells may hold anything.
+    """
+    m = mask.astype(float)
+    x = np.where(mask, values, 0.0)
+    out = np.zeros((values.shape[0], codes.shape[0]))
+    term = np.empty_like(out)
+    full = mask.all(axis=0)
+    for k in np.flatnonzero(mask.any(axis=0)):
+        np.subtract(x[:, k, None], codes[:, k], out=term)
+        np.multiply(term, term, out=term)
+        if not full[k]:
+            np.multiply(term, m[:, k, None], out=term)
+        np.add(out, term, out=out)
+    return out
+
+
+def assign(codes: np.ndarray, values: np.ndarray, mask: np.ndarray) -> Assignment:
+    """Winner and masked squared distance of every row, in row chunks.
+
+    Ties break to the lowest unit index.  Rows with no observed component
+    get ``UNCLASSIFIABLE`` and a NaN distance.  Temporaries are bounded by
+    one chunk of rows times the number of units.
+    """
+    codes = np.asarray(codes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if codes.ndim != 2 or values.ndim != 2 or mask.shape != values.shape:
+        raise ValueError(
+            f"shape mismatch: codes {codes.shape}, values {values.shape}, mask {mask.shape}"
+        )
+    if codes.shape[1] != values.shape[1]:
+        raise ValueError(
+            f"codes have {codes.shape[1]} components, rows have {values.shape[1]}"
+        )
+    n, n_units = values.shape[0], codes.shape[0]
+    units = np.full(n, UNCLASSIFIABLE, dtype=int)
+    dists = np.full(n, np.nan)
+    step = max(1, _CHUNK_CELLS // n_units)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        d = _sq_distances(codes, values[rows], mask[rows])
+        w = d.argmin(axis=1)
+        ok = mask[rows].any(axis=1)
+        units[rows][ok] = w[ok]
+        dists[rows][ok] = np.take_along_axis(d, w[:, None], axis=1)[ok, 0]
+    return Assignment(units, dists, n_units)
+
+
+def masked_sq_distances(x: np.ndarray, observed: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Masked squared distance from one row to every code vector at once.
+
+    Sums the squared differences over observed components sequentially, in
+    ascending component order; a fully-missing row is at distance 0 from
+    every code (empty sum).
+    """
+    x = np.asarray(x, dtype=float)
+    observed = np.asarray(observed, dtype=bool)
+    codes = np.asarray(codes, dtype=float)
+    if (x.ndim != 1 or codes.ndim != 2 or codes.shape[1] != x.shape[0]
+            or observed.shape != x.shape):
+        raise ValueError(
+            f"shape mismatch: x {x.shape}, observed {observed.shape}, codes {codes.shape}"
+        )
+    return _sq_distances(codes, x[None], observed[None])[0]
+
+
 def masked_sq_distance(x: np.ndarray, observed: np.ndarray, code: np.ndarray) -> float:
     """Sum of squared differences over observed components.
 
@@ -64,39 +175,13 @@ def masked_sq_distance(x: np.ndarray, observed: np.ndarray, code: np.ndarray) ->
     (empty sum).
     """
     x = np.asarray(x, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
     code = np.asarray(code, dtype=float)
-    if x.shape != observed.shape or x.shape != code.shape or x.ndim != 1:
+    if x.ndim != 1 or code.shape != x.shape or np.shape(observed) != x.shape:
         raise ValueError(
             f"x, observed and code must be 1-D of equal length, got {x.shape}, "
-            f"{observed.shape}, {code.shape}"
+            f"{np.shape(observed)}, {code.shape}"
         )
-    total = 0.0
-    for k in range(x.shape[0]):
-        if observed[k]:
-            d = x[k] - code[k]
-            total += d * d
-    return float(total)
-
-
-def masked_sq_distances(x: np.ndarray, observed: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Masked squared distance from one row to every code vector at once.
-
-    Same terms as :func:`masked_sq_distance`, reduced with numpy's vectorized
-    summation.
-    """
-    x = np.asarray(x, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    codes = np.asarray(codes, dtype=float)
-    if codes.ndim != 2 or codes.shape[1] != x.shape[0] or observed.shape != x.shape:
-        raise ValueError(
-            f"shape mismatch: x {x.shape}, observed {observed.shape}, codes {codes.shape}"
-        )
-    obs_idx = np.flatnonzero(observed)
-    if obs_idx.size == 0:
-        return np.zeros(codes.shape[0])
-    diff = codes[:, obs_idx] - x[obs_idx]
-    return (diff**2).sum(axis=1)
+    return float(masked_sq_distances(x, observed, code[None])[0])
 
 
 def winner(x: np.ndarray, observed: np.ndarray, codebook: CodeBook) -> int:
@@ -108,4 +193,4 @@ def winner(x: np.ndarray, observed: np.ndarray, codebook: CodeBook) -> int:
     observed = np.asarray(observed, dtype=bool)
     if not observed.any():
         raise UnclassifiableRowError("row has no observed component; cannot pick a winner")
-    return int(np.argmin(masked_sq_distances(x, observed, codebook.codes)))
+    return int(assign(codebook.codes, np.asarray(x, dtype=float)[None], observed[None]).units[0])

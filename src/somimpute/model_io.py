@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +21,54 @@ import numpy as np
 from .data import DataMatrix, StandardizationParams
 from .evaluation import EvalReport
 from .imputation import ImputationReport
-from .metric import CodeBook
+from .metric import UNCLASSIFIABLE, Assignment, CodeBook
 from .superclass import SuperClassing
 from .topology import GridTopology
-from .trainer import UNCLASSIFIABLE, Assignment, TrainingMode, TrainingSchedule
+from .trainer import TrainingMode, TrainingSchedule
 
 DEFAULT_MISSING_MARKERS = ("", "NA")
 
 
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _records(path: Path):
+    """Yield each non-blank CSV record with the physical line it starts on;
+    a UTF-8 byte order mark is dropped."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
+
+
+def _first_bad_cell(path, header, numeric_idx, markers) -> ValueError:
+    """The error for the first bad record or cell in row-major order."""
+    records = _records(path)
+    next(records)
+    for line, row in records:
+        if len(row) != len(header):
+            return ValueError(
+                f"{path}: line {line} has {len(row)} fields, header has {len(header)}"
+            )
+        for j in numeric_idx:
+            cell = row[j].strip()
+            if cell in markers:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                return ValueError(
+                    f"{path}: line {line}, column {header[j]!r}: cannot parse {cell!r}"
+                )
+            if not math.isfinite(v):
+                return ValueError(
+                    f"{path}: line {line}, column {header[j]!r}: value {cell!r} is not finite"
+                )
+    raise AssertionError("no bad cell found")
 
 
 def read_csv(
@@ -40,14 +81,15 @@ def read_csv(
 
     The label column defaults to the first one; cells equal to a missing
     marker (after stripping surrounding whitespace) are masked, everything
-    else must parse as a finite decimal.
+    else must parse as a finite decimal.  Blank lines are skipped (messages
+    keep physical line numbers) and a UTF-8 byte order mark is ignored.
+    Numeric column names must be unique.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = [row for _, row in _records(path)]
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows.pop(0)]
     if label_col is None:
         label_idx = 0
     else:
@@ -64,66 +106,51 @@ def read_csv(
     numeric_idx = [j for j in range(len(header)) if j != label_idx and j != cat_idx]
     if not numeric_idx:
         raise ValueError(f"{path}: no numeric columns")
+    names = [header[j] for j in numeric_idx]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"{path}: duplicate column name {name!r}")
     markers = set(missing_markers)
 
-    labels: list[str] = []
-    cats: list[str | None] = []
-    values = np.empty((len(rows) - 1, len(numeric_idx)))
-    mask = np.ones_like(values, dtype=bool)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {r} has {len(row)} fields, header has {len(header)}"
-            )
-        labels.append(row[label_idx].strip())
-        if cat_idx is not None:
-            c = row[cat_idx].strip()
-            cats.append(None if c in markers else c)
-        for out_k, j in enumerate(numeric_idx):
-            cell = row[j].strip()
-            if cell in markers:
-                mask[r - 2, out_k] = False
-                values[r - 2, out_k] = np.nan
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {r}, column {header[j]!r}: cannot parse {cell!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise ValueError(
-                    f"{path}: line {r}, column {header[j]!r}: value {cell!r} is not finite"
-                )
-            values[r - 2, out_k] = v
-    return DataMatrix(
-        values,
-        mask,
-        tuple(labels),
-        tuple(header[j] for j in numeric_idx),
-        tuple(cats) if cat_idx is not None else None,
-        categorical_col,
-    )
+    if any(len(row) != len(header) for row in rows):
+        raise _first_bad_cell(path, header, numeric_idx, markers)
+    values = np.full((len(rows), len(numeric_idx)), np.nan)
+    mask = np.empty(values.shape, dtype=bool)
+    for out_k, j in enumerate(numeric_idx):
+        cells = list(map(str.strip, map(itemgetter(j), rows)))
+        observed = ~np.fromiter(map(markers.__contains__, cells), dtype=bool, count=len(cells))
+        mask[:, out_k] = observed
+        try:
+            col = np.fromiter(map(float, compress(cells, observed.tolist())), dtype=float)
+        except ValueError:
+            raise _first_bad_cell(path, header, numeric_idx, markers) from None
+        if not np.isfinite(col).all():
+            raise _first_bad_cell(path, header, numeric_idx, markers)
+        values[mask[:, out_k], out_k] = col
+    labels = tuple(row[label_idx].strip() for row in rows)
+    cats = None
+    if cat_idx is not None:
+        cats = tuple(None if c in markers else c for c in (row[cat_idx].strip() for row in rows))
+    return DataMatrix(values, mask, labels, tuple(names), cats, categorical_col)
 
 
 def write_csv(data: DataMatrix, path, missing_marker: str = "") -> None:
     """Write a DataMatrix back out; masked cells become ``missing_marker``."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    header = ["label"]
+    columns: list = [data.row_labels]
+    if data.categorical is not None:
+        header.append(data.categorical_name or "category")
+        columns.append(["" if c is None else c for c in data.categorical])
+    header.extend(data.col_names)
+    for k in range(data.n_cols):
+        columns.append([
+            fmt17(v) if m else missing_marker
+            for v, m in zip(data.values[:, k].tolist(), data.mask[:, k].tolist())
+        ])
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        header = ["label"]
-        if data.categorical is not None:
-            header.append(data.categorical_name or "category")
-        header.extend(data.col_names)
         w.writerow(header)
-        for i in range(data.n_rows):
-            row = [data.row_labels[i]]
-            if data.categorical is not None:
-                c = data.categorical[i]
-                row.append("" if c is None else c)
-            for k in range(data.n_cols):
-                row.append(fmt17(data.values[i, k]) if data.mask[i, k] else missing_marker)
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -228,45 +255,56 @@ def write_assignment_csv(
     superclass_labels=None,
     supplementary=None,
 ) -> None:
+    units = assignment.units
+    ok = (units != UNCLASSIFIABLE).tolist()
+
+    def classified_only(cells):
+        return [c if o else "" for c, o in zip(cells, ok)]
+
+    header = ["label", "unit", "grid_row", "grid_col", "sq_distance", "status"]
+    columns = [
+        list(row_labels),
+        classified_only(map(str, units.tolist())),
+        classified_only(map(str, (units // topology.cols).tolist())),
+        classified_only(map(str, (units % topology.cols).tolist())),
+        classified_only(map(fmt17, assignment.sq_distances.tolist())),
+        ["ok" if o else "unclassifiable" for o in ok],
+    ]
+    if superclass_labels is not None:
+        header.append("superclass")
+        labels = np.asarray(superclass_labels).tolist()
+        columns.append(["" if s < 0 else str(int(s)) for s in labels])
+    if supplementary is not None:
+        header.append("supplementary")
+        columns.append(["yes" if s else "no" for s in np.asarray(supplementary).tolist()])
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        header = ["label", "unit", "grid_row", "grid_col", "sq_distance", "status"]
-        if superclass_labels is not None:
-            header.append("superclass")
-        if supplementary is not None:
-            header.append("supplementary")
         w.writerow(header)
-        for i, label in enumerate(row_labels):
-            u = int(assignment.units[i])
-            if u == UNCLASSIFIABLE:
-                row = [label, "", "", "", "", "unclassifiable"]
-            else:
-                r, c = topology.unit_coords(u)
-                row = [label, str(u), str(r), str(c), fmt17(assignment.sq_distances[i]), "ok"]
-            if superclass_labels is not None:
-                s = int(superclass_labels[i])
-                row.append("" if s < 0 else str(s))
-            if supplementary is not None:
-                row.append("yes" if supplementary[i] else "no")
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) -> None:
-    """Sidecar of the filled matrix: one line per originally-missing cell."""
+    """Sidecar of the filled matrix: one line per originally-missing cell.
+
+    Units and seeds are listed for cells a map filled and left empty for
+    cells a fallback filled.
+    """
+    f = report.fills
+    from_map = (f.source == "codebook").tolist()
+    seeds = ";".join(str(s) for s in f.seeds)
+    units = [";".join(map(str, u)) if m else "" for u, m in zip(f.units.tolist(), from_map)]
+    lines = zip(
+        [row_labels[i] for i in f.rows.tolist()],
+        [col_names[k] for k in f.cols.tolist()],
+        map(fmt17, report.filled.values[f.rows, f.cols].tolist()),
+        units,
+        [seeds if m else "" for m in from_map],
+        f.source.tolist(),
+    )
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["label", "column", "estimate", "units", "seeds", "source"])
-        for f in report.fills:
-            w.writerow(
-                [
-                    row_labels[f.row],
-                    col_names[f.col],
-                    fmt17(report.filled.values[f.row, f.col]),
-                    ";".join(str(u) for u in f.units),
-                    ";".join(str(s) for s in f.seeds),
-                    f.source,
-                ]
-            )
+        w.writerows(lines)
         for (i, k) in report.unresolved:
             w.writerow([row_labels[i], col_names[k], "", "", "", "unresolved"])
 

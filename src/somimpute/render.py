@@ -11,8 +11,7 @@ from __future__ import annotations
 from xml.sax.saxutils import escape
 
 from .evaluation import EvalReport
-from .metric import CodeBook
-from .trainer import Assignment
+from .metric import Assignment, CodeBook
 
 SUPERCLASS_PALETTE = (
     "#aec7e8", "#ffbb78", "#98df8a", "#ff9896", "#c5b0d5",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _readonly
-from .metric import CodeBook
-from .trainer import UNCLASSIFIABLE, Assignment
+from .metric import UNCLASSIFIABLE, Assignment, CodeBook
 
 UNLABELED = -1
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataMatrix, _readonly
-from .metric import CodeBook, masked_sq_distances
+# UNCLASSIFIABLE and Assignment live in metric and stay importable from here
+from .metric import UNCLASSIFIABLE, Assignment, CodeBook, assign, masked_sq_distances
 from .topology import GridTopology, NeighborhoodState
-
-UNCLASSIFIABLE = -1
 
 
 class TrainingMode(enum.Enum):
@@ -92,36 +91,6 @@ class TrainingSchedule:
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """Winning unit and masked squared distance per row.
-
-    Rows with no observed component carry ``UNCLASSIFIABLE`` (-1) and a NaN
-    distance.
-    """
-
-    units: np.ndarray
-    sq_distances: np.ndarray
-    n_units: int
-
-    def __post_init__(self) -> None:
-        units = np.array(self.units, dtype=int)
-        dists = np.array(self.sq_distances, dtype=float)
-        if units.ndim != 1 or dists.shape != units.shape:
-            raise ValueError("units and sq_distances must be 1-D arrays of equal length")
-        if units.size and (units.max() >= self.n_units or units.min() < UNCLASSIFIABLE):
-            raise ValueError("unit index out of range")
-        object.__setattr__(self, "units", _readonly(units))
-        object.__setattr__(self, "sq_distances", _readonly(dists))
-
-    @property
-    def n_rows(self) -> int:
-        return self.units.shape[0]
-
-    def unclassifiable_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.units == UNCLASSIFIABLE)
-
-
-@dataclass(frozen=True)
 class TrainResult:
     """Final codebook, one assignment per row, and training bookkeeping.
 
@@ -190,18 +159,7 @@ def classify_supplementary(codebook: CodeBook, data: DataMatrix) -> Assignment:
         raise ValueError(
             f"codebook has {codebook.n_features} components, data has {data.n_cols}"
         )
-    n = data.n_rows
-    units = np.full(n, UNCLASSIFIABLE, dtype=int)
-    dists = np.full(n, np.nan)
-    for i in range(n):
-        obs = data.mask[i]
-        if not obs.any():
-            continue
-        d = masked_sq_distances(data.values[i], obs, codebook.codes)
-        w = int(np.argmin(d))
-        units[i] = w
-        dists[i] = d[w]
-    return Assignment(units, dists, codebook.n_units)
+    return assign(codebook.codes, data.values, data.mask)
 
 
 def train(
@@ -267,20 +225,6 @@ class ForgyResult:
     distortion: tuple[float, ...]
 
 
-def _assign_to_centroids(data: DataMatrix, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = data.n_rows
-    units = np.full(n, UNCLASSIFIABLE, dtype=int)
-    dists = np.full(n, np.nan)
-    for i in range(n):
-        obs = data.mask[i]
-        if not obs.any():
-            continue
-        d = masked_sq_distances(data.values[i], obs, cents)
-        units[i] = int(np.argmin(d))
-        dists[i] = d[units[i]]
-    return units, dists
-
-
 def forgy_train(
     data: DataMatrix,
     n_classes: int,
@@ -321,14 +265,14 @@ def forgy_train(
                 f"initial_codes must have shape ({n_classes}, {data.n_cols}), got {cents.shape}"
             )
 
-    units, dists = _assign_to_centroids(data, cents)
-    history = [float(dists[units >= 0].sum())]
+    asg = assign(cents, data.values, data.mask)
+    history = [float(asg.sq_distances[asg.units >= 0].sum())]
     converged = False
     n_iters = 0
     for _ in range(max_iters):
         n_iters += 1
         for c in range(n_classes):
-            members = np.flatnonzero(units == c)
+            members = np.flatnonzero(asg.units == c)
             if members.size == 0:
                 continue
             m = data.mask[members]
@@ -336,17 +280,16 @@ def forgy_train(
             sums = np.where(m, data.values[members], 0.0).sum(axis=0)
             means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
             cents[c] = np.where(counts > 0, means, cents[c])
-        new_units, new_dists = _assign_to_centroids(data, cents)
-        history.append(float(new_dists[new_units >= 0].sum()))
-        stable = bool(np.array_equal(new_units, units))
-        units, dists = new_units, new_dists
+        new = assign(cents, data.values, data.mask)
+        history.append(float(new.sq_distances[new.units >= 0].sum()))
+        stable = bool(np.array_equal(new.units, asg.units))
+        asg = new
         if stable:
             converged = True
             break
 
     centroids = CodeBook(cents, GridTopology(1, n_classes), data.col_names)
-    assignment = Assignment(units, dists, n_classes)
-    return ForgyResult(centroids, assignment, n_iters, converged, tuple(history))
+    return ForgyResult(centroids, asg, n_iters, converged, tuple(history))
 
 
 def replicate_schedule(schedule: TrainingSchedule, seed: int) -> TrainingSchedule:

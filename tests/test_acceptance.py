@@ -113,10 +113,11 @@ def test_criterion_3_imputation_identity_on_1000_random_instances():
                           tuple(f"r{i}" for i in range(n)),
                           tuple(f"v{k}" for k in range(p)))
         report = impute(cb, data)
-        for f in report.fills:
-            w = brute_winner(data.values[f.row], data.mask[f.row], codes)
-            assert f.value == codes[w, f.col]
-            assert report.filled.values[f.row, f.col] == codes[w, f.col]
+        fills = report.fills
+        for row, col, value in zip(fills.rows, fills.cols, fills.values):
+            w = brute_winner(data.values[row], data.mask[row], codes)
+            assert value == codes[w, col]
+            assert report.filled.values[row, col] == codes[w, col]
             checked += 1
     assert checked > 10_000
     _ok(3, f"every filled cell equals its winner's code component exactly ({checked} cells)")
@@ -310,8 +311,8 @@ def test_criterion_10_multi_map_averaging_halves_estimate_variance():
     std = standardize(masked, params)
     topo = GridTopology(3, 3)
     sched = TrainingSchedule(total_iters=1000, radius0=2, rng_seed=0)
-    cells = [(f.row, f.col)
-             for f in impute(train(std, topo, sched).codebook, std).fills]
+    fills = impute(train(std, topo, sched).codebook, std).fills
+    cells = list(zip(fills.rows.tolist(), fills.cols.tolist()))
 
     n_replicas = 30
     single = np.empty((n_replicas, len(cells)))

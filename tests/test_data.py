@@ -63,6 +63,12 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             small_incomplete.mask[0, 0] = False
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_from_nan_rejects_infinity(self, bad):
+        # only NaN means missing; an infinite entry is a bad observation
+        with pytest.raises(ValueError, match="finite"):
+            DataMatrix.from_nan(np.array([[1.0, bad], [2.0, 3.0]]))
+
     def test_from_nan_roundtrip(self, small_incomplete):
         again = DataMatrix.from_nan(
             np.array(small_incomplete.values), small_incomplete.row_labels,

@@ -3,8 +3,8 @@ import pytest
 
 from somimpute import (
     Assignment,
-    CellFill,
     DataMatrix,
+    Fills,
     GridTopology,
     ImputationReport,
     MaskingLedger,
@@ -101,13 +101,15 @@ class TestMaskRandom:
 def _report_for(data, estimates):
     values = data.values.copy()
     mask = data.mask.copy()
-    fills = []
+    cells = list(estimates)
     for (i, k), v in estimates.items():
         values[i, k] = v
         mask[i, k] = True
-        fills.append(CellFill(i, k, v, (0,), ()))
+    rows = [i for i, _ in cells]
+    cols = [k for _, k in cells]
+    fills = Fills(rows, cols, list(estimates.values()), np.zeros((len(cells), 1)))
     filled = DataMatrix(values, mask, data.row_labels, data.col_names)
-    return ImputationReport(filled, tuple(fills), ())
+    return ImputationReport(filled, fills, ())
 
 
 class TestRmseDeleted:
@@ -150,7 +152,7 @@ class TestMeanBaseline:
     def test_standardized_data_fills_zero(self, small_incomplete):
         std = standardize(small_incomplete, fit_standardizer(small_incomplete))
         report = mean_impute_baseline(std)
-        assert all(abs(f.value) < 1e-12 for f in report.fills)
+        assert all(abs(v) < 1e-12 for v in report.fills.values)
 
     def test_hand_case_mean_of_two(self):
         values = np.array([[2.0, 0.0], [4.0, 1.0], [np.nan, 2.0]])
@@ -160,7 +162,7 @@ class TestMeanBaseline:
 
     def test_complete_data_fills_nothing(self):
         report = mean_impute_baseline(_complete())
-        assert report.fills == ()
+        assert len(report.fills) == 0
 
 
 class TestPairwiseCorrelation:
@@ -282,3 +284,11 @@ class TestDeletionCurve:
         report = deletion_curve(data, [2], GridTopology(2, 2), sched, n_repeats=3)
         assert report.n_cells[2] == 2 * 8 * 3
         assert len(report.rmse_by_repeat[2]) == 3
+
+    def test_degenerate_arm_is_named(self):
+        # on 6 rows, d = 3 of 4 columns often leaves a column with fewer
+        # than two observed values; the study stops and names that arm
+        data = _complete(seed=4, n=6, p=4)
+        sched = TrainingSchedule(total_iters=60, radius0=1, rng_seed=0)
+        with pytest.raises(ValueError, match=r"deletion arm d=\d, repeat=\d+: column 'v\d'"):
+            deletion_curve(data, range(1, 4), GridTopology(2, 2), sched, n_repeats=20)

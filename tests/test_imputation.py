@@ -27,7 +27,7 @@ def test_complete_row_produces_no_fill():
     cb = _codebook([[0.0, 0.0]])
     data = DataMatrix.from_nan(np.array([[1.0, 2.0]]))
     report = impute(cb, data)
-    assert report.fills == ()
+    assert len(report.fills) == 0
     assert report.unresolved == ()
     assert np.array_equal(report.filled.values, data.values)
 
@@ -39,7 +39,8 @@ def test_filled_value_is_exactly_the_winning_code_component():
     report = impute(cb, data)
     assert report.estimate_at(0, 1) == 3.5
     assert report.estimate_at(1, 1) == -1.25
-    assert all(f.units for f in report.fills)
+    assert report.fills.units.shape == (len(report.fills), 1)
+    assert (report.fills.units >= 0).all()
     assert report.filled.mask.all()
 
 
@@ -56,9 +57,10 @@ def test_winner_recomputed_independently_matches_fill():
                 mask[0, k] = True
         data = DataMatrix(values, mask, tuple("abcdef"), ("x", "y", "z"))
         report = impute(cb, data)
-        for f in report.fills:
-            w = brute_winner(data.values[f.row], data.mask[f.row], codes)
-            assert f.value == codes[w, f.col]
+        fills = report.fills
+        for row, col, value in zip(fills.rows, fills.cols, fills.values):
+            w = brute_winner(data.values[row], data.mask[row], codes)
+            assert value == codes[w, col]
 
 
 def test_point_clusters_recover_deleted_value_exactly_with_batch_centroids():
@@ -95,7 +97,7 @@ def test_multi_with_one_map_equals_single_impute():
         data,
     )
     assert np.array_equal(multi.filled.values, single.filled.values, equal_nan=True)
-    assert [f.value for f in multi.fills] == [f.value for f in single.fills]
+    assert multi.fills.values.tolist() == single.fills.values.tolist()
 
 
 def test_agreeing_maps_return_the_common_value():
@@ -106,9 +108,9 @@ def test_agreeing_maps_return_the_common_value():
     sched = TrainingSchedule(total_iters=100, radius0=1, zero_radius_fraction=0.5, rng_seed=0)
     report = impute_multi(data, topo, sched, n_maps=4, base_seed=10)
     assert report.estimate_at(2, 1) == 4.0
-    fill = [f for f in report.fills if (f.row, f.col) == (2, 1)][0]
-    assert fill.seeds == (10, 11, 12, 13)
-    assert len(fill.units) == 4
+    j = np.flatnonzero((report.fills.rows == 2) & (report.fills.cols == 1))[0]
+    assert report.fills.seeds == (10, 11, 12, 13)
+    assert len(report.fills.units[j]) == 4
 
 
 def test_ensemble_averages_estimates():
@@ -131,7 +133,8 @@ def test_observed_cells_are_bit_identical():
 def test_every_missing_cell_filled_or_unresolved(small_incomplete):
     cb = _codebook(np.zeros((2, 3)))
     report = impute(cb, small_incomplete)
-    covered = {(f.row, f.col) for f in report.fills} | set(report.unresolved)
+    covered = set(zip(report.fills.rows.tolist(), report.fills.cols.tolist()))
+    covered |= set(report.unresolved)
     expected = {tuple(c) for c in np.argwhere(~small_incomplete.mask)}
     assert covered == expected
 
@@ -143,8 +146,8 @@ def test_imputed_values_stay_in_observed_column_ranges():
         fit = train(data, GridTopology(2, 2), sched)
         report = impute(fit.codebook, data)
         lo, hi = data.column_ranges()
-        for f in report.fills:
-            assert lo[f.col] <= f.value <= hi[f.col]
+        for col, value in zip(report.fills.cols, report.fills.values):
+            assert lo[col] <= value <= hi[col]
 
 
 def test_all_missing_row_yields_unresolved_cells(small_incomplete):
@@ -162,7 +165,7 @@ def test_column_mean_fallback_is_explicit(small_incomplete):
     col_means = np.nanmean(small_incomplete.values, axis=0)
     for k in range(3):
         assert fb.estimate_at(2, k) == col_means[k]
-    sources = {f.source for f in fb.fills if f.row == 2}
+    sources = set(fb.fills.source[fb.fills.rows == 2].tolist())
     assert sources == {"column-mean"}
 
 

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from somimpute import (
     Assignment,
@@ -82,6 +87,76 @@ class TestReadCsv:
             read_csv(path, label_col="nope")
         with pytest.raises(ValueError, match="categorical column"):
             read_csv(path, categorical_col="nope")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x\nr1,1\n\nr2,2\n\n")
+        data = read_csv(path)
+        assert data.row_labels == ("r1", "r2")
+        assert data.values[:, 0].tolist() == [1.0, 2.0]
+
+    def test_messages_keep_physical_line_numbers(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x\n\nr1,1\n\nr2,abc\n")
+        with pytest.raises(ValueError, match="line 5, column 'x'"):
+            read_csv(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("name,x\nr1,1\nr2,2\n".encode("utf-8-sig"))
+        data = read_csv(path, label_col="name")
+        assert data.row_labels == ("r1", "r2")
+        assert data.col_names == ("x",)
+
+    def test_duplicate_numeric_column_names_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,y,x\nr1,1,2,3\n")
+        with pytest.raises(ValueError, match="duplicate column name 'x'"):
+            read_csv(path)
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,y\nr1,1,abc\nr2,zzz,inf\n")
+        with pytest.raises(ValueError, match="line 2, column 'y': cannot parse 'abc'"):
+            read_csv(path)
+        path.write_text("id,x,y\nr1,1,inf\nr2,zzz,2\n")
+        with pytest.raises(ValueError, match="line 2, column 'y'.*not finite"):
+            read_csv(path)
+
+    def test_bad_cell_before_ragged_row_reported_first(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x\nr1,abc\nr2,1,2\n")
+        with pytest.raises(ValueError, match="line 2, column 'x'"):
+            read_csv(path)
+        path.write_text("id,x\nr1,1,2\nr2,abc\n")
+        with pytest.raises(ValueError, match="line 2 has 3 fields"):
+            read_csv(path)
+
+
+@st.composite
+def _holed_tables(draw):
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(finite, min_size=n * p, max_size=n * p))).reshape(n, p)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)))
+    mask = mask.reshape(n, p)
+    mask[0, ~mask.any(axis=0)] = True  # every column keeps an observed value
+    return DataMatrix(values, mask, tuple(f"r{i}" for i in range(n)),
+                      tuple(f"c{k}" for k in range(p)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_holed_tables(), st.sampled_from(["", "NA", "?", "null", "-", "missing"]))
+def test_csv_write_read_roundtrip_is_bit_exact(data, marker):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(data, path, missing_marker=marker)
+        back = read_csv(path, missing_markers=(marker,))
+    assert back.row_labels == data.row_labels
+    assert back.col_names == data.col_names
+    assert np.array_equal(back.mask, data.mask)
+    assert back.values[back.mask].tobytes() == data.values[data.mask].tobytes()
 
 
 def test_csv_roundtrip_preserves_values_and_mask(tmp_path):
@@ -268,6 +343,49 @@ class TestCli:
         original = read_csv(csv_path, categorical_col="level")
         col_means = np.nanmean(original.values, axis=0)
         assert filled.values[-1] == pytest.approx(col_means, rel=1e-12)
+
+    def test_impute_keeps_observed_cells_bit_identical(self, tmp_path):
+        # full-precision values: a standardize/destandardize round trip
+        # moves some of them in their last bits
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(60, 4)) * [1.0, 30.0, 0.01, 7.0] + [0.0, 100.0, -3.0, 1e3]
+        mask = rng.random((60, 4)) < 0.75
+        mask[:, 0] |= ~mask.any(axis=1)
+        source = DataMatrix(values, mask, tuple(f"r{i}" for i in range(60)),
+                            ("x", "y", "z", "w"))
+        csv_path = tmp_path / "data.csv"
+        write_csv(source, csv_path)
+        run = tmp_path / "run"
+        assert main(["train", "--input", str(csv_path), "--output-dir", str(run),
+                     "--grid-rows", "2", "--grid-cols", "2", "--iters", "300",
+                     "--seed", "1"]) == 0
+        model_run = ["--model", str(run / "model.txt")]
+        maps_run = ["--n-maps", "2", "--grid-rows", "2", "--grid-cols", "2",
+                    "--iters", "300", "--seed", "1"]
+        for name, extra in (("model", model_run), ("maps", maps_run)):
+            out = tmp_path / name
+            assert main(["impute", "--input", str(csv_path), "--output-dir", str(out),
+                         *extra]) == 0
+            imputed = read_csv(out / "imputed.csv")
+            assert imputed.mask.all()
+            assert imputed.values[mask].tobytes() == source.values[mask].tobytes(), name
+
+    def test_model_commands_reject_reordered_columns(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        run = tmp_path / "run"
+        assert main(_train_args(csv_path, run)) == 0
+        lines = csv_path.read_text().splitlines()
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("\n".join(
+            ",".join(f[:2] + [f[3], f[2]] + f[4:]) for f in (l.split(",") for l in lines)
+        ) + "\n")
+        for cmd in ("classify", "impute", "render"):
+            rc = main([cmd, "--input", str(swapped), "--output-dir", str(tmp_path / cmd),
+                       "--model", str(run / "model.txt"), "--categorical-col", "level"])
+            assert rc == 2, cmd
+            err = capsys.readouterr().err
+            assert "numeric column 1 is 'y', the model has 'x' there" in err, cmd
 
     def test_impute_multi_without_model(self, tmp_path):
         csv_path = tmp_path / "data.csv"

@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somimpute import (
+    UNCLASSIFIABLE,
     CodeBook,
     GridTopology,
     UnclassifiableRowError,
+    assign,
     masked_sq_distance,
     masked_sq_distances,
     winner,
 )
-from helpers import brute_masked_sq_distance
+from somimpute import metric
+from helpers import brute_masked_sq_distance, brute_winner
 
 
 def test_complete_identical_vectors_are_at_zero():
@@ -144,3 +147,80 @@ def test_codebook_validation():
         CodeBook(np.array([[np.nan, 0.0]]), GridTopology(1, 1), ("a", "b"))
     with pytest.raises(ValueError):
         CodeBook(np.zeros((3, 2)), GridTopology(2, 2), ("a", "b"))
+
+
+def _brute_assignment(codes, values, mask):
+    units, dists = [], []
+    for x, obs in zip(values, mask):
+        if not obs.any():
+            units.append(UNCLASSIFIABLE)
+            dists.append(np.nan)
+            continue
+        w = brute_winner(x, obs, codes)
+        units.append(w)
+        dists.append(brute_masked_sq_distance(x, obs, codes[w]))
+    return units, np.array(dists)
+
+
+def _assert_assign_matches_brute(codes, values, mask):
+    got = assign(codes, values, mask)
+    units, dists = _brute_assignment(codes, values, mask)
+    assert got.units.tolist() == units
+    assert got.sq_distances.tobytes() == dists.tobytes()
+
+
+@pytest.mark.parametrize("n_units", [1, 2, 5, 13, 40])
+def test_assign_matches_bruteforce_bit_for_bit(n_units, monkeypatch):
+    # a small chunk so that every call spans several chunks
+    monkeypatch.setattr(metric, "_CHUNK_CELLS", 4 * n_units)
+    rng = np.random.default_rng(700 + n_units)
+    for _ in range(25):
+        p = int(rng.integers(1, 41))
+        n = int(rng.integers(1, 30))
+        codes = rng.normal(size=(n_units, p))
+        values = rng.normal(size=(n, p))
+        mask = rng.random((n, p)) < rng.uniform(0.1, 1.0)
+        mask[rng.random(n) < 0.15] = False  # all-missing rows
+        values[~mask] = np.nan
+        _assert_assign_matches_brute(codes, values, mask)
+
+
+def test_assign_rows_not_a_multiple_of_the_chunk(monkeypatch):
+    monkeypatch.setattr(metric, "_CHUNK_CELLS", 3 * 6)  # 3 rows per chunk
+    rng = np.random.default_rng(5)
+    codes = rng.normal(size=(6, 4))
+    for n in (1, 2, 3, 4, 10, 11):
+        values = rng.normal(size=(n, 4))
+        mask = rng.random((n, 4)) < 0.7
+        _assert_assign_matches_brute(codes, values, mask)
+
+
+def test_assign_exact_ties_go_to_the_lowest_unit():
+    # small integers make exact ties between units frequent
+    rng = np.random.default_rng(9)
+    codes = rng.integers(-2, 3, size=(12, 3)).astype(float)
+    codes[7] = codes[2]
+    values = rng.integers(-2, 3, size=(200, 3)).astype(float)
+    mask = rng.random((200, 3)) < 0.6
+    _assert_assign_matches_brute(codes, values, mask)
+    got = assign(codes, codes[[2, 7]], np.ones((2, 3), bool))
+    assert got.units.tolist() == [2, 2]
+
+
+def test_assign_flags_all_missing_rows():
+    codes = np.zeros((3, 2))
+    got = assign(codes, np.array([[np.nan, np.nan], [1.0, np.nan]]),
+                 np.array([[False, False], [True, False]]))
+    assert got.units.tolist() == [UNCLASSIFIABLE, 0]
+    assert np.isnan(got.sq_distances[0]) and got.sq_distances[1] == 1.0
+
+
+def test_single_code_distance_is_the_ascending_sum_for_long_rows():
+    # one code vector: the sum runs in ascending component order here too
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        p = int(rng.integers(1, 41))
+        x = rng.normal(size=p)
+        c = rng.normal(size=(1, p))
+        obs = rng.random(p) < 0.8
+        assert masked_sq_distances(x, obs, c)[0] == brute_masked_sq_distance(x, obs, c[0])
