@@ -40,7 +40,6 @@ from .metric import (
     CodeBook,
     UnclassifiableRowError,
     assign,
-    masked_sq_distance,
     masked_sq_distances,
     winner,
 )
@@ -50,7 +49,7 @@ from .superclass import (
     superclass_of_rows,
     ward_dendrogram,
 )
-from .topology import GridTopology, NeighborhoodState
+from .topology import GridTopology
 from .trainer import (
     ForgyResult,
     TrainingMode,
@@ -77,7 +76,6 @@ __all__ = [
     "MaskedCellError",
     "MaskingLedger",
     "MaskingPlan",
-    "NeighborhoodState",
     "StandardizationParams",
     "SuperClassing",
     "TrainResult",
@@ -98,7 +96,6 @@ __all__ = [
     "impute_multi",
     "init_codebook",
     "mask_random",
-    "masked_sq_distance",
     "masked_sq_distances",
     "mean_impute_baseline",
     "modality_proportions",

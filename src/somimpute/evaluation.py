@@ -8,7 +8,7 @@ overlaying a categorical variable on the map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .data import DataMatrix, fit_standardizer, standardize
 from .imputation import Fills, ImputationReport, _with_fills, impute, impute_multi
 from .metric import Assignment
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, replicate_schedule, train
+from .trainer import TrainingMode, TrainingSchedule, train
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def _deletion_arm(
     std_truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
     std_ledger = MaskingLedger(ledger.cells, std_truth)
     if n_maps == 1:
-        fit = train(std_masked, topology, replicate_schedule(schedule, train_seed), mode)
+        fit = train(std_masked, topology, replace(schedule, rng_seed=train_seed), mode)
         report = impute(fit.codebook, std_masked)
     else:
         report = impute_multi(

@@ -8,14 +8,14 @@ averaging the estimates from several independently trained maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DataMatrix, _readonly
 from .metric import UNCLASSIFIABLE, CodeBook, assign
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, replicate_schedule, train
+from .trainer import TrainingMode, TrainingSchedule, train
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def impute_multi(
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
     seeds = tuple(base_seed + j for j in range(n_maps))
     codebooks = [
-        train(data, topology, replicate_schedule(schedule, s), mode).codebook
+        train(data, topology, replace(schedule, rng_seed=s), mode).codebook
         for s in seeds
     ]
     return impute_ensemble(codebooks, data, seeds)

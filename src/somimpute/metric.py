@@ -167,23 +167,6 @@ def masked_sq_distances(x: np.ndarray, observed: np.ndarray, codes: np.ndarray) 
     return _sq_distances(codes, x[None], observed[None])[0]
 
 
-def masked_sq_distance(x: np.ndarray, observed: np.ndarray, code: np.ndarray) -> float:
-    """Sum of squared differences over observed components.
-
-    Accumulates sequentially in ascending component order; that summation
-    order is part of the contract.  Returns 0.0 for a fully-missing row
-    (empty sum).
-    """
-    x = np.asarray(x, dtype=float)
-    code = np.asarray(code, dtype=float)
-    if x.ndim != 1 or code.shape != x.shape or np.shape(observed) != x.shape:
-        raise ValueError(
-            f"x, observed and code must be 1-D of equal length, got {x.shape}, "
-            f"{np.shape(observed)}, {code.shape}"
-        )
-    return float(masked_sq_distances(x, observed, code[None])[0])
-
-
 def winner(x: np.ndarray, observed: np.ndarray, codebook: CodeBook) -> int:
     """Index of the unit minimizing the masked squared distance.
 

@@ -163,6 +163,13 @@ class SomModel:
     schedule: TrainingSchedule
     mode: TrainingMode
 
+    def __post_init__(self) -> None:
+        if self.standardizer.n_cols != self.codebook.n_features:
+            raise ValueError(
+                f"standardizer has {self.standardizer.n_cols} columns, "
+                f"codebook has {self.codebook.n_features}"
+            )
+
 
 def save_model(model: SomModel, path) -> None:
     """Flat text format: one header line (rows, cols, p, column names), one
@@ -239,12 +246,11 @@ def load_model(path) -> SomModel:
         rng_seed=int(sched_kv["rng_seed"]),
     )
     mode = TrainingMode(keyed["mode"][0])
-    return SomModel(
-        CodeBook(codes, topo, col_names),
-        StandardizationParams(means, stds),
-        schedule,
-        mode,
-    )
+    try:
+        return SomModel(CodeBook(codes, topo, col_names), StandardizationParams(means, stds),
+                        schedule, mode)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_assignment_csv(

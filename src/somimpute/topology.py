@@ -71,14 +71,3 @@ class GridTopology:
         within = np.maximum(np.abs(rr - ur), np.abs(cc - uc)) <= radius
         return np.flatnonzero(within)
 
-
-@dataclass(frozen=True)
-class NeighborhoodState:
-    """Current neighborhood radius; radius 0 means the winner alone."""
-
-    radius: int
-
-    def __post_init__(self) -> None:
-        if int(self.radius) != self.radius or self.radius < 0:
-            raise ValueError(f"radius must be a nonnegative integer, got {self.radius}")
-        object.__setattr__(self, "radius", int(self.radius))

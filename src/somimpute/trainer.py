@@ -10,14 +10,14 @@ means) is provided as well.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataMatrix, _readonly
 # UNCLASSIFIABLE and Assignment live in metric and stay importable from here
-from .metric import UNCLASSIFIABLE, Assignment, CodeBook, assign, masked_sq_distances
-from .topology import GridTopology, NeighborhoodState
+from .metric import UNCLASSIFIABLE, Assignment, CodeBook, assign
+from .topology import GridTopology
 
 
 class TrainingMode(enum.Enum):
@@ -118,34 +118,53 @@ def init_codebook(data: DataMatrix, topology: GridTopology, seed: int) -> CodeBo
     return CodeBook(_draw_initial_codes(rng, data, topology), topology, data.col_names)
 
 
+def _online_step(codes, cheb, x_obs, obs_idx, radius, alpha) -> None:
+    """One online update of ``codes`` in place: pull the components
+    ``obs_idx`` of the winner and of every unit within Chebyshev distance
+    ``radius`` of it (``cheb`` is the grid's distance matrix) a fraction
+    ``alpha`` toward the row's observed values ``x_obs``.  No other
+    component moves.
+
+    The winner minimizes the squared distance over the observed components,
+    ties to the lowest unit.  That distance is numpy's pairwise ``sum``,
+    whereas :func:`somimpute.metric.assign` adds the components in ascending
+    order; from 8 observed components on the two can differ in the last
+    bits.  The pairwise order is the one every trained codebook was made
+    with, so it stays.
+    """
+    w = np.argmin(((codes[:, obs_idx] - x_obs) ** 2).sum(axis=1))
+    nb = np.flatnonzero(cheb[w] <= radius)[:, None]
+    block = codes[nb, obs_idx]
+    codes[nb, obs_idx] = block + alpha * (x_obs - block)
+
+
 def sgd_step(
     codebook: CodeBook,
     data: DataMatrix,
     row: int,
-    state: NeighborhoodState,
+    radius: int,
     alpha: float,
 ) -> CodeBook:
     """One online update: pull the observed components of the winner and its
-    neighbors toward the row; missing components leave every code untouched.
+    neighbors within ``radius`` (0 is the winner alone) toward the row;
+    missing components leave every code untouched.
 
     Returns a new codebook; the input is not modified.
     """
+    if int(radius) != radius or radius < 0:
+        raise ValueError(f"radius must be a nonnegative integer, got {radius}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if codebook.n_features != data.n_cols:
         raise ValueError(
             f"codebook has {codebook.n_features} components, data has {data.n_cols}"
         )
-    obs = data.mask[row]
-    obs_idx = np.flatnonzero(obs)
+    obs_idx = np.flatnonzero(data.mask[row])
     if obs_idx.size == 0:
         raise ValueError(f"row {row} has no observed component")
     codes = codebook.codes.copy()
-    x = data.values[row]
-    w = int(np.argmin(masked_sq_distances(x, obs, codes)))
-    nb = codebook.topology.neighbors(w, state.radius)
-    block = codes[np.ix_(nb, obs_idx)]
-    codes[np.ix_(nb, obs_idx)] = block + alpha * (x[obs_idx] - block)
+    _online_step(codes, codebook.topology.distance_matrix(), data.values[row, obs_idx],
+                 obs_idx, radius, alpha)
     return codebook.with_codes(codes)
 
 
@@ -176,7 +195,9 @@ def train(
     Reproducibility contract: a single ``np.random.default_rng(rng_seed)``
     stream first draws the initial codes uniformly from the per-column
     observed ranges in one ``(n_units, p)`` call, then draws one row index
-    per iteration, uniform over the trainable pool (``rng.integers(pool_size)``).
+    per iteration, uniform over the trainable pool, in a single
+    ``rng.integers(pool_size, size=total_iters)`` call (the same stream as
+    one ``rng.integers(pool_size)`` per iteration).
     Rows with no observed component are excluded from the pool and counted;
     under complete-only mode the pool is the complete rows and the remaining
     rows are classified afterwards as supplementary observations.
@@ -195,19 +216,10 @@ def train(
     rng = np.random.default_rng(schedule.rng_seed)
     codes = _draw_initial_codes(rng, data, topology)
     cheb = topology.distance_matrix()
-    row_obs_idx = [np.flatnonzero(data.mask[i]) for i in range(data.n_rows)]
-    row_obs_vals = [data.values[i, row_obs_idx[i]] for i in range(data.n_rows)]
-
-    for t in range(schedule.total_iters):
-        i = pool[rng.integers(pool.size)]
-        obs_idx = row_obs_idx[i]
-        xo = row_obs_vals[i]
-        co = codes[:, obs_idx]
-        w = int(np.argmin(((co - xo) ** 2).sum(axis=1)))
-        nb = np.flatnonzero(cheb[w] <= schedule.radius_at(t))
-        alpha = schedule.alpha_at(t)
-        block = codes[np.ix_(nb, obs_idx)]
-        codes[np.ix_(nb, obs_idx)] = block + alpha * (xo - block)
+    for t, i in enumerate(pool[rng.integers(pool.size, size=schedule.total_iters)]):
+        obs_idx = np.flatnonzero(data.mask[i])
+        _online_step(codes, cheb, data.values[i, obs_idx], obs_idx,
+                     schedule.radius_at(t), schedule.alpha_at(t))
 
     codebook = CodeBook(codes, topology, data.col_names)
     assignment = classify_supplementary(codebook, data)
@@ -291,7 +303,3 @@ def forgy_train(
     centroids = CodeBook(cents, GridTopology(1, n_classes), data.col_names)
     return ForgyResult(centroids, asg, n_iters, converged, tuple(history))
 
-
-def replicate_schedule(schedule: TrainingSchedule, seed: int) -> TrainingSchedule:
-    """Same schedule, different seed; used for independent training replicas."""
-    return replace(schedule, rng_seed=seed)

@@ -25,7 +25,7 @@ from somimpute import (
     impute,
     impute_multi,
     mask_random,
-    masked_sq_distance,
+    masked_sq_distances,
     mean_impute_baseline,
     pairwise_correlation,
     rmse_deleted,
@@ -90,8 +90,8 @@ def test_criterion_2_masked_distance_matches_bruteforce_on_10000_triples():
             if observed[k]:
                 d = x[k] - c[k]
                 expected += d * d
-        assert masked_sq_distance(x, observed, c) == expected, f"triple {trial}"
-    _ok(2, "masked_sq_distance exact against the explicit-loop oracle on 10000 triples")
+        assert masked_sq_distances(x, observed, c[None])[0] == expected, f"triple {trial}"
+    _ok(2, "masked_sq_distances exact against the explicit-loop oracle on 10000 triples")
 
 
 def test_criterion_3_imputation_identity_on_1000_random_instances():

@@ -217,6 +217,24 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(a.sq_distances, b.sq_distances, equal_nan=True)
 
 
+def test_model_rejects_standardizer_of_wrong_length(tmp_path):
+    cb = CodeBook(np.zeros((2, 3)), GridTopology(1, 2), ("a", "b", "c"))
+    short = StandardizationParams(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="2 columns.*3"):
+        SomModel(cb, short, TrainingSchedule(), TrainingMode.INCLUDE_INCOMPLETE)
+    # a file whose mean and std lines lack a column is refused on load, by name
+    good = SomModel(cb, StandardizationParams(np.zeros(3), np.ones(3)),
+                    TrainingSchedule(), TrainingMode.INCLUDE_INCOMPLETE)
+    path = tmp_path / "model.txt"
+    save_model(good, path)
+    lines = path.read_text().splitlines()
+    lines = [ln.rsplit("\t", 1)[0] if ln.startswith(("mean\t", "std\t")) else ln
+             for ln in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="model.txt.*2 columns"):
+        load_model(path)
+
+
 def test_manifest_roundtrip(tmp_path):
     entries = {"seed": 42, "alpha0": 0.5, "input": "x.csv", "markers": ["", "NA"],
                "model": None}

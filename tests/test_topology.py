@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from somimpute import GridTopology, NeighborhoodState
+from somimpute import GridTopology
 
 
 def test_grid_distance_identity():
@@ -98,8 +98,3 @@ def test_neighbors_always_contain_the_unit(rows, cols, radius):
     for u in range(topo.n_units):
         assert u in topo.neighbors(u, radius)
 
-
-def test_neighborhood_state_validation():
-    assert NeighborhoodState(0).radius == 0
-    with pytest.raises(ValueError):
-        NeighborhoodState(-1)

@@ -6,7 +6,6 @@ from somimpute import (
     CodeBook,
     DataMatrix,
     GridTopology,
-    NeighborhoodState,
     TrainingMode,
     TrainingSchedule,
     classify_supplementary,
@@ -97,14 +96,14 @@ class TestSgdStep:
         cb = self._one_unit([[5.0, 5.0]])
         values = np.array([[2.0, np.nan], [1.0, 1.0]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
-        out = sgd_step(cb, data, 0, NeighborhoodState(0), alpha=1.0)
+        out = sgd_step(cb, data, 0, radius=0, alpha=1.0)
         assert out.codes[0, 0] == 2.0
         assert out.codes[0, 1] == 5.0  # missing component untouched
 
     def test_half_step_hand_case(self):
         cb = self._one_unit([[0.0]])
         data = DataMatrix.from_nan(np.array([[2.0]]))
-        out = sgd_step(cb, data, 0, NeighborhoodState(0), alpha=0.5)
+        out = sgd_step(cb, data, 0, radius=0, alpha=0.5)
         assert out.codes[0, 0] == 1.0
 
     def test_missing_column_leaves_codebook_column_bit_identical(self):
@@ -112,13 +111,13 @@ class TestSgdStep:
         cb = self._one_unit(rng.normal(size=(4, 3)))
         values = np.array([[1.0, np.nan, 2.0], [0.5, 3.0, 0.5]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y", "z"))
-        out = sgd_step(cb, data, 0, NeighborhoodState(3), alpha=0.7)
+        out = sgd_step(cb, data, 0, radius=3, alpha=0.7)
         assert np.array_equal(out.codes[:, 1], cb.codes[:, 1])
 
     def test_non_neighbors_untouched(self):
         cb = self._one_unit([[0.0], [10.0], [20.0]])
         data = DataMatrix.from_nan(np.array([[1.0]]))
-        out = sgd_step(cb, data, 0, NeighborhoodState(0), alpha=0.5)
+        out = sgd_step(cb, data, 0, radius=0, alpha=0.5)
         assert out.codes[0, 0] == 0.5
         assert np.array_equal(out.codes[1:], cb.codes[1:])
 
@@ -126,7 +125,7 @@ class TestSgdStep:
         cb = self._one_unit([[0.0]])
         before = cb.codes.copy()
         data = DataMatrix.from_nan(np.array([[2.0]]))
-        sgd_step(cb, data, 0, NeighborhoodState(0), alpha=0.5)
+        sgd_step(cb, data, 0, radius=0, alpha=0.5)
         assert np.array_equal(cb.codes, before)
 
     def test_alpha_validation(self):
@@ -134,14 +133,23 @@ class TestSgdStep:
         data = DataMatrix.from_nan(np.array([[2.0]]))
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                sgd_step(cb, data, 0, NeighborhoodState(0), alpha=bad)
+                sgd_step(cb, data, 0, radius=0, alpha=bad)
+
+    def test_radius_validation(self):
+        cb = self._one_unit([[0.0], [3.0]])
+        data = DataMatrix.from_nan(np.array([[1.0]]))
+        assert np.array_equal(sgd_step(cb, data, 0, radius=1, alpha=0.5).codes,
+                              [[0.5], [2.0]])
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="radius"):
+                sgd_step(cb, data, 0, radius=bad, alpha=0.5)
 
     def test_all_missing_row_rejected(self):
         cb = self._one_unit([[0.0, 0.0]])
         values = np.array([[np.nan, np.nan], [1.0, 1.0]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
         with pytest.raises(ValueError):
-            sgd_step(cb, data, 0, NeighborhoodState(0), alpha=0.5)
+            sgd_step(cb, data, 0, radius=0, alpha=0.5)
 
     def test_training_on_rows_missing_a_column_isolates_it(self):
         # every presented row misses column 1: that codebook column never moves
@@ -153,7 +161,7 @@ class TestSgdStep:
         values[0, 1] = 4.0  # keeps the column constructible; row 0 is never presented
         data = DataMatrix(values, np.isfinite(values), tuple("abcdef"), ("x", "y", "z"))
         for row in (1, 2, 3, 4, 5, 1, 2, 3):
-            cb = sgd_step(cb, data, row, NeighborhoodState(1), alpha=0.3)
+            cb = sgd_step(cb, data, row, radius=1, alpha=0.3)
         assert np.array_equal(cb.codes[:, 1], init_col)
 
 
@@ -183,13 +191,32 @@ class TestTrain:
         cheb = topo.distance_matrix()
         for t in range(sched.total_iters):
             i = int(g.integers(raw.shape[0]))
-            cb = sgd_step(cb, data, i, NeighborhoodState(sched.radius_at(t)),
+            cb = sgd_step(cb, data, i, sched.radius_at(t),
                           sched.alpha_at(t))
             x = raw[i]
             w = int(np.argmin(((ref - x) ** 2).sum(axis=1)))
             nb = np.flatnonzero(cheb[w] <= sched.radius_at(t))
             ref[nb] = ref[nb] + sched.alpha_at(t) * (x - ref[nb])
             assert np.array_equal(cb.codes, ref), f"diverged at step {t}"
+
+    def test_train_matches_sgd_step_replay_on_holed_data(self):
+        # train and sgd_step share one update; replaying the documented draws
+        # through sgd_step must give train's codebook bit for bit, here with
+        # holes in every one of 12 columns
+        topo = GridTopology(3, 3)
+        for seed in range(6):
+            data = random_incomplete(seed, n=40, p=12, missing=0.3)
+            sched = TrainingSchedule(total_iters=300, radius0=2, rng_seed=seed)
+            pool = np.flatnonzero(data.mask.any(axis=1))
+            g = np.random.default_rng(sched.rng_seed)
+            lo, hi = data.column_ranges()
+            cb = CodeBook(g.uniform(lo, hi, size=(topo.n_units, data.n_cols)),
+                          topo, data.col_names)
+            for t in range(sched.total_iters):
+                i = int(pool[g.integers(pool.size)])
+                cb = sgd_step(cb, data, i, sched.radius_at(t), sched.alpha_at(t))
+            fit = train(data, topo, sched)
+            assert np.array_equal(cb.codes, fit.codebook.codes), f"seed {seed}"
 
     def test_fixed_seed_is_bit_reproducible(self):
         data = random_incomplete(31, n=20, p=4)
