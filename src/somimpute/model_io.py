@@ -203,54 +203,82 @@ def save_model(model: SomModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_SCHEDULE_FIELDS = {"total_iters": int, "alpha0": float, "alpha_final": float,
+                    "radius0": int, "zero_radius_fraction": float, "rng_seed": int}
+
+
 def load_model(path) -> SomModel:
+    """Read a file written by :func:`save_model`.
+
+    Every failure to parse or validate the file is a ValueError that names
+    the path and the line (or lines) at fault.
+    """
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    head = lines[0].split("\t")
-    if len(head) < 4:
-        raise ValueError(f"{path}: malformed header line")
-    rows, cols, p = int(head[0]), int(head[1]), int(head[2])
-    col_names = tuple(head[3:])
-    if len(col_names) != p:
-        raise ValueError(f"{path}: header promises {p} column names, found {len(col_names)}")
-    topo = GridTopology(rows, cols)
-    n_units = topo.n_units
-    if len(lines) < 1 + n_units:
-        raise ValueError(f"{path}: expected {n_units} unit lines")
-    codes = np.empty((n_units, p))
-    for u in range(n_units):
-        parts = lines[1 + u].split("\t")
-        if len(parts) != p:
-            raise ValueError(f"{path}: unit line {u} has {len(parts)} components, expected {p}")
-        codes[u] = [float(v) for v in parts]
-    keyed: dict[str, list[str]] = {}
-    for line in lines[1 + n_units :]:
-        if not line:
-            continue
-        key, *rest = line.split("\t")
-        keyed[key] = rest
-    for required in ("mean", "std", "schedule", "mode"):
-        if required not in keyed:
-            raise ValueError(f"{path}: missing {required!r} line")
-    means = np.array([float(v) for v in keyed["mean"]])
-    stds = np.array([float(v) for v in keyed["std"]])
-    sched_kv = dict(item.split("=", 1) for item in keyed["schedule"])
-    schedule = TrainingSchedule(
-        total_iters=int(sched_kv["total_iters"]),
-        alpha0=float(sched_kv["alpha0"]),
-        alpha_final=float(sched_kv["alpha_final"]),
-        radius0=int(sched_kv["radius0"]),
-        zero_radius_fraction=float(sched_kv["zero_radius_fraction"]),
-        rng_seed=int(sched_kv["rng_seed"]),
-    )
-    mode = TrainingMode(keyed["mode"][0])
+    where = "line 1"
     try:
-        return SomModel(CodeBook(codes, topo, col_names), StandardizationParams(means, stds),
-                        schedule, mode)
+        if not lines:
+            raise ValueError("empty model file")
+        head = lines[0].split("\t")
+        if len(head) < 4:
+            raise ValueError("malformed header line")
+        rows, cols, p = (int(v) for v in head[:3])
+        col_names = tuple(head[3:])
+        if len(col_names) != p:
+            raise ValueError(f"header promises {p} column names, found {len(col_names)}")
+        topo = GridTopology(rows, cols)
+        n_units = topo.n_units
+        codes = np.empty((n_units, p))
+        for u in range(n_units):
+            where = f"line {2 + u}"
+            if 1 + u >= len(lines):
+                raise ValueError(f"expected {n_units} unit lines")
+            parts = lines[1 + u].split("\t")
+            if len(parts) != p:
+                raise ValueError(f"unit line {u} has {len(parts)} components, expected {p}")
+            codes[u] = [float(v) for v in parts]
+        where = f"lines 2-{1 + n_units}"
+        codebook = CodeBook(codes, topo, col_names)
+
+        numbered: dict[str, tuple[int, list[str]]] = {}
+        for number, line in enumerate(lines[1 + n_units :], start=2 + n_units):
+            if line:
+                key, *rest = line.split("\t")
+                numbered[key] = (number, rest)
+        where = "end of file"
+        for required in ("mean", "std", "schedule", "mode"):
+            if required not in numbered:
+                raise ValueError(f"missing {required!r} line")
+
+        number, items = numbered["schedule"]
+        where = f"line {number}"
+        given = {}
+        for item in items:
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise ValueError(f"schedule item {item!r} is not key=value")
+            given[key] = value
+        for key in _SCHEDULE_FIELDS:
+            if key not in given:
+                raise ValueError(f"schedule has no {key}=")
+        schedule = TrainingSchedule(
+            **{key: parse(given[key]) for key, parse in _SCHEDULE_FIELDS.items()}
+        )
+
+        number, rest = numbered["mode"]
+        where = f"line {number}"
+        mode = TrainingMode("\t".join(rest))
+
+        (mean_at, means), (std_at, stds) = numbered["mean"], numbered["std"]
+        where = f"line {mean_at}"
+        means = np.array([float(v) for v in means])
+        where = f"line {std_at}"
+        stds = np.array([float(v) for v in stds])
+        # the standardizer's own checks and its length against the codebook's
+        where = f"lines {mean_at}, {std_at}"
+        return SomModel(codebook, StandardizationParams(means, stds), schedule, mode)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {where}: {exc}") from None
 
 
 def write_assignment_csv(

@@ -118,24 +118,73 @@ def init_codebook(data: DataMatrix, topology: GridTopology, seed: int) -> CodeBo
     return CodeBook(_draw_initial_codes(rng, data, topology), topology, data.col_names)
 
 
-def _online_step(codes, cheb, x_obs, obs_idx, radius, alpha) -> None:
-    """One online update of ``codes`` in place: pull the components
-    ``obs_idx`` of the winner and of every unit within Chebyshev distance
-    ``radius`` of it (``cheb`` is the grid's distance matrix) a fraction
-    ``alpha`` toward the row's observed values ``x_obs``.  No other
-    component moves.
+def _schedule_arrays(schedule: TrainingSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha_at(t)`` and ``radius_at(t)`` for every step ``t``, as two
+    arrays, bit for bit: the same float operations and exact integer
+    arithmetic, applied elementwise."""
+    n = schedule.total_iters
+    t = np.arange(n)
+    if n == 1:
+        alphas = np.full(1, schedule.alpha0)
+    else:
+        alphas = schedule.alpha0 + (schedule.alpha_final - schedule.alpha0) * (t / (n - 1))
+    d = schedule.decay_iters
+    if d == 0:
+        return alphas, np.zeros(n, dtype=np.int64)
+    # ceil(radius0 * left / d), split so that no product exceeds radius0 or d * d
+    q, rem = divmod(schedule.radius0, d)
+    left = np.maximum(d - t, 0)
+    return alphas, q * left + (rem * left + d - 1) // d
+
+
+def _neighbor_blocks(c3: np.ndarray, radius: int) -> list[np.ndarray]:
+    """For each unit in unit order, the view of ``c3`` (components x grid
+    rows x grid cols) holding every unit within Chebyshev distance
+    ``radius`` of it: a ball on the grid is a rectangle clipped at the
+    borders, so a pair of basic slices selects it."""
+    _, rows, cols = c3.shape
+    rs = [slice(max(0, i - radius), i + radius + 1) for i in range(rows)]
+    cs = [slice(max(0, j - radius), j + radius + 1) for j in range(cols)]
+    return [c3[:, a, b] for a in rs for b in cs]
+
+
+def _online_updates(c3, values, mask, draws, alphas, radii) -> None:
+    """Present the rows ``draws`` in order, updating ``c3`` in place.
+
+    ``c3`` is the codebook transposed, a C-contiguous ``(p, rows, cols)``
+    array.  Step ``t`` pulls the observed components of row ``draws[t]``'s
+    winner, and of every unit within Chebyshev distance ``radii[t]`` of it,
+    a fraction ``alphas[t]`` toward the row; no other component moves.
 
     The winner minimizes the squared distance over the observed components,
-    ties to the lowest unit.  That distance is numpy's pairwise ``sum``,
-    whereas :func:`somimpute.metric.assign` adds the components in ascending
-    order; from 8 observed components on the two can differ in the last
-    bits.  The pairwise order is the one every trained codebook was made
-    with, so it stays.
+    ties to the lowest unit.  ``np.add.reduce`` over the first axis adds
+    the components in ascending order, the same sum, bit for bit, as
+    :func:`somimpute.metric.assign`; unobserved components are skipped by
+    ``where=``, so their NaN never enters a sum or a code.
     """
-    w = np.argmin(((codes[:, obs_idx] - x_obs) ** 2).sum(axis=1))
-    nb = np.flatnonzero(cheb[w] <= radius)[:, None]
-    block = codes[nb, obs_idx]
-    codes[nb, obs_idx] = block + alpha * (x_obs - block)
+    _, rows, cols = c3.shape
+    # a radius of max(rows, cols) - 1 already covers the whole grid
+    radii = np.minimum(radii, max(rows, cols) - 1).tolist()
+    blocks = {r: _neighbor_blocks(c3, r) for r in set(radii)}
+    xs = values[:, :, None, None]
+    ms = mask[:, :, None, None]
+    complete = mask.all(axis=1).tolist()
+    for i, a, r in zip(draws.tolist(), alphas.tolist(), radii):
+        x = xs[i]
+        sq = c3 - x
+        sq *= sq
+        if complete[i]:
+            b = blocks[r][np.add.reduce(sq, axis=0).argmin()]
+            b += a * (x - b)
+        else:
+            m = ms[i]
+            b = blocks[r][np.add.reduce(sq, axis=0, where=m).argmin()]
+            np.add(b, a * (x - b), out=b, where=m)
+
+
+def _transposed(codes: np.ndarray, topology: GridTopology) -> np.ndarray:
+    """A C-contiguous ``(p, rows, cols)`` copy of ``(n_units, p)`` codes."""
+    return codes.T.copy().reshape(-1, topology.rows, topology.cols)
 
 
 def sgd_step(
@@ -159,13 +208,12 @@ def sgd_step(
         raise ValueError(
             f"codebook has {codebook.n_features} components, data has {data.n_cols}"
         )
-    obs_idx = np.flatnonzero(data.mask[row])
-    if obs_idx.size == 0:
+    if not data.mask[row].any():
         raise ValueError(f"row {row} has no observed component")
-    codes = codebook.codes.copy()
-    _online_step(codes, codebook.topology.distance_matrix(), data.values[row, obs_idx],
-                 obs_idx, radius, alpha)
-    return codebook.with_codes(codes)
+    c3 = _transposed(codebook.codes, codebook.topology)
+    _online_updates(c3, data.values, data.mask, np.array([row]), np.array([alpha]),
+                    np.array([int(radius)]))
+    return codebook.with_codes(c3.reshape(codebook.n_features, -1).T)
 
 
 def classify_supplementary(codebook: CodeBook, data: DataMatrix) -> Assignment:
@@ -214,14 +262,11 @@ def train(
         raise ValueError("no trainable rows: every row is entirely missing")
 
     rng = np.random.default_rng(schedule.rng_seed)
-    codes = _draw_initial_codes(rng, data, topology)
-    cheb = topology.distance_matrix()
-    for t, i in enumerate(pool[rng.integers(pool.size, size=schedule.total_iters)]):
-        obs_idx = np.flatnonzero(data.mask[i])
-        _online_step(codes, cheb, data.values[i, obs_idx], obs_idx,
-                     schedule.radius_at(t), schedule.alpha_at(t))
+    c3 = _transposed(_draw_initial_codes(rng, data, topology), topology)
+    draws = pool[rng.integers(pool.size, size=schedule.total_iters)]
+    _online_updates(c3, data.values, data.mask, draws, *_schedule_arrays(schedule))
 
-    codebook = CodeBook(codes, topology, data.col_names)
+    codebook = CodeBook(c3.reshape(data.n_cols, -1).T, topology, data.col_names)
     assignment = classify_supplementary(codebook, data)
     return TrainResult(codebook, assignment, int(all_missing.sum()), _readonly(pool_mask))
 

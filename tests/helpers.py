@@ -29,6 +29,33 @@ def brute_winner(x, observed, codes) -> int:
     return best_u
 
 
+def reference_train_codes(data, topology, schedule, complete_only=False):
+    """Final codes of online training, one plain step at a time.
+
+    Follows the documented protocol: initial codes from one
+    ``(n_units, p)`` uniform draw over the observed column ranges, then one
+    scalar row draw per step from the same stream.  Each step gathers the
+    row's observed components from every code, takes the winner by their
+    summed squared difference, and scatters the update into the winner and
+    every unit within the step's radius.
+    """
+    values, mask = data.values, data.mask
+    pool = np.flatnonzero(mask.all(axis=1) if complete_only else mask.any(axis=1))
+    rng = np.random.default_rng(schedule.rng_seed)
+    lo, hi = np.nanmin(values, axis=0), np.nanmax(values, axis=0)
+    codes = rng.uniform(lo, hi, size=(topology.n_units, values.shape[1]))
+    cheb = topology.distance_matrix()
+    for t in range(schedule.total_iters):
+        i = pool[rng.integers(pool.size)]
+        obs_idx = np.flatnonzero(mask[i])
+        x_obs = values[i, obs_idx]
+        w = np.argmin(((codes[:, obs_idx] - x_obs) ** 2).sum(axis=1))
+        nb = np.flatnonzero(cheb[w] <= schedule.radius_at(t))[:, None]
+        block = codes[nb, obs_idx]
+        codes[nb, obs_idx] = block + schedule.alpha_at(t) * (x_obs - block)
+    return codes
+
+
 def set_partitions(items):
     """All partitions of ``items`` into nonempty blocks."""
     items = list(items)

@@ -235,6 +235,63 @@ def test_model_rejects_standardizer_of_wrong_length(tmp_path):
         load_model(path)
 
 
+def _edited_model(tmp_path, edit):
+    """A saved 1x2 model over columns a, b, c, with ``edit`` applied to its
+    list of lines; returns the path."""
+    cb = CodeBook(np.arange(6.0).reshape(2, 3), GridTopology(1, 2), ("a", "b", "c"))
+    model = SomModel(cb, StandardizationParams(np.zeros(3), np.ones(3)),
+                     TrainingSchedule(), TrainingMode.INCLUDE_INCOMPLETE)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return path
+
+
+def _replace(number, old, new):
+    """Edit that replaces ``old`` by ``new`` in line ``number`` (1-based)."""
+    def edit(lines):
+        assert old in lines[number - 1]
+        lines[number - 1] = lines[number - 1].replace(old, new, 1)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_replace(1, "1\t2\t3", "1\tx\t3"), "line 1: invalid literal"),
+    (_replace(1, "1\t2\t3", "1\t2\t3.5"), "line 1: invalid literal"),
+    (_replace(1, "1\t2\t3", "0\t2\t3"), "line 1: grid must have positive"),
+    (_replace(3, "3", "zz"), "line 3: could not convert"),
+    (_replace(3, "3", "inf"), "lines 2-3: every code component must be finite"),
+    (lambda lines: lines[:2], "line 3: expected 2 unit lines"),
+    (_replace(4, "mean\t0", "mean\tzz"), "line 4: could not convert"),
+    (_replace(5, "std\t1", "std\t-1"), "lines 4, 5: every std must be strictly positive"),
+    (_replace(6, "alpha0=", "alpha_zero="), "line 6: schedule has no alpha0="),
+    (_replace(6, "alpha0=0.5", "alpha0=1.5"), "line 6: alpha0 must lie in"),
+    (_replace(6, "radius0=2", "radius0=two"), "line 6: invalid literal"),
+    (_replace(6, "radius0=2", "radius0"), "line 6: schedule item 'radius0' is not key=value"),
+    (_replace(7, "include-incomplete", "sideways"), "line 7: 'sideways' is not a valid"),
+    (lambda lines: lines[:6], "end of file: missing 'mode' line"),
+], ids=["grid-text", "grid-float", "grid-zero", "code-text", "code-inf", "units-truncated",
+        "mean-text", "std-negative", "schedule-key-missing", "schedule-out-of-range",
+        "radius-text", "schedule-item-bare", "mode-unknown", "mode-line-missing"])
+def test_malformed_model_file_names_path_and_line(tmp_path, edit, where):
+    path = _edited_model(tmp_path, edit)
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: {where}"), str(info.value)
+
+
+def test_cli_reports_malformed_model_with_path_and_line(tmp_path, capsys):
+    path = _edited_model(tmp_path, _replace(6, "alpha0=", "alpha_zero="))
+    supp = tmp_path / "supp.csv"
+    supp.write_text("id,a,b,c\nr1,1,2,3\n")
+    rc = main(["classify", "--input", str(supp), "--output-dir", str(tmp_path / "out"),
+               "--model", str(path)])
+    assert rc == 2
+    assert f"error: {path}: line 6: schedule has no alpha0=" in capsys.readouterr().err
+
+
 def test_manifest_roundtrip(tmp_path):
     entries = {"seed": 42, "alpha0": 0.5, "input": "x.csv", "markers": ["", "NA"],
                "model": None}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from somimpute import (
     UNCLASSIFIABLE,
@@ -17,8 +19,11 @@ from somimpute import (
     standardize,
     train,
 )
+from somimpute.metric import assign
 from somimpute.synthetic import gaussian_blobs
+from somimpute.trainer import _neighbor_blocks, _schedule_arrays
 from conftest import random_incomplete
+from helpers import brute_winner, reference_train_codes
 
 
 class TestSchedule:
@@ -64,6 +69,23 @@ class TestSchedule:
     def test_schedule_that_never_reaches_zero_radius_rejected(self):
         with pytest.raises(ValueError, match="radius 0"):
             TrainingSchedule(total_iters=10, radius0=20, zero_radius_fraction=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 40), st.floats(0.001, 0.999),
+           st.floats(0.001, 1.0), st.floats(0.0, 1.0))
+    @example(1, 0, 0.5, 0.02, 0.4)
+    @example(3000, 2**53, 0.5, 0.02, 0.5)  # radius0 * decay_iters exceeds int64
+    def test_schedule_arrays_equal_per_step_values(self, total_iters, radius0, alpha0,
+                                                   shrink, zero_fraction):
+        try:
+            s = TrainingSchedule(total_iters=total_iters, alpha0=alpha0,
+                                 alpha_final=alpha0 * shrink, radius0=radius0,
+                                 zero_radius_fraction=zero_fraction)
+        except ValueError:
+            assume(False)
+        alphas, radii = _schedule_arrays(s)
+        assert alphas.tolist() == [s.alpha_at(t) for t in range(total_iters)]
+        assert radii.tolist() == [s.radius_at(t) for t in range(total_iters)]
 
 
 class TestInitCodebook:
@@ -164,6 +186,33 @@ class TestSgdStep:
             cb = sgd_step(cb, data, row, radius=1, alpha=0.3)
         assert np.array_equal(cb.codes[:, 1], init_col)
 
+    def test_winner_is_the_assign_winner_bit_for_bit(self):
+        # The online winner adds the observed squared differences in ascending
+        # order, as assign does.  Two near codes whose differences to the row
+        # are permutations of each other tie up to summation order, and a
+        # duplicated code ties exactly (lowest unit wins).
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            p = int(rng.integers(8, 41))
+            n_units = int(rng.integers(9, 101))
+            m = np.ones(p, dtype=bool)
+            m[rng.choice(p, size=int(rng.integers(0, p - 7)), replace=False)] = False
+            obs = np.flatnonzero(m)
+            x = np.where(m, 0.0, np.nan)
+            codes = rng.normal(size=(n_units, p))
+            u, v, z = rng.choice(n_units, size=3, replace=False)
+            codes[u] *= 0.1
+            codes[v, obs] = codes[u, obs][rng.permutation(obs.size)]
+            if case % 3 == 0:
+                codes[z] = codes[u]
+            cb = CodeBook(codes, GridTopology(1, n_units), tuple(f"v{k}" for k in range(p)))
+            data = DataMatrix.from_nan(np.vstack([x, np.ones(p)]))
+            out = sgd_step(cb, data, 0, radius=0, alpha=0.5)
+            moved = np.flatnonzero((out.codes != cb.codes).any(axis=1))
+            expected = assign(codes, x[None], m[None]).units[0]
+            assert expected == brute_winner(x, m, codes)
+            assert moved.tolist() == [expected], f"case {case}"
+
 
 class TestTrain:
     def test_modes_coincide_on_complete_data(self):
@@ -229,6 +278,43 @@ class TestTrain:
         assert np.array_equal(
             a.assignment.sq_distances, b.assignment.sq_distances, equal_nan=True
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 30), st.integers(1, 40),
+           st.sampled_from([0.0, 0.2, 0.5]), st.integers(1, 150), st.integers(0, 14),
+           st.floats(0.01, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, 1, 5, 3, 0.2, 1, 0, 0.4, False, 0)
+    @example(1, 7, 12, 9, 0.5, 120, 14, 0.3, False, 1)
+    @example(10, 1, 20, 40, 0.2, 150, 12, 0.4, True, 2)
+    def test_train_matches_reference_trainer_bit_for_bit(
+        self, rows, cols, n, p, missing, total_iters, radius0, zero_fraction,
+        complete_only, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, p)) >= missing
+        mask[0] = True  # every column observed, one complete row
+        data = DataMatrix.from_nan(np.where(mask, rng.normal(size=(n, p)), np.nan))
+        topo = GridTopology(rows, cols)
+        sched = TrainingSchedule(total_iters=total_iters, radius0=radius0,
+                                 zero_radius_fraction=zero_fraction, rng_seed=seed)
+        mode = TrainingMode.COMPLETE_ONLY if complete_only else TrainingMode.INCLUDE_INCOMPLETE
+        fit = train(data, topo, sched, mode)
+        ref = reference_train_codes(data, topo, sched, complete_only)
+        assert fit.codebook.codes.tobytes() == ref.tobytes()
+
+    def test_neighbor_windows_match_topology_neighbors(self):
+        # each unit's slice window holds exactly GridTopology.neighbors, as
+        # views into the codebook so that updates land in place
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                topo = GridTopology(rows, cols)
+                units = np.arange(topo.n_units, dtype=float).reshape(1, rows, cols)
+                for radius in range(max(rows, cols) + 1):
+                    blocks = _neighbor_blocks(units, radius)
+                    assert len(blocks) == topo.n_units
+                    for u, block in enumerate(blocks):
+                        assert np.shares_memory(block, units)
+                        assert block.ravel().tolist() == topo.neighbors(u, radius).tolist()
 
     def test_two_clusters_codes_land_on_cluster_means(self):
         data, labels = gaussian_blobs(
