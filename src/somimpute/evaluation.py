@@ -13,10 +13,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import DataMatrix, fit_standardizer, standardize
-from .imputation import Fills, ImputationReport, _with_fills, impute, impute_multi
+from .imputation import Fills, ImputationReport, _with_fills, impute, impute_ensemble
+from .imputation import impute_multi  # unused here; perfbench/tracing.py wraps it
 from .metric import Assignment
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, train
+from .trainer import TrainingMode, TrainingSchedule, _MapError, train_maps
+from .trainer import train  # unused here; perfbench/tracing.py wraps it
 
 
 @dataclass(frozen=True)
@@ -173,39 +175,20 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _deletion_arm(
-    data: DataMatrix,
-    d: int,
-    rep: int,
-    topology: GridTopology,
-    schedule: TrainingSchedule,
-    n_maps: int,
-    mode: TrainingMode,
-    global_mcar: bool,
-) -> tuple[float, float, int, int]:
-    """One mask/train/impute arm of the deletion study: (SOM RMSE, baseline
-    RMSE, deleted cells, unresolved deleted cells)."""
-    mask_seed = _derive_seed(schedule.rng_seed, d, rep, 0)
-    train_seed = _derive_seed(schedule.rng_seed, d, rep, 1)
-    masked, ledger = mask_random(data, MaskingPlan(d, mask_seed, global_mcar=global_mcar))
+def _masked_arm(
+    data: DataMatrix, d: int, rep: int, seed: int, global_mcar: bool
+) -> tuple[DataMatrix, MaskingLedger]:
+    """Arm ``(d, rep)`` of the deletion study up to training: the table
+    masked and standardized, and the ledger of deleted cells with their
+    truths standardized alike."""
+    masked, ledger = mask_random(
+        data, MaskingPlan(d, _derive_seed(seed, d, rep, 0), global_mcar=global_mcar)
+    )
     params = fit_standardizer(masked)
     std_masked = standardize(masked, params)
     cols = np.array([k for _, k in ledger.cells], dtype=int)
     std_truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
-    std_ledger = MaskingLedger(ledger.cells, std_truth)
-    if n_maps == 1:
-        fit = train(std_masked, topology, replace(schedule, rng_seed=train_seed), mode)
-        report = impute(fit.codebook, std_masked)
-    else:
-        report = impute_multi(
-            std_masked, topology, schedule, n_maps, base_seed=train_seed, mode=mode
-        )
-    return (
-        rmse_deleted(std_ledger, report),
-        rmse_deleted(std_ledger, mean_impute_baseline(std_masked)),
-        len(ledger),
-        count_unresolved_deleted(std_ledger, report),
-    )
+    return std_masked, MaskingLedger(ledger.cells, std_truth)
 
 
 def deletion_curve(
@@ -222,14 +205,19 @@ def deletion_curve(
     impute, and score against the standardized truth; the column-mean
     baseline runs on the same masks.
 
-    ``n_repeats`` independent mask/train arms are averaged per d.  Every arm
-    derives its seeds from ``(schedule.rng_seed, d, repeat)`` so the whole
-    curve is bit-reproducible.
+    ``n_repeats`` independent mask/train arms are averaged per d.  Arm
+    ``(d, repeat)`` masks with the seed ``SeedSequence([schedule.rng_seed,
+    d, repeat, 0]).generate_state(1)[0]`` and trains ``n_maps`` maps with
+    seeds ``s .. s + n_maps - 1``, ``s`` derived alike from ``(...,
+    repeat, 1)``, so the whole curve is bit-reproducible.  The maps of all
+    arms of one d train in one :func:`somimpute.trainer.train_maps` call.
     """
     if data.n_missing_cells:
         raise ValueError("deletion_curve requires a complete input matrix")
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    if n_maps < 1:
+        raise ValueError(f"n_maps must be >= 1, got {n_maps}")
     d_values = tuple(int(d) for d in d_range)
     rmse_som: dict[int, float] = {}
     rmse_base: dict[int, float] = {}
@@ -238,21 +226,37 @@ def deletion_curve(
     by_rep: dict[int, tuple[float, ...]] = {}
     base_by_rep: dict[int, tuple[float, ...]] = {}
     for d in d_values:
+        arms = []
+        for rep in range(n_repeats):
+            try:
+                arms.append(_masked_arm(data, d, rep, schedule.rng_seed, global_mcar))
+            except ValueError as exc:
+                raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
+        seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
+                 for rep in range(n_repeats)]
+        try:
+            codebooks = [fit.codebook for fit in train_maps(
+                [std for std, _ in arms for _ in range(n_maps)], topology,
+                [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)]
+        except _MapError as exc:
+            raise ValueError(f"deletion arm d={d}, repeat={exc.index // n_maps}: {exc}") from exc
         som_arm: list[float] = []
         base_arm: list[float] = []
         cells = 0
         unres = 0
-        for rep in range(n_repeats):
+        for rep, (std_masked, ledger) in enumerate(arms):
+            maps = codebooks[rep * n_maps:(rep + 1) * n_maps]
             try:
-                som, base, n_deleted, n_unresolved = _deletion_arm(
-                    data, d, rep, topology, schedule, n_maps, mode, global_mcar
-                )
+                if n_maps == 1:
+                    report = impute(maps[0], std_masked)
+                else:
+                    report = impute_ensemble(maps, std_masked, seeds[rep])
+                som_arm.append(rmse_deleted(ledger, report))
+                base_arm.append(rmse_deleted(ledger, mean_impute_baseline(std_masked)))
             except ValueError as exc:
                 raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
-            som_arm.append(som)
-            base_arm.append(base)
-            cells += n_deleted
-            unres += n_unresolved
+            cells += len(ledger)
+            unres += count_unresolved_deleted(ledger, report)
         rmse_som[d] = float(np.mean(som_arm))
         rmse_base[d] = float(np.mean(base_arm))
         n_cells[d] = cells

@@ -15,7 +15,8 @@ import numpy as np
 from .data import DataMatrix, _readonly
 from .metric import UNCLASSIFIABLE, CodeBook, assign
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, train
+from .trainer import TrainingMode, TrainingSchedule, train_maps
+from .trainer import train  # unused here; perfbench/tracing.py wraps it
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,11 @@ class ImputationReport:
     fills: Fills
     unresolved: tuple[tuple[int, int], ...]
 
-    def _position(self, row: int, col: int) -> int | None:
-        hit = np.flatnonzero((self.fills.rows == row) & (self.fills.cols == col))
-        return int(hit[0]) if hit.size else None
-
     def estimate_at(self, row: int, col: int) -> float:
-        j = self._position(row, col)
-        if j is None:
+        hit = np.flatnonzero((self.fills.rows == row) & (self.fills.cols == col))
+        if not hit.size:
             raise KeyError(f"cell ({row}, {col}) was not filled")
-        return float(self.fills.values[j])
-
-    def has_fill(self, row: int, col: int) -> bool:
-        return self._position(row, col) is not None
+        return float(self.fills.values[hit[0]])
 
 
 def _with_fills(data: DataMatrix, fills: Fills) -> DataMatrix:
@@ -149,14 +143,13 @@ def impute_multi(
     mode: TrainingMode = TrainingMode.INCLUDE_INCOMPLETE,
 ) -> ImputationReport:
     """Train ``n_maps`` maps with seeds ``base_seed .. base_seed + n_maps - 1``
-    and average their estimates for each missing cell."""
+    (in one :func:`somimpute.trainer.train_maps` call) and average their
+    estimates for each missing cell."""
     if n_maps < 1:
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
     seeds = tuple(base_seed + j for j in range(n_maps))
-    codebooks = [
-        train(data, topology, replace(schedule, rng_seed=s), mode).codebook
-        for s in seeds
-    ]
+    codebooks = [fit.codebook for fit in train_maps(
+        [data] * n_maps, topology, [replace(schedule, rng_seed=s) for s in seeds], mode)]
     return impute_ensemble(codebooks, data, seeds)
 
 

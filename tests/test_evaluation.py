@@ -9,9 +9,11 @@ from somimpute import (
     ImputationReport,
     MaskingLedger,
     MaskingPlan,
+    TrainingMode,
     TrainingSchedule,
     deletion_curve,
     fit_standardizer,
+    impute_multi,
     mask_random,
     mean_impute_baseline,
     modality_proportions,
@@ -292,3 +294,53 @@ class TestDeletionCurve:
         sched = TrainingSchedule(total_iters=60, radius0=1, rng_seed=0)
         with pytest.raises(ValueError, match=r"deletion arm d=\d, repeat=\d+: column 'v\d'"):
             deletion_curve(data, range(1, 4), GridTopology(2, 2), sched, n_repeats=20)
+
+    def test_zero_maps_rejected_before_any_arm(self):
+        data = _complete(seed=5, n=8, p=4)
+        sched = TrainingSchedule(total_iters=50, radius0=1, rng_seed=0)
+        with pytest.raises(ValueError, match="n_maps must be >= 1, got 0") as err:
+            deletion_curve(data, [1], GridTopology(2, 2), sched, n_maps=0)
+        assert "deletion arm" not in str(err.value)
+
+    def test_multi_map_arms_equal_a_per_arm_loop(self):
+        # the study trains the maps of all arms of one d together; a plain
+        # loop over the arms with the documented seeds gives the same numbers
+        data = _complete(seed=8, n=14, p=5)
+        topo = GridTopology(2, 2)
+        sched = TrainingSchedule(total_iters=120, radius0=1, rng_seed=9)
+        n_maps, n_repeats = 3, 2
+        report = deletion_curve(data, [1, 2], topo, sched, n_maps=n_maps, n_repeats=n_repeats)
+        for d in (1, 2):
+            som, base, cells, unresolved = [], [], 0, 0
+            for rep in range(n_repeats):
+                seeds = [int(np.random.SeedSequence([sched.rng_seed, d, rep, part])
+                             .generate_state(1)[0]) for part in (0, 1)]
+                masked, ledger = mask_random(data, MaskingPlan(d, seeds[0]))
+                params = fit_standardizer(masked)
+                std = standardize(masked, params)
+                cols = [k for _, k in ledger.cells]
+                truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
+                std_ledger = MaskingLedger(ledger.cells, truth)
+                arm = impute_multi(std, topo, sched, n_maps, base_seed=seeds[1])
+                som.append(rmse_deleted(std_ledger, arm))
+                base.append(rmse_deleted(std_ledger, mean_impute_baseline(std)))
+                cells += len(ledger)
+                unresolved += sum(c in set(arm.unresolved) for c in ledger.cells)
+            assert report.rmse_by_repeat[d] == tuple(som)
+            assert report.baseline_by_repeat[d] == tuple(base)
+            assert report.n_cells[d] == cells
+            assert report.n_unresolved[d] == unresolved
+
+    def test_training_error_names_its_own_arm(self):
+        # complete-only training needs a complete row.  Under global MCAR on
+        # 5 x 3, with this seed, repeats 0 and 1 keep one and repeat 2 does
+        # not; with two maps per arm that is the fifth map of the batch
+        data = DataMatrix.from_nan(np.random.default_rng(7).normal(size=(5, 3)))
+        sched = TrainingSchedule(total_iters=40, radius0=1, rng_seed=3)
+        for rep in range(3):
+            seed = int(np.random.SeedSequence([3, 1, rep, 0]).generate_state(1)[0])
+            masked, _ = mask_random(data, MaskingPlan(1, seed, global_mcar=True))
+            assert masked.mask.all(axis=1).any() == (rep < 2)
+        with pytest.raises(ValueError, match=r"^deletion arm d=1, repeat=2: complete-only mode"):
+            deletion_curve(data, [1], GridTopology(1, 2), sched, n_maps=2, n_repeats=4,
+                           mode=TrainingMode.COMPLETE_ONLY, global_mcar=True)

@@ -100,6 +100,24 @@ def test_multi_with_one_map_equals_single_impute():
     assert multi.fills.values.tolist() == single.fills.values.tolist()
 
 
+
+def test_multi_equals_the_ensemble_of_maps_trained_one_by_one():
+    # impute_multi trains its maps in one call; each map and the average
+    # must equal those of train run once per seed
+    data = random_incomplete(6, n=40, p=5, missing=0.25)
+    topo = GridTopology(3, 3)
+    sched = TrainingSchedule(total_iters=300, radius0=1, rng_seed=0)
+    multi = impute_multi(data, topo, sched, n_maps=4, base_seed=17)
+    seeds = tuple(range(17, 21))
+    one_by_one = impute_ensemble(
+        [train(data, topo, TrainingSchedule(total_iters=300, radius0=1, rng_seed=s)).codebook
+         for s in seeds],
+        data, seeds,
+    )
+    assert multi.fills.values.tobytes() == one_by_one.fills.values.tobytes()
+    assert np.array_equal(multi.fills.units, one_by_one.fills.units)
+    assert multi.fills.seeds == seeds
+
 def test_agreeing_maps_return_the_common_value():
     # column y is constant wherever observed, so every map pins it exactly
     values = np.array([[0.0, 4.0], [1.0, 4.0], [2.0, np.nan], [3.0, 4.0]])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +23,14 @@ from somimpute import (
 )
 from somimpute.metric import assign
 from somimpute.synthetic import gaussian_blobs
-from somimpute.trainer import _neighbor_blocks, _schedule_arrays
+from somimpute import trainer
+from somimpute.trainer import (
+    _LOCKSTEP_MAX_CELLS,
+    _lockstep_updates,
+    _neighbor_blocks,
+    _schedule_arrays,
+    train_maps,
+)
 from conftest import random_incomplete
 from helpers import brute_winner, reference_train_codes
 
@@ -401,6 +410,166 @@ class TestTrain:
                 return total
 
             assert distortion(fit.codebook) <= distortion(init)
+
+
+def _holed_tables(seed, n_maps, shared, p, missing):
+    """``n_maps`` holed tables of width ``p``: one shared table, or distinct
+    tables of 2-30 rows and missing shares up to ``missing``.  Row 0 is
+    complete, and in a distinct table the last row may be all missing."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(1 if shared else n_maps):
+        n = int(rng.integers(2, 31))
+        mask = rng.random((n, p)) >= rng.uniform(0.0, missing)
+        mask[0] = True
+        if not shared and rng.random() < 0.3:
+            mask[-1] = False
+        tables.append(DataMatrix.from_nan(np.where(mask, rng.normal(size=(n, p)), np.nan)))
+    return tables * n_maps if shared else tables
+
+
+class TestTrainMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.booleans(), st.integers(1, 10), st.integers(1, 10),
+           st.integers(1, 60), st.sampled_from([0.0, 0.3, 0.6]), st.integers(1, 120),
+           st.integers(0, 14), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(12, False, 3, 3, 11, 0.6, 1, 0, False, 0)  # total_iters = 1
+    @example(5, True, 6, 6, 20, 0.0, 80, 9, True, 1)  # radius0 beyond the grid
+    @example(3, False, 10, 10, 45, 0.3, 60, 3, False, 2)  # above the lockstep cap
+    def test_each_map_matches_the_reference_trainer_bit_for_bit(
+        self, n_maps, shared, rows, cols, p, missing, total_iters, radius0, complete_only, seed,
+    ):
+        datas = _holed_tables(seed, n_maps, shared, p, missing)
+        topo = GridTopology(rows, cols)
+        base = TrainingSchedule(total_iters=total_iters, radius0=radius0,
+                                zero_radius_fraction=0.5, rng_seed=0)
+        schedules = [replace(base, rng_seed=seed % 1000 + 7 * k) for k in range(n_maps)]
+        mode = TrainingMode.COMPLETE_ONLY if complete_only else TrainingMode.INCLUDE_INCOMPLETE
+        fits = train_maps(datas, topo, schedules, mode)
+        assert len(fits) == n_maps
+        for k, (data, sched, fit) in enumerate(zip(datas, schedules, fits)):
+            ref = reference_train_codes(data, topo, sched, complete_only)
+            assert fit.codebook.codes.tobytes() == ref.tobytes(), f"map {k}"
+            one = train(data, topo, sched, mode)
+            assert np.array_equal(fit.assignment.units, one.assignment.units)
+            assert fit.assignment.sq_distances.tobytes() == one.assignment.sq_distances.tobytes()
+            assert fit.n_skipped_all_missing == one.n_skipped_all_missing
+            assert np.array_equal(fit.training_pool, one.training_pool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.booleans(), st.integers(1, 10), st.integers(1, 10),
+           st.integers(1, 60), st.sampled_from([0.0, 0.3, 0.6]), st.integers(1, 120),
+           st.integers(0, 14), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, False, 10, 10, 60, 0.3, 50, 12, False, 3)  # one map, above the cap
+    @example(12, True, 1, 1, 5, 0.0, 1, 0, True, 4)
+    def test_lockstep_kernel_matches_the_reference_trainer_bit_for_bit(
+        self, n_maps, shared, rows, cols, p, missing, total_iters, radius0, complete_only, seed,
+    ):
+        # called directly, so the kernel is checked on every shape, whichever
+        # kernel train_maps would pick for it
+        datas = _holed_tables(seed, n_maps, shared, p, missing)
+        topo = GridTopology(rows, cols)
+        sched = TrainingSchedule(total_iters=total_iters, radius0=radius0,
+                                 zero_radius_fraction=0.5, rng_seed=0)
+        schedules = [replace(sched, rng_seed=seed % 1000 + k) for k in range(n_maps)]
+        tables = list({id(d): d for d in datas}.values())
+        first_row = dict(zip(map(id, tables), np.cumsum([0] + [t.n_rows for t in tables])))
+        codes, draws = [], []
+        for data, s in zip(datas, schedules):
+            # the documented protocol: initial codes, then every draw, one stream
+            keep = data.mask.all(axis=1) if complete_only else data.mask.any(axis=1)
+            pool = np.flatnonzero(keep)
+            g = np.random.default_rng(s.rng_seed)
+            lo, hi = data.column_ranges()
+            codes.append(g.uniform(lo, hi, size=(topo.n_units, p)))
+            draws.append(pool[g.integers(pool.size, size=total_iters)] + first_row[id(data)])
+        C = np.ascontiguousarray(np.stack(codes).transpose(0, 2, 1))
+        rows_table = np.ascontiguousarray(np.stack(draws, axis=1))
+        _lockstep_updates(C, np.concatenate([t.values for t in tables]),
+                          np.concatenate([t.mask for t in tables]), rows_table,
+                          *_schedule_arrays(sched), topo.distance_matrix())
+        for k, (data, s) in enumerate(zip(datas, schedules)):
+            ref = reference_train_codes(data, topo, s, complete_only)
+            assert C[k].T.tobytes() == ref.tobytes(), f"map {k}"
+
+    def test_lockstep_winner_is_the_assign_winner_bit_for_bit(self):
+        # As for the window kernel: near codes whose differences to the row
+        # are permutations of each other tie up to summation order, and a
+        # duplicated code ties exactly (lowest unit wins).  Each call steps
+        # six maps once at radius 0, some on complete rows and some not.
+        rng = np.random.default_rng(12)
+        n_maps = 6
+        for case in range(60):
+            p = int(rng.integers(9, 41))
+            n_units = int(rng.integers(9, 101))
+            xs, ms, stack = [], [], []
+            for k in range(n_maps):
+                m = np.ones(p, dtype=bool)
+                if k % 2:
+                    m[rng.choice(p, size=int(rng.integers(1, p - 7)), replace=False)] = False
+                obs = np.flatnonzero(m)
+                codes = rng.normal(size=(n_units, p))
+                u, v, z = rng.choice(n_units, size=3, replace=False)
+                codes[u] *= 0.1
+                codes[v, obs] = codes[u, obs][rng.permutation(obs.size)]
+                if (case + k) % 3 == 0:
+                    codes[z] = codes[u]
+                xs.append(np.where(m, 0.0, np.nan))
+                ms.append(m)
+                stack.append(codes)
+            C = np.ascontiguousarray(np.stack(stack).transpose(0, 2, 1))
+            before = C.copy()
+            _lockstep_updates(C, np.array(xs), np.array(ms), np.arange(n_maps)[None],
+                              np.array([0.5]), np.array([0]),
+                              GridTopology(1, n_units).distance_matrix())
+            for k in range(n_maps):
+                moved = np.flatnonzero((C[k] != before[k]).any(axis=0))
+                expected = assign(before[k].T, xs[k][None], ms[k][None]).units[0]
+                assert expected == brute_winner(xs[k], ms[k], before[k].T)
+                assert moved.tolist() == [expected], f"case {case}, map {k}"
+
+    def test_selection_rule(self, monkeypatch):
+        # lockstep runs for two maps or more whose schedules differ at most
+        # in the seed, with at most _LOCKSTEP_MAX_CELLS code cells per map
+        calls = []
+        monkeypatch.setattr(trainer, "_lockstep_updates",
+                            lambda C, *args: calls.append(C.shape) or _lockstep_updates(C, *args))
+        data = random_incomplete(3, n=20, p=4)
+        topo = GridTopology(2, 3)
+        sched = TrainingSchedule(total_iters=50, radius0=1)
+        seeds = [replace(sched, rng_seed=s) for s in range(3)]
+        train_maps([data] * 3, topo, seeds)
+        assert calls == [(3, 4, 6)]
+        train_maps([data], topo, seeds[:1])
+        train_maps([data] * 2, topo, [sched, replace(sched, total_iters=60)])
+        wide = random_incomplete(4, n=20, p=_LOCKSTEP_MAX_CELLS // 6 + 1)
+        train_maps([wide] * 2, topo, seeds[:2])
+        assert calls == [(3, 4, 6)]
+
+    def test_inputs_rejected(self, small_incomplete):
+        topo = GridTopology(1, 2)
+        sched = TrainingSchedule(total_iters=20, radius0=1)
+        with pytest.raises(ValueError, match="at least one map"):
+            train_maps([], topo, [])
+        with pytest.raises(ValueError, match="2 tables but 1 schedules"):
+            train_maps([small_incomplete] * 2, topo, [sched])
+        with pytest.raises(ValueError, match="1 tables but 2 schedules"):
+            train_maps([small_incomplete], topo, [sched] * 2)
+
+    def test_untrainable_map_raises_trains_message_and_index(self, small_incomplete):
+        complete = DataMatrix.from_nan(np.random.default_rng(0).normal(size=(6, 3)))
+        topo = GridTopology(1, 2)
+        sched = TrainingSchedule(total_iters=20, radius0=1)
+        mode = TrainingMode.COMPLETE_ONLY
+        holed = DataMatrix(small_incomplete.values[[1, 3]], small_incomplete.mask[[1, 3]],
+                           ("a", "b"), small_incomplete.col_names)
+        with pytest.raises(ValueError) as single:
+            train(holed, topo, sched, mode)
+        with pytest.raises(ValueError) as batch:
+            train_maps([complete, holed, complete], topo, [sched] * 3, mode)
+        assert str(batch.value) == str(single.value)
+        assert "complete-only mode requires at least one complete row" in str(single.value)
+        assert batch.value.index == 1
 
 
 class TestClassifySupplementary:
