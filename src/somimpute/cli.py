@@ -244,10 +244,8 @@ def _destandardized_report(report: ImputationReport, data, params) -> Imputation
     observed cells are taken verbatim from ``data`` (a standardize and
     destandardize round trip may move them in their last bits)."""
     back = destandardize(report.filled, params)
-    filled = data.with_cells(np.where(data.mask, data.values, back.values), back.mask)
-    f = report.fills
-    fills = replace(f, values=back.values[f.rows, f.cols])
-    return ImputationReport(filled, fills, report.unresolved)
+    return replace(report, filled=data.with_cells(
+        np.where(data.mask, data.values, back.values), back.mask))
 
 
 def cmd_impute(args) -> int:
@@ -292,7 +290,7 @@ def cmd_evaluate(args) -> int:
     topo = GridTopology(args.grid_rows, args.grid_cols)
     schedule = _schedule_from_args(args, topo)
     mode = TrainingMode(args.mode)
-    if args.d_min < 0 or args.d_max < args.d_min:
+    if args.d_min < 1 or args.d_max < args.d_min:
         raise ValueError(f"invalid deletion range [{args.d_min}, {args.d_max}]")
     data = read_csv(args.input, markers, args.label_col, args.categorical_col)
     if data.n_missing_cells:

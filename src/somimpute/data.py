@@ -133,14 +133,6 @@ class DataMatrix:
             )
         return float(self.values[row, col])
 
-    def is_row_complete(self, row: int) -> bool:
-        self._check_row(row)
-        return bool(self.mask[row].all())
-
-    def is_row_all_missing(self, row: int) -> bool:
-        self._check_row(row)
-        return not bool(self.mask[row].any())
-
     def complete_row_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask.all(axis=1))
 

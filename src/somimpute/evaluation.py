@@ -34,7 +34,6 @@ class MaskingPlan:
 
     per_row_deletions: int
     seed: int
-    protected: frozenset[tuple[int, int]] = frozenset()
     global_mcar: bool = False
 
     def __post_init__(self) -> None:
@@ -42,7 +41,6 @@ class MaskingPlan:
             raise ValueError(f"per_row_deletions must be >= 0, got {self.per_row_deletions}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "protected", frozenset(self.protected))
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,7 @@ class MaskingLedger:
 def mask_random(data: DataMatrix, plan: MaskingPlan) -> tuple[DataMatrix, MaskingLedger]:
     """Mask exactly ``d`` cells per row, uniform without replacement, seeded.
 
-    The input must be complete.  Protected cells are never deleted; a row
-    with fewer than ``d`` deletable cells loses all of them (the shortfall
-    shows up in the ledger length).  Every row keeps at least one observed
+    The input must be complete.  Every row keeps at least one observed
     value because ``d < p`` is enforced.
 
     Under ``plan.global_mcar`` the same cell budget is drawn uniformly over
@@ -81,35 +77,24 @@ def mask_random(data: DataMatrix, plan: MaskingPlan) -> tuple[DataMatrix, Maskin
     p = data.n_cols
     if d >= p:
         raise ValueError(f"per_row_deletions={d} must be < number of columns ({p})")
+    n = data.n_rows
     rng = np.random.default_rng(plan.seed)
-    new_mask = np.ones_like(data.mask)
-    cells: list[tuple[int, int]] = []
     if plan.global_mcar:
-        candidates = [
-            (i, k)
-            for i in range(data.n_rows)
-            for k in range(p)
-            if (i, k) not in plan.protected
-        ]
-        take = min(d * data.n_rows, len(candidates))
-        if take:
-            chosen = rng.choice(len(candidates), size=take, replace=False)
-            cells = sorted(candidates[j] for j in chosen)
-            for cell in cells:
-                new_mask[cell] = False
+        rows, cols = divmod(np.sort(rng.choice(n * p, size=d * n, replace=False)), p)
     else:
-        for i in range(data.n_rows):
-            candidates = np.array(
-                [k for k in range(p) if (i, k) not in plan.protected], dtype=int
-            )
-            take = min(d, candidates.size)
-            if take == 0:
-                continue
-            chosen = np.sort(rng.choice(candidates, size=take, replace=False))
-            new_mask[i, chosen] = False
-            cells.extend((i, int(k)) for k in chosen)
-    truths = np.array([data.values[c] for c in cells], dtype=float)
-    return data.with_cells(data.values, new_mask), MaskingLedger(tuple(cells), truths)
+        rows = np.repeat(np.arange(n), d)
+        cols = np.concatenate(
+            [np.sort(rng.choice(p, size=d, replace=False)) for _ in range(n)]
+        )
+    new_mask = np.ones_like(data.mask)
+    new_mask[rows, cols] = False
+    cells = tuple(zip(rows.tolist(), cols.tolist()))
+    return data.with_cells(data.values, new_mask), MaskingLedger(cells, data.values[rows, cols])
+
+
+def _ledger_index(ledger: MaskingLedger) -> tuple[np.ndarray, np.ndarray]:
+    """The ledger's cells as a (rows, cols) index pair."""
+    return tuple(np.array(ledger.cells, dtype=int).reshape(-1, 2).T)
 
 
 def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
@@ -120,30 +105,25 @@ def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
     """
     if len(ledger) == 0:
         raise ValueError("empty ledger: no deleted cells to score")
-    shape = report.filled.values.shape
-    fills = report.fills
-    position = np.full(shape, -1)
-    position[fills.rows, fills.cols] = np.arange(len(fills))
-    unresolved = np.zeros(shape, dtype=bool)
-    if report.unresolved:
-        unresolved[tuple(np.array(report.unresolved).T)] = True
-    rows, cols = np.array(ledger.cells).reshape(-1, 2).T
-    used = ~unresolved[rows, cols]
-    pos = position[rows[used], cols[used]]
-    if (pos < 0).any():
-        i = int(np.flatnonzero(pos < 0)[0])
-        cell = (int(rows[used][i]), int(cols[used][i]))
-        raise ValueError(f"deleted cell {cell} is neither filled nor unresolved")
-    if pos.size == 0:
+    filled = report.filled
+    in_fills = np.zeros(filled.values.shape, dtype=bool)
+    in_fills[report.fills.rows, report.fills.cols] = True
+    rows, cols = _ledger_index(ledger)
+    used = filled.mask[rows, cols]
+    stray = used & ~in_fills[rows, cols]
+    if stray.any():
+        i = int(np.flatnonzero(stray)[0])
+        raise ValueError(f"deleted cell {ledger.cells[i]} is neither filled nor unresolved")
+    if not used.any():
         raise ValueError("every deleted cell is unresolved; RMSE undefined")
-    err = fills.values[pos] - ledger.true_values[used]
+    err = filled.values[rows[used], cols[used]] - ledger.true_values[used]
     # a running sum, in ledger order, not numpy's pairwise one
-    return math.sqrt(np.cumsum(err * err)[-1] / pos.size)
+    return math.sqrt(np.cumsum(err * err)[-1] / err.size)
 
 
 def count_unresolved_deleted(ledger: MaskingLedger, report: ImputationReport) -> int:
-    unresolved = set(report.unresolved)
-    return sum(1 for c in ledger.cells if c in unresolved)
+    """How many of the ledger's cells the report left unresolved."""
+    return int((~report.filled.mask[_ledger_index(ledger)]).sum())
 
 
 def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
@@ -153,9 +133,9 @@ def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
     every filled value is 0 by construction.
     """
     rows, cols = np.nonzero(~data.mask)
-    values = np.nanmean(data.values, axis=0)[cols]
-    fills = Fills(rows, cols, values, np.empty((rows.size, 0)), source="column-mean")
-    return ImputationReport(_with_fills(data, fills), fills, ())
+    filled = _with_fills(data, rows, cols, np.nanmean(data.values, axis=0)[cols])
+    fills = Fills(rows, cols, np.empty((rows.size, 0)), source="column-mean")
+    return ImputationReport(filled, fills)
 
 
 @dataclass(frozen=True)
@@ -186,7 +166,7 @@ def _masked_arm(
     )
     params = fit_standardizer(masked)
     std_masked = standardize(masked, params)
-    cols = np.array([k for _, k in ledger.cells], dtype=int)
+    _, cols = _ledger_index(ledger)
     std_truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
     return std_masked, MaskingLedger(ledger.cells, std_truth)
 
@@ -219,6 +199,15 @@ def deletion_curve(
     if n_maps < 1:
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
     d_values = tuple(int(d) for d in d_range)
+    if any(d < 1 for d in d_values):
+        raise ValueError(
+            f"every d in d_range must be >= 1 (d=0 deletes nothing), got {min(d_values)}"
+        )
+    if mode is TrainingMode.COMPLETE_ONLY and not global_mcar:
+        raise ValueError(
+            "mode=complete-only needs global_mcar: the per-row protocol deletes d >= 1 "
+            "cells from every row, so no complete row is left to train on"
+        )
     rmse_som: dict[int, float] = {}
     rmse_base: dict[int, float] = {}
     n_cells: dict[int, int] = {}

@@ -23,17 +23,16 @@ from .trainer import train  # unused here; perfbench/tracing.py wraps it
 class Fills:
     """Provenance of the filled cells as parallel arrays, one entry per cell.
 
-    Cell ``j`` is ``(rows[j], cols[j])`` and was given ``values[j]``;
-    ``units[j]`` holds its winning unit on each map (shape
-    ``(n_cells, n_maps)``; ``UNCLASSIFIABLE`` for a cell that no map filled),
-    ``seeds`` the maps' training seeds when known (else empty), and
-    ``source[j]`` how the cell was filled (``"codebook"`` or
-    ``"column-mean"``).
+    Cell ``j`` is ``(rows[j], cols[j])``; its estimate is the report's
+    ``filled.values[rows[j], cols[j]]``.  ``units[j]`` holds its winning
+    unit on each map (shape ``(n_cells, n_maps)``; ``UNCLASSIFIABLE`` for a
+    cell that no map filled), ``seeds`` the maps' training seeds when known
+    (else empty), and ``source[j]`` how the cell was filled (``"codebook"``
+    or ``"column-mean"``).
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    values: np.ndarray
     units: np.ndarray
     seeds: tuple[int, ...] = ()
     source: np.ndarray | str = "codebook"
@@ -41,15 +40,13 @@ class Fills:
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=int)
         cols = np.array(self.cols, dtype=int)
-        values = np.array(self.values, dtype=float)
         units = np.array(self.units, dtype=int)
-        if rows.ndim != 1 or cols.shape != rows.shape or values.shape != rows.shape:
-            raise ValueError("rows, cols and values must be 1-D arrays of equal length")
+        if rows.ndim != 1 or cols.shape != rows.shape:
+            raise ValueError("rows and cols must be 1-D arrays of equal length")
         if units.ndim != 2 or units.shape[0] != rows.shape[0]:
             raise ValueError("units must have one row per cell")
         source = np.broadcast_to(np.asarray(self.source, dtype=str), rows.shape).copy()
-        for name, a in (("rows", rows), ("cols", cols), ("values", values),
-                        ("units", units), ("source", source)):
+        for name, a in (("rows", rows), ("cols", cols), ("units", units), ("source", source)):
             object.__setattr__(self, name, _readonly(a))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
@@ -61,29 +58,34 @@ class Fills:
 class ImputationReport:
     """Filled matrix plus per-cell provenance.
 
-    Originally observed cells are bit-identical to the input; every
-    originally missing cell is either in ``fills`` or in ``unresolved``
+    ``filled`` is the one record of the result: originally observed cells
+    are bit-identical to the input, each cell of ``fills`` holds its
+    estimate, and every cell still missing in ``filled`` is unresolved
     (rows with no observed component have no winner and stay unresolved
     unless an explicit fallback is applied).
     """
 
     filled: DataMatrix
     fills: Fills
-    unresolved: tuple[tuple[int, int], ...]
+
+    @property
+    def unresolved(self) -> tuple[tuple[int, int], ...]:
+        """The cells still missing in ``filled``, in row-major order."""
+        return tuple(map(tuple, np.argwhere(~self.filled.mask).tolist()))
 
     def estimate_at(self, row: int, col: int) -> float:
-        hit = np.flatnonzero((self.fills.rows == row) & (self.fills.cols == col))
-        if not hit.size:
+        if not ((self.fills.rows == row) & (self.fills.cols == col)).any():
             raise KeyError(f"cell ({row}, {col}) was not filled")
-        return float(self.fills.values[hit[0]])
+        return float(self.filled.values[row, col])
 
 
-def _with_fills(data: DataMatrix, fills: Fills) -> DataMatrix:
-    """``data`` with every cell of ``fills`` set and marked observed."""
+def _with_fills(data: DataMatrix, rows, cols, estimates) -> DataMatrix:
+    """``data`` with cells ``(rows[j], cols[j])`` set to ``estimates[j]`` and
+    marked observed."""
     values = data.values.copy()
-    values[fills.rows, fills.cols] = fills.values
+    values[rows, cols] = estimates
     mask = data.mask.copy()
-    mask[fills.rows, fills.cols] = True
+    mask[rows, cols] = True
     return data.with_cells(values, mask)
 
 
@@ -103,11 +105,9 @@ def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
     holed = np.flatnonzero(~data.mask.all(axis=1))
     units = np.full(data.n_rows, UNCLASSIFIABLE)
     units[holed] = assign(codebook.codes, data.values[holed], data.mask[holed]).units
-    missing = ~data.mask
-    rows, cols = np.nonzero(missing & (units >= 0)[:, None])
-    fills = Fills(rows, cols, codebook.codes[units[rows], cols], units[rows, None])
-    unresolved = tuple(map(tuple, np.argwhere(missing & (units < 0)[:, None]).tolist()))
-    return ImputationReport(_with_fills(data, fills), fills, unresolved)
+    rows, cols = np.nonzero(~data.mask & (units >= 0)[:, None])
+    filled = _with_fills(data, rows, cols, codebook.codes[units[rows], cols])
+    return ImputationReport(filled, Fills(rows, cols, units[rows, None]))
 
 
 def impute_ensemble(
@@ -123,15 +123,11 @@ def impute_ensemble(
     if not codebooks:
         raise ValueError("need at least one codebook")
     reports = [impute(cb, data) for cb in codebooks]
-    first = reports[0].fills
-    fills = Fills(
-        first.rows,
-        first.cols,
-        np.stack([r.fills.values for r in reports], axis=1).mean(axis=1),
-        np.concatenate([r.fills.units for r in reports], axis=1),
-        seeds or (),
-    )
-    return ImputationReport(_with_fills(data, fills), fills, reports[0].unresolved)
+    rows, cols = reports[0].fills.rows, reports[0].fills.cols
+    estimates = np.stack([r.filled.values[rows, cols] for r in reports], axis=1).mean(axis=1)
+    units = np.concatenate([r.fills.units for r in reports], axis=1)
+    return ImputationReport(_with_fills(data, rows, cols, estimates),
+                            Fills(rows, cols, units, seeds or ()))
 
 
 def impute_multi(
@@ -160,16 +156,16 @@ def apply_column_mean_fallback(report: ImputationReport, data: DataMatrix) -> Im
     cells no winner, and falling back silently would hide that.  The new
     cells follow the report's own, with no winning unit.
     """
-    if not report.unresolved:
+    rows, cols = np.nonzero(~report.filled.mask)
+    if not rows.size:
         return report
-    rows, cols = np.array(report.unresolved).T
     old = report.fills
     fills = Fills(
         np.concatenate([old.rows, rows]),
         np.concatenate([old.cols, cols]),
-        np.concatenate([old.values, np.nanmean(data.values, axis=0)[cols]]),
         np.concatenate([old.units, np.full((rows.size, old.units.shape[1]), UNCLASSIFIABLE)]),
         old.seeds,
         np.concatenate([old.source, np.full(rows.size, "column-mean")]),
     )
-    return ImputationReport(_with_fills(report.filled, fills), fills, ())
+    means = np.nanmean(data.values, axis=0)[cols]
+    return ImputationReport(_with_fills(report.filled, rows, cols, means), fills)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 
@@ -134,6 +134,14 @@ def read_csv(
     return DataMatrix(values, mask, labels, tuple(names), cats, categorical_col)
 
 
+def _write_rows(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` as CSV with ``\\n`` line endings."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_csv(data: DataMatrix, path, missing_marker: str = "") -> None:
     """Write a DataMatrix back out; masked cells become ``missing_marker``."""
     header = ["label"]
@@ -147,10 +155,7 @@ def write_csv(data: DataMatrix, path, missing_marker: str = "") -> None:
             fmt17(v) if m else missing_marker
             for v, m in zip(data.values[:, k].tolist(), data.mask[:, k].tolist())
         ])
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*columns))
+    _write_rows(path, header, zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -311,10 +316,7 @@ def write_assignment_csv(
     if supplementary is not None:
         header.append("supplementary")
         columns.append(["yes" if s else "no" for s in np.asarray(supplementary).tolist()])
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*columns))
+    _write_rows(path, header, zip(*columns))
 
 
 def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) -> None:
@@ -327,7 +329,7 @@ def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) 
     from_map = (f.source == "codebook").tolist()
     seeds = ";".join(str(s) for s in f.seeds)
     units = [";".join(map(str, u)) if m else "" for u, m in zip(f.units.tolist(), from_map)]
-    lines = zip(
+    filled = zip(
         [row_labels[i] for i in f.rows.tolist()],
         [col_names[k] for k in f.cols.tolist()],
         map(fmt17, report.filled.values[f.rows, f.cols].tolist()),
@@ -335,44 +337,35 @@ def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) 
         [seeds if m else "" for m in from_map],
         f.source.tolist(),
     )
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["label", "column", "estimate", "units", "seeds", "source"])
-        w.writerows(lines)
-        for (i, k) in report.unresolved:
-            w.writerow([row_labels[i], col_names[k], "", "", "", "unresolved"])
+    unresolved = ([row_labels[i], col_names[k], "", "", "", "unresolved"]
+                  for i, k in report.unresolved)
+    _write_rows(path, ["label", "column", "estimate", "units", "seeds", "source"],
+                chain(filled, unresolved))
 
 
 def write_eval_csv(path, report: EvalReport) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["d", "n_cells", "rmse_som", "rmse_mean", "n_unresolved"])
-        for d in report.d_values:
-            w.writerow(
-                [
-                    str(d),
-                    str(report.n_cells[d]),
-                    fmt17(report.rmse_som[d]),
-                    fmt17(report.rmse_mean_baseline[d]),
-                    str(report.n_unresolved[d]),
-                ]
-            )
+    _write_rows(path, ["d", "n_cells", "rmse_som", "rmse_mean", "n_unresolved"], (
+        [
+            str(d),
+            str(report.n_cells[d]),
+            fmt17(report.rmse_som[d]),
+            fmt17(report.rmse_mean_baseline[d]),
+            str(report.n_unresolved[d]),
+        ]
+        for d in report.d_values
+    ))
 
 
 def write_dendrogram_csv(path, sc: SuperClassing) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "left", "right", "height"])
-        for step, (left, right, height) in enumerate(sc.dendrogram):
-            w.writerow([str(step), str(left), str(right), fmt17(height)])
+    _write_rows(path, ["step", "left", "right", "height"], (
+        [str(step), str(left), str(right), fmt17(height)]
+        for step, (left, right, height) in enumerate(sc.dendrogram)
+    ))
 
 
 def write_superclass_csv(path, sc: SuperClassing) -> None:
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["unit", "superclass"])
-        for u in range(sc.n_units):
-            w.writerow([str(u), str(int(sc.labels[u]))])
+    _write_rows(path, ["unit", "superclass"],
+                ([str(u), str(int(sc.labels[u]))] for u in range(sc.n_units)))
 
 
 def sha256_file(path) -> str:

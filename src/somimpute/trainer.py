@@ -465,21 +465,22 @@ def forgy_train(
                 f"initial_codes must have shape ({n_classes}, {data.n_cols}), got {cents.shape}"
             )
 
+    observed = np.where(data.mask, data.values, 0.0)
     asg = assign(cents, data.values, data.mask)
     history = [float(asg.sq_distances[asg.units >= 0].sum())]
     converged = False
     n_iters = 0
     for _ in range(max_iters):
         n_iters += 1
-        for c in range(n_classes):
-            members = np.flatnonzero(asg.units == c)
-            if members.size == 0:
-                continue
-            m = data.mask[members]
-            counts = m.sum(axis=0)
-            sums = np.where(m, data.values[members], 0.0).sum(axis=0)
-            means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-            cents[c] = np.where(counts > 0, means, cents[c])
+        # one bincount pass per statistic over the flat (class, column) cells;
+        # it adds each class's members in row order from 0.0, bit for bit a
+        # per-class .sum(axis=0) when p >= 2
+        members = asg.units >= 0
+        cells = (asg.units[members, None] * data.n_cols + np.arange(data.n_cols)).ravel()
+        size = cents.size
+        sums = np.bincount(cells, observed[members].ravel(), size).reshape(cents.shape)
+        counts = np.bincount(cells[data.mask[members].ravel()], minlength=size).reshape(cents.shape)
+        np.divide(sums, counts, out=cents, where=counts > 0)
         new = assign(cents, data.values, data.mask)
         history.append(float(new.sq_distances[new.units >= 0].sum()))
         stable = bool(np.array_equal(new.units, asg.units))

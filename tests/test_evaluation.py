@@ -21,6 +21,7 @@ from somimpute import (
     rmse_deleted,
     standardize,
 )
+from somimpute.evaluation import count_unresolved_deleted
 from helpers import naive_pearson
 
 
@@ -70,12 +71,22 @@ class TestMaskRandom:
         with pytest.raises(ValueError):
             mask_random(small_incomplete, MaskingPlan(1, seed=0))
 
-    def test_protected_cells_survive(self):
-        data = _complete(n=6, p=4)
-        protected = frozenset((i, 0) for i in range(6))
-        masked, ledger = mask_random(data, MaskingPlan(2, seed=6, protected=protected))
-        assert masked.mask[:, 0].all()
-        assert all(k != 0 for _, k in ledger.cells)
+    def test_per_row_draws_are_sorted_choices_from_one_generator(self):
+        data = _complete(seed=3, n=9, p=6)
+        masked, ledger = mask_random(data, MaskingPlan(4, seed=12))
+        rng = np.random.default_rng(12)
+        cells = tuple((i, int(k)) for i in range(9)
+                      for k in np.sort(rng.choice(6, size=4, replace=False)))
+        assert ledger.cells == cells
+        assert ledger.true_values.tolist() == [data.values[c] for c in cells]
+        assert sorted(map(tuple, np.argwhere(~masked.mask).tolist())) == list(cells)
+
+    def test_global_mcar_draw_is_one_choice_over_the_flat_table(self):
+        data = _complete(seed=3, n=9, p=6)
+        masked, ledger = mask_random(data, MaskingPlan(2, seed=13, global_mcar=True))
+        flat = np.sort(np.random.default_rng(13).choice(54, size=18, replace=False))
+        assert ledger.cells == tuple((int(j) // 6, int(j) % 6) for j in flat)
+        assert sorted(map(tuple, np.argwhere(~masked.mask).tolist())) == list(ledger.cells)
 
     def test_global_mcar_spreads_the_same_budget(self):
         data = _complete(n=20, p=6)
@@ -88,17 +99,6 @@ class TestMaskRandom:
         assert np.array_equal(masked.mask, again.mask)
         assert ledger.cells == ledger2.cells
 
-    def test_protected_shortfall_deletes_what_it_can(self):
-        data = _complete(n=3, p=4)
-        # row 0 keeps columns 0-2 protected (one deletable cell); column 3
-        # stays alive through row 1's protection
-        protected = frozenset({(0, 0), (0, 1), (0, 2), (1, 3)})
-        masked, ledger = mask_random(data, MaskingPlan(2, seed=7, protected=protected))
-        assert (~masked.mask[0]).sum() == 1  # shortfall: only (0, 3) deletable
-        assert (~masked.mask[1]).sum() == 2
-        assert (~masked.mask[2]).sum() == 2
-        assert len(ledger) == 5
-
 
 def _report_for(data, estimates):
     values = data.values.copy()
@@ -109,9 +109,9 @@ def _report_for(data, estimates):
         mask[i, k] = True
     rows = [i for i, _ in cells]
     cols = [k for _, k in cells]
-    fills = Fills(rows, cols, list(estimates.values()), np.zeros((len(cells), 1)))
+    fills = Fills(rows, cols, np.zeros((len(cells), 1)))
     filled = DataMatrix(values, mask, data.row_labels, data.col_names)
-    return ImputationReport(filled, fills, ())
+    return ImputationReport(filled, fills)
 
 
 class TestRmseDeleted:
@@ -145,16 +145,35 @@ class TestRmseDeleted:
         ledger = MaskingLedger(((0, 0), (1, 0)), np.array([1.0, 5.0]))
         values = np.array([[np.nan, 2.0], [np.nan, np.nan], [7.0, 8.0]])
         masked = DataMatrix(values, np.isfinite(values), ("a", "b", "c"), ("x", "y"))
-        base = _report_for(masked, {(0, 0): 0.5})
-        report = ImputationReport(base.filled, base.fills, ((1, 0), (1, 1)))
+        report = _report_for(masked, {(0, 0): 0.5})
+        assert report.unresolved == ((1, 0), (1, 1))
         assert rmse_deleted(ledger, report) == 0.5
+
+
+    def test_ledger_cell_that_was_never_missing_rejected(self):
+        # (0, 1) is observed and not filled: the ledger does not belong to
+        # this report
+        ledger = MaskingLedger(((0, 0), (0, 1)), np.array([1.0, 2.0]))
+        values = np.array([[np.nan, 2.0], [4.0, 5.0]])
+        masked = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
+        report = _report_for(masked, {(0, 0): 0.5})
+        with pytest.raises(ValueError, match=r"\(0, 1\) is neither filled nor unresolved"):
+            rmse_deleted(ledger, report)
+
+    def test_unresolved_deleted_cells_counted(self):
+        ledger = MaskingLedger(((0, 0), (1, 0), (1, 1), (2, 1)), np.zeros(4))
+        values = np.array([[np.nan, 2.0], [np.nan, np.nan], [7.0, np.nan]])
+        masked = DataMatrix(values, np.isfinite(values), ("a", "b", "c"), ("x", "y"))
+        report = _report_for(masked, {(0, 0): 0.5, (2, 1): 1.0})
+        assert count_unresolved_deleted(ledger, report) == 2
 
 
 class TestMeanBaseline:
     def test_standardized_data_fills_zero(self, small_incomplete):
         std = standardize(small_incomplete, fit_standardizer(small_incomplete))
         report = mean_impute_baseline(std)
-        assert all(abs(v) < 1e-12 for v in report.fills.values)
+        f = report.fills
+        assert all(abs(v) < 1e-12 for v in report.filled.values[f.rows, f.cols])
 
     def test_hand_case_mean_of_two(self):
         values = np.array([[2.0, 0.0], [4.0, 1.0], [np.nan, 2.0]])
@@ -294,6 +313,23 @@ class TestDeletionCurve:
         sched = TrainingSchedule(total_iters=60, radius0=1, rng_seed=0)
         with pytest.raises(ValueError, match=r"deletion arm d=\d, repeat=\d+: column 'v\d'"):
             deletion_curve(data, range(1, 4), GridTopology(2, 2), sched, n_repeats=20)
+
+    def test_zero_deletions_rejected_before_any_arm(self):
+        data = _complete(seed=5, n=8, p=4)
+        sched = TrainingSchedule(total_iters=50, radius0=1, rng_seed=0)
+        with pytest.raises(ValueError, match="every d in d_range must be >= 1") as err:
+            deletion_curve(data, [0, 1], GridTopology(2, 2), sched)
+        assert "deletion arm" not in str(err.value)
+
+    def test_complete_only_needs_global_mcar_before_any_arm(self):
+        # the per-row protocol deletes d >= 1 cells from every row, so
+        # complete-only training would find no complete row in any arm
+        data = _complete(seed=5, n=8, p=4)
+        sched = TrainingSchedule(total_iters=50, radius0=1, rng_seed=0)
+        with pytest.raises(ValueError, match="mode=complete-only needs global_mcar") as err:
+            deletion_curve(data, [1], GridTopology(2, 2), sched,
+                           mode=TrainingMode.COMPLETE_ONLY)
+        assert "deletion arm" not in str(err.value)
 
     def test_zero_maps_rejected_before_any_arm(self):
         data = _complete(seed=5, n=8, p=4)

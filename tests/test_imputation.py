@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,8 @@ def test_winner_recomputed_independently_matches_fill():
         data = DataMatrix(values, mask, tuple("abcdef"), ("x", "y", "z"))
         report = impute(cb, data)
         fills = report.fills
-        for row, col, value in zip(fills.rows, fills.cols, fills.values):
+        estimates = report.filled.values[fills.rows, fills.cols]
+        for row, col, value in zip(fills.rows, fills.cols, estimates):
             w = brute_winner(data.values[row], data.mask[row], codes)
             assert value == codes[w, col]
 
@@ -97,7 +100,8 @@ def test_multi_with_one_map_equals_single_impute():
         data,
     )
     assert np.array_equal(multi.filled.values, single.filled.values, equal_nan=True)
-    assert multi.fills.values.tolist() == single.fills.values.tolist()
+    assert np.array_equal(multi.fills.rows, single.fills.rows)
+    assert np.array_equal(multi.fills.cols, single.fills.cols)
 
 
 
@@ -114,7 +118,7 @@ def test_multi_equals_the_ensemble_of_maps_trained_one_by_one():
          for s in seeds],
         data, seeds,
     )
-    assert multi.fills.values.tobytes() == one_by_one.fills.values.tobytes()
+    assert multi.filled.values.tobytes() == one_by_one.filled.values.tobytes()
     assert np.array_equal(multi.fills.units, one_by_one.fills.units)
     assert multi.fills.seeds == seeds
 
@@ -164,7 +168,8 @@ def test_imputed_values_stay_in_observed_column_ranges():
         fit = train(data, GridTopology(2, 2), sched)
         report = impute(fit.codebook, data)
         lo, hi = data.column_ranges()
-        for col, value in zip(report.fills.cols, report.fills.values):
+        f = report.fills
+        for col, value in zip(f.cols, report.filled.values[f.rows, f.cols]):
             assert lo[col] <= value <= hi[col]
 
 
@@ -173,6 +178,14 @@ def test_all_missing_row_yields_unresolved_cells(small_incomplete):
     report = impute(cb, small_incomplete)
     assert set(report.unresolved) == {(2, 0), (2, 1), (2, 2)}
     assert not report.filled.mask[2].any()
+
+
+def test_unresolved_is_read_from_the_filled_matrix(small_incomplete):
+    cb = _codebook(np.ones((2, 3)))
+    report = impute(cb, small_incomplete)
+    assert report.unresolved == tuple(map(tuple, np.argwhere(~report.filled.mask).tolist()))
+    fb = apply_column_mean_fallback(report, small_incomplete)
+    assert replace(report, filled=fb.filled).unresolved == ()
 
 
 def test_column_mean_fallback_is_explicit(small_incomplete):

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -516,6 +517,28 @@ class TestCli:
         ])
         assert rc == 2
 
+    def test_evaluate_rejects_zero_deletions_before_reading_input(self, tmp_path, capsys):
+        rc = main([
+            "evaluate", "--input", str(tmp_path / "absent.csv"),
+            "--output-dir", str(tmp_path / "e"), "--grid-rows", "2", "--grid-cols", "2",
+            "--d-min", "0", "--d-max", "2",
+        ])
+        assert rc == 2
+        assert "invalid deletion range [0, 2]" in capsys.readouterr().err
+
+    def test_evaluate_complete_only_per_row_fails_before_any_arm(self, tmp_path, capsys):
+        csv_path = tmp_path / "complete.csv"
+        write_csv(DataMatrix.from_nan(np.random.default_rng(5).normal(size=(10, 4))), csv_path)
+        rc = main([
+            "evaluate", "--input", str(csv_path), "--output-dir", str(tmp_path / "e"),
+            "--grid-rows", "2", "--grid-cols", "2", "--d-max", "2",
+            "--mode", "complete-only",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "mode=complete-only needs global_mcar" in err
+        assert "deletion arm" not in err
+
     def test_render_marks_supplementary_in_mode_b(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         _write_training_csv(csv_path)
@@ -540,6 +563,69 @@ class TestCli:
             "--output-dir", str(tmp_path / "o"), "--model", str(tmp_path / "m.txt"),
         ])
         assert rc == 2
+
+
+def _csv_cells(path) -> dict[tuple[str, str], str]:
+    """Every numeric field of a written table, keyed by (label, column)."""
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(fh)
+    return {(row[0], name): field for row in body for name, field in zip(header[1:], row[1:])}
+
+
+@st.composite
+def _imputable_tables(draw):
+    """Holed tables the CLI can standardize: every column has two distinct
+    observed values (rows 0 and 1), and the last row may be all missing."""
+    n = draw(st.integers(3, 8))
+    p = draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    values = np.array(draw(st.lists(finite, min_size=n * p, max_size=n * p))).reshape(n, p)
+    values[1] = values[0] + 1.0
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)))
+    mask = mask.reshape(n, p)
+    if draw(st.booleans()):
+        mask[-1] = False
+    mask[:2] = True
+    return DataMatrix(values, mask, tuple(f"r{i}" for i in range(n)),
+                      tuple(f"c{k}" for k in range(p)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_imputable_tables(), st.integers(0, 50))
+def test_cli_impute_outputs_agree_with_input_and_each_other(data, seed):
+    # through somimpute.cli.main: impute --model and impute --n-maps 2, each
+    # with and without the column-mean fallback
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        csv_path = tmp / "in.csv"
+        write_csv(data, csv_path)
+        given_cells = _csv_cells(csv_path)
+        grid = ["--grid-rows", "1", "--grid-cols", "2", "--iters", "40", "--seed", str(seed)]
+        assert main(["train", "--input", str(csv_path), "--output-dir", str(tmp / "run"),
+                     *grid]) == 0
+        sources = {"model": ["--model", str(tmp / "run" / "model.txt")],
+                   "maps": ["--n-maps", "2", *grid]}
+        for name, extra in sources.items():
+            for fallback in ("none", "column-mean"):
+                out = tmp / f"{name}-{fallback}"
+                assert main(["impute", "--input", str(csv_path), "--output-dir", str(out),
+                             "--fallback", fallback, *extra]) == 0
+                imputed = _csv_cells(out / "imputed.csv")
+                imputed_floats = read_csv(out / "imputed.csv")
+                assert (imputed_floats.values[data.mask].tobytes()
+                        == data.values[data.mask].tobytes())
+                with open(out / "provenance.csv", newline="") as fh:
+                    prov = list(csv.DictReader(fh))
+                missing = {cell for cell, field in given_cells.items() if field == ""}
+                assert {(r["label"], r["column"]) for r in prov} == missing
+                for r in prov:
+                    if r["source"] != "unresolved":
+                        assert r["estimate"] == imputed[r["label"], r["column"]]
+                unresolved = {(r["label"], r["column"]) for r in prov
+                              if r["source"] == "unresolved"}
+                assert unresolved == {cell for cell, field in imputed.items() if field == ""}
+                if fallback == "column-mean":
+                    assert not unresolved
 
 
 class TestReplay:
