@@ -277,7 +277,7 @@ def cmd_impute(args) -> int:
         report = apply_column_mean_fallback(report, standardize(data, params))
     out_report = _destandardized_report(report, data, params)
     outdir = _outdir(args)
-    write_csv(out_report.filled, outdir / "imputed.csv")
+    write_csv(out_report.filled, outdir / "imputed.csv", read_markers=markers)
     write_provenance_csv(
         outdir / "provenance.csv", out_report, data.row_labels, data.col_names
     )

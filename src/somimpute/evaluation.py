@@ -189,8 +189,13 @@ def deletion_curve(
     ``(d, repeat)`` masks with the seed ``SeedSequence([schedule.rng_seed,
     d, repeat, 0]).generate_state(1)[0]`` and trains ``n_maps`` maps with
     seeds ``s .. s + n_maps - 1``, ``s`` derived alike from ``(...,
-    repeat, 1)``, so the whole curve is bit-reproducible.  The maps of all
-    arms of one d train in one :func:`somimpute.trainer.train_maps` call.
+    repeat, 1)``, so the whole curve is bit-reproducible.
+
+    Every arm of every d is masked and standardized first, in ``(d,
+    repeat)`` order; then all ``len(d_range) * n_repeats * n_maps`` maps
+    train in one :func:`somimpute.trainer.train_maps` call, and each arm is
+    imputed and scored in the same order.  An error names the arm it comes
+    from as ``deletion arm d=..., repeat=...``.
     """
     if data.n_missing_cells:
         raise ValueError("deletion_curve requires a complete input matrix")
@@ -208,51 +213,47 @@ def deletion_curve(
             "mode=complete-only needs global_mcar: the per-row protocol deletes d >= 1 "
             "cells from every row, so no complete row is left to train on"
         )
-    rmse_som: dict[int, float] = {}
-    rmse_base: dict[int, float] = {}
-    n_cells: dict[int, int] = {}
-    n_unres: dict[int, int] = {}
-    by_rep: dict[int, tuple[float, ...]] = {}
-    base_by_rep: dict[int, tuple[float, ...]] = {}
-    for d in d_values:
-        arms = []
-        for rep in range(n_repeats):
-            try:
-                arms.append(_masked_arm(data, d, rep, schedule.rng_seed, global_mcar))
-            except ValueError as exc:
-                raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
-        seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
-                 for rep in range(n_repeats)]
+    keys = [(d, rep) for d in d_values for rep in range(n_repeats)]
+    arms = []
+    for d, rep in keys:
         try:
-            codebooks = [fit.codebook for fit in train_maps(
-                [std for std, _ in arms for _ in range(n_maps)], topology,
-                [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)]
-        except _MapError as exc:
-            raise ValueError(f"deletion arm d={d}, repeat={exc.index // n_maps}: {exc}") from exc
-        som_arm: list[float] = []
-        base_arm: list[float] = []
-        cells = 0
-        unres = 0
-        for rep, (std_masked, ledger) in enumerate(arms):
-            maps = codebooks[rep * n_maps:(rep + 1) * n_maps]
-            try:
-                if n_maps == 1:
-                    report = impute(maps[0], std_masked)
-                else:
-                    report = impute_ensemble(maps, std_masked, seeds[rep])
-                som_arm.append(rmse_deleted(ledger, report))
-                base_arm.append(rmse_deleted(ledger, mean_impute_baseline(std_masked)))
-            except ValueError as exc:
-                raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
-            cells += len(ledger)
-            unres += count_unresolved_deleted(ledger, report)
-        rmse_som[d] = float(np.mean(som_arm))
-        rmse_base[d] = float(np.mean(base_arm))
-        n_cells[d] = cells
-        n_unres[d] = unres
-        by_rep[d] = tuple(som_arm)
-        base_by_rep[d] = tuple(base_arm)
-    return EvalReport(d_values, rmse_som, rmse_base, n_cells, n_unres, by_rep, base_by_rep)
+            arms.append(_masked_arm(data, d, rep, schedule.rng_seed, global_mcar))
+        except ValueError as exc:
+            raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
+    seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
+             for d, rep in keys]
+    try:
+        codebooks = [fit.codebook for fit in train_maps(
+            [std for std, _ in arms for _ in range(n_maps)], topology,
+            [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)]
+    except _MapError as exc:
+        d, rep = keys[exc.index // n_maps]
+        raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
+    som: list[float] = []
+    base: list[float] = []
+    unres: list[int] = []
+    for a, ((d, rep), (std_masked, ledger)) in enumerate(zip(keys, arms)):
+        maps = codebooks[a * n_maps:(a + 1) * n_maps]
+        try:
+            if n_maps == 1:
+                report = impute(maps[0], std_masked)
+            else:
+                report = impute_ensemble(maps, std_masked, seeds[a])
+            som.append(rmse_deleted(ledger, report))
+            base.append(rmse_deleted(ledger, mean_impute_baseline(std_masked)))
+        except ValueError as exc:
+            raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
+        unres.append(count_unresolved_deleted(ledger, report))
+    per_d = {d: slice(j * n_repeats, (j + 1) * n_repeats) for j, d in enumerate(d_values)}
+    return EvalReport(
+        d_values,
+        {d: float(np.mean(som[s])) for d, s in per_d.items()},
+        {d: float(np.mean(base[s])) for d, s in per_d.items()},
+        {d: sum(len(ledger) for _, ledger in arms[s]) for d, s in per_d.items()},
+        {d: sum(unres[s]) for d, s in per_d.items()},
+        {d: tuple(som[s]) for d, s in per_d.items()},
+        {d: tuple(base[s]) for d, s in per_d.items()},
+    )
 
 
 def pairwise_correlation(data: DataMatrix) -> np.ndarray:

@@ -89,13 +89,10 @@ def _with_fills(data: DataMatrix, rows, cols, estimates) -> DataMatrix:
     return data.with_cells(values, mask)
 
 
-def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
-    """Fill each missing cell with the winning unit's code component.
-
-    The codebook must have been trained on data scaled the same way as
-    ``data`` (normally: both standardized with the same parameters).  Cells
-    are listed in row-major order.
-    """
+def _winners(codebook: CodeBook, data: DataMatrix) -> np.ndarray:
+    """Winning unit of every row with a missing cell; ``UNCLASSIFIABLE``
+    for complete rows, which need none, and for all-missing rows, which
+    have none."""
     if codebook.n_features != data.n_cols:
         raise ValueError(
             f"codebook has {codebook.n_features} components, data has {data.n_cols}"
@@ -105,6 +102,17 @@ def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
     holed = np.flatnonzero(~data.mask.all(axis=1))
     units = np.full(data.n_rows, UNCLASSIFIABLE)
     units[holed] = assign(codebook.codes, data.values[holed], data.mask[holed]).units
+    return units
+
+
+def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
+    """Fill each missing cell with the winning unit's code component.
+
+    The codebook must have been trained on data scaled the same way as
+    ``data`` (normally: both standardized with the same parameters).  Cells
+    are listed in row-major order.
+    """
+    units = _winners(codebook, data)
     rows, cols = np.nonzero(~data.mask & (units >= 0)[:, None])
     filled = _with_fills(data, rows, cols, codebook.codes[units[rows], cols])
     return ImputationReport(filled, Fills(rows, cols, units[rows, None]))
@@ -118,14 +126,16 @@ def impute_ensemble(
     """Average the per-map estimates of several codebooks, cell by cell.
 
     Every map fills the same cells (the missing cells of the classifiable
-    rows), in the same order.
+    rows), in the same order, each with its winner's code component, as
+    :func:`impute` does.
     """
     if not codebooks:
         raise ValueError("need at least one codebook")
-    reports = [impute(cb, data) for cb in codebooks]
-    rows, cols = reports[0].fills.rows, reports[0].fills.cols
-    estimates = np.stack([r.filled.values[rows, cols] for r in reports], axis=1).mean(axis=1)
-    units = np.concatenate([r.fills.units for r in reports], axis=1)
+    units = np.stack([_winners(cb, data) for cb in codebooks], axis=1)
+    rows, cols = np.nonzero(~data.mask & (units[:, 0] >= 0)[:, None])
+    units = units[rows]
+    estimates = np.stack([cb.codes[units[:, k], cols] for k, cb in enumerate(codebooks)],
+                         axis=1).mean(axis=1)
     return ImputationReport(_with_fills(data, rows, cols, estimates),
                             Fills(rows, cols, units, seeds or ()))
 

@@ -142,14 +142,43 @@ def _write_rows(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def write_csv(data: DataMatrix, path, missing_marker: str = "") -> None:
-    """Write a DataMatrix back out; masked cells become ``missing_marker``."""
+def _refuse_changed_text(header, labels, categories, markers) -> None:
+    """Raise for the first header name, row label or category that
+    :func:`read_csv` would read back changed: it strips surrounding
+    whitespace from all three and reads a category equal to one of
+    ``markers`` as missing."""
+    for j, name in enumerate(header):
+        if name != name.strip():
+            raise ValueError(f"header, column {j}: {name!r} has surrounding whitespace")
+    for i, label in enumerate(labels):
+        if label != label.strip():
+            raise ValueError(f"row {i}, column {header[0]!r}: {label!r} has surrounding whitespace")
+    for i, cat in enumerate(categories or ()):
+        if cat is None:
+            continue
+        if cat != cat.strip():
+            raise ValueError(f"row {i}, column {header[1]!r}: {cat!r} has surrounding whitespace")
+        if cat in markers:
+            raise ValueError(f"row {i}, column {header[1]!r}: category {cat!r} is a missing marker")
+
+
+def write_csv(data: DataMatrix, path, missing_marker: str = "",
+              read_markers=DEFAULT_MISSING_MARKERS) -> None:
+    """Write a DataMatrix back out; masked cells become ``missing_marker``.
+
+    Text that :func:`read_csv` with ``read_markers`` would read back
+    changed (a header name, row label or category with surrounding
+    whitespace, or a category equal to one of ``read_markers``) is a
+    ``ValueError`` naming its row and column, raised before the file is
+    opened.
+    """
     header = ["label"]
     columns: list = [data.row_labels]
     if data.categorical is not None:
         header.append(data.categorical_name or "category")
         columns.append(["" if c is None else c for c in data.categorical])
     header.extend(data.col_names)
+    _refuse_changed_text(header, data.row_labels, data.categorical, set(read_markers))
     for k in range(data.n_cols):
         columns.append([
             fmt17(v) if m else missing_marker
@@ -183,8 +212,9 @@ def save_model(model: SomModel, path) -> None:
     cb = model.codebook
     topo = cb.topology
     for name in cb.col_names:
-        if "\t" in name or "\n" in name:
-            raise ValueError(f"column name {name!r} contains a tab or newline")
+        # load_model splits the file with str.splitlines, the header on tabs
+        if "\t" in name or name.splitlines() not in ([], [name]):
+            raise ValueError(f"column name {name!r} contains a tab or a line break")
     lines = ["\t".join([str(topo.rows), str(topo.cols), str(cb.n_features), *cb.col_names])]
     for u in range(cb.n_units):
         lines.append("\t".join(fmt17(v) for v in cb.codes[u]))
@@ -205,7 +235,7 @@ def save_model(model: SomModel, path) -> None:
         )
     )
     lines.append(f"mode\t{model.mode.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 _SCHEDULE_FIELDS = {"total_iters": int, "alpha0": float, "alpha_final": float,
@@ -219,7 +249,7 @@ def load_model(path) -> SomModel:
     the path and the line (or lines) at fault.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     where = "line 1"
     try:
         if not lines:

@@ -8,8 +8,6 @@ shaded proportion bar per unit.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .evaluation import EvalReport
 from .metric import Assignment, CodeBook
 
@@ -17,6 +15,12 @@ SUPERCLASS_PALETTE = (
     "#aec7e8", "#ffbb78", "#98df8a", "#ff9896", "#c5b0d5",
     "#c49c94", "#f7b6d2", "#dbdb8d", "#9edae5", "#d9d9d9",
 )
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities: the bytes of
+    ``xml.sax.saxutils.escape``, whose import pulls in ``urllib.request``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _cell_members(assignment: Assignment, row_labels, supplementary) -> list[list[tuple[str, bool]]]:
@@ -109,7 +113,7 @@ def render_map_svg(
         )
         for line_i, (label, supp) in enumerate(cells[u]):
             cls = ' class="supp"' if supp else ""
-            text = escape(label + ("*" if supp else ""))
+            text = _escape(label + ("*" if supp else ""))
             parts.append(
                 f'<text x="{x + 4}" y="{y + 14 + line_i * line_height}"{cls}>{text}</text>'
             )

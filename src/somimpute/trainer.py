@@ -298,37 +298,48 @@ def _start(data: DataMatrix, topology: GridTopology, schedule: TrainingSchedule,
 def _lockstep_updates(C, values, mask, rows, alphas, radii, cheb) -> None:
     """Train a stack of maps in lockstep, updating ``C`` in place.
 
-    ``C`` holds K transposed codebooks as a C-contiguous ``(K, p, n_units)``
-    array, ``rows`` is a C-contiguous ``(T, K)`` table of row numbers into
-    ``values`` and ``mask``, one column per map, and ``cheb`` holds the
-    grid's Chebyshev unit distances.  Step ``t`` is :func:`_online_updates`'
-    step ``t`` on every map at once, with row ``rows[t, k]`` for map ``k``
-    and the shared ``alphas[t]`` and ``radii[t]``: the winner minimizes the
-    squared distance over the row's observed components, added in ascending
-    order as in :func:`somimpute.metric.assign`, ties to the lowest unit;
-    then only the observed components of the winner and of the units within
-    the radius move.
+    ``C`` holds K transposed codebooks as a ``(K, p, n_units)`` array,
+    ``rows`` is a ``(T, K)`` table of row numbers into ``values`` and
+    ``mask``, one column per map, and ``cheb`` holds the grid's Chebyshev
+    unit distances.  Step ``t`` is :func:`_online_updates`' step ``t`` on
+    every map at once, with row ``rows[t, k]`` for map ``k`` and the shared
+    ``alphas[t]`` and ``radii[t]``: the winner minimizes the squared
+    distance over the row's observed components, added in ascending order
+    as in :func:`somimpute.metric.assign`, ties to the lowest unit; then
+    only the observed components of the winner and of the units within the
+    radius move, by ``c + alpha * (x - c)``.
 
-    The winner sums run over axis 1, so they add the components in
-    ascending order only while ``C`` is C-contiguous; a transposed layout
-    would make numpy sum them pairwise.
+    The steps run on a component-major copy, a C-contiguous ``(p, K,
+    n_units)`` array, so that every operation of a step runs over rows of
+    ``K * n_units`` cells, not over one map's ``n_units``.  The winner sums
+    reduce over axis 0, the outer axis, which numpy accumulates one
+    component row at a time, in ascending order: the sequential sum of
+    ``assign`` (numpy sums pairwise only along the contiguous inner axis).
+    On a step with an incomplete row the unobserved squares are first set
+    to 0.0 in place; ``s + 0.0 == s`` for every ``s >= +0``, so the sums do not
+    change.  The update picks between the moved and the old codes with
+    ``np.where``, so no ufunc runs a masked (``where=``) loop; an
+    unobserved component's NaN is computed but never picked.
     """
-    if not C.flags.c_contiguous:
-        raise ValueError("the codebook stack must be C-contiguous")
-    balls = {r: (cheb <= r)[:, None, :] for r in set(radii.tolist())}
+    S = np.ascontiguousarray(C.transpose(1, 0, 2))
+    xs, ms = values.T.copy(), mask.T.copy()
+    balls = {r: cheb <= r for r in set(radii.tolist())}
     complete = mask.all(axis=1)[rows].all(axis=1).tolist()
     for i, a, r, whole in zip(rows, alphas.tolist(), radii.tolist(), complete):
-        x = values.take(i, axis=0)[:, :, None]
-        diff = x - C
+        diff = xs.take(i, axis=1)[:, :, None] - S
+        sq = diff * diff
         if whole:
-            w = np.add.reduce(diff * diff, axis=1).argmin(axis=1)
-            diff *= a
-            np.add(C, diff, out=C, where=balls[r][w])
+            move = balls[r].take(np.add.reduce(sq, axis=0).argmin(axis=1), axis=0)
         else:
-            m = mask.take(i, axis=0)[:, :, None]
-            w = np.add.reduce(diff * diff, axis=1, where=m).argmin(axis=1)
-            diff *= a
-            np.add(C, diff, out=C, where=m & balls[r][w])
+            # the row's mask repeated over the units, so that neither the
+            # zeroing nor the update broadcasts along the short unit axis
+            m = np.repeat(ms.take(i, axis=1), S.shape[2], axis=1).reshape(S.shape)
+            np.putmask(sq, ~m, 0.0)
+            move = m & balls[r].take(np.add.reduce(sq, axis=0).argmin(axis=1), axis=0)
+        diff *= a
+        diff += S
+        S = np.where(move, diff, S)
+    C[...] = S.transpose(1, 0, 2)
 
 
 def _shared_table(datas: list[DataMatrix]) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -346,16 +357,21 @@ def _shared_table(datas: list[DataMatrix]) -> tuple[np.ndarray, np.ndarray, list
 
 
 # Largest codebook, in code cells (p * n_units), that trains in lockstep.
-# A lockstep step updates all K codebooks through a mask, where the window
+# A lockstep step selects every cell of all K codebooks, where the window
 # kernel writes one neighbourhood view per map, so the saving shrinks as
-# codebooks grow.  Lockstep / window training time per map, 2-core box,
-# numpy 2.4.6, 500 rows with 15% of cells missing, 1 000 iterations:
-#   2 maps:  0.64-0.81 at 99-4 000 cells, 0.79-0.83 at 6 000-8 000, 0.93 at 16 000;
-#   5 maps:  0.36-0.66 at 99-4 000, 0.74-0.81 at 6 000-8 000, 0.90 at 16 000;
-#   20 maps: 0.20-0.64 at 99-4 000, 0.81-0.91 at 6 000-8 000, 1.02 at 16 000.
-# The cap keeps a margin below the crossover.  A single map ran slower in
-# lockstep on 7 of 8 shapes tried (up to 1.4 times), so lockstep needs two
-# maps or more.
+# codebooks grow.  Lockstep / window training time, 2-core box, numpy
+# 2.4.6, 500 rows, 1 000 iterations, with 15% of cells missing / complete:
+#   2 maps:  0.80 / 0.60 at 99 cells, 0.77 / 0.61 at 720, 0.81-0.97 (one
+#            run 1.58) / 0.79-0.84 at 2 000-2 048 (seven runs), 0.83-1.15 /
+#            0.78-0.97 at 4 000-4 096 (eight runs), 0.98 / 0.98 at 6 000;
+#   5 maps:  0.33 / 0.26 at 99, 0.46 / 0.36 at 720, 0.62 / 0.63 at 2 000,
+#            0.75 / 0.80 at 4 000, 0.92 / 0.98 at 6 000;
+#   20 maps: 0.14 / 0.12 at 99, 0.27 / 0.24 at 720, 0.49 / 0.52 at 2 000,
+#            0.88 / 0.76 at 4 000, 0.91 / 1.01 at 6 000.
+# The cap keeps five maps or more below their crossover; two maps near the
+# cap train about as fast as in the window kernel.  A single map ran slower
+# in lockstep on 13 of 16 shapes tried (up to 1.8 times), so lockstep needs
+# two maps or more.
 _LOCKSTEP_MAX_CELLS = 4096
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from somimpute import (
     rmse_deleted,
     standardize,
 )
-from somimpute.evaluation import count_unresolved_deleted
+from somimpute.evaluation import EvalReport, count_unresolved_deleted
+from somimpute.imputation import impute_ensemble
+from somimpute.trainer import train_maps
 from helpers import naive_pearson
 
 
@@ -367,6 +371,44 @@ class TestDeletionCurve:
             assert report.n_cells[d] == cells
             assert report.n_unresolved[d] == unresolved
 
+    def test_whole_study_batch_equals_one_train_maps_call_per_d(self):
+        # the study trains every map of every arm and every d in one call; a
+        # loop that makes one train_maps call per d gives the same report
+        data = _complete(seed=5, n=16, p=7)
+        topo = GridTopology(2, 2)
+        sched = TrainingSchedule(total_iters=150, radius0=1, rng_seed=4)
+        n_maps, n_repeats, d_values = 2, 3, (1, 2, 3)
+        report = deletion_curve(data, d_values, topo, sched, n_maps=n_maps, n_repeats=n_repeats)
+        fields = {name: {} for name in ("som", "base", "cells", "unresolved")}
+        for d in d_values:
+            arms, seeds = [], []
+            for rep in range(n_repeats):
+                mask_seed, map_seed = (int(np.random.SeedSequence([sched.rng_seed, d, rep, part])
+                                           .generate_state(1)[0]) for part in (0, 1))
+                masked, ledger = mask_random(data, MaskingPlan(d, mask_seed))
+                params = fit_standardizer(masked)
+                cols = [k for _, k in ledger.cells]
+                truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
+                arms.append((standardize(masked, params), MaskingLedger(ledger.cells, truth)))
+                seeds.append(tuple(range(map_seed, map_seed + n_maps)))
+            fits = train_maps([std for std, _ in arms for _ in range(n_maps)], topo,
+                              [replace(sched, rng_seed=s) for arm in seeds for s in arm])
+            reports = [impute_ensemble([f.codebook for f in fits[a * n_maps:(a + 1) * n_maps]],
+                                       std, seeds[a]) for a, (std, _) in enumerate(arms)]
+            fields["som"][d] = tuple(rmse_deleted(ledger, r) for (_, ledger), r in zip(arms, reports))
+            fields["base"][d] = tuple(rmse_deleted(ledger, mean_impute_baseline(std))
+                                      for std, ledger in arms)
+            fields["cells"][d] = sum(len(ledger) for _, ledger in arms)
+            fields["unresolved"][d] = sum(count_unresolved_deleted(ledger, r)
+                                          for (_, ledger), r in zip(arms, reports))
+        expected = EvalReport(
+            d_values,
+            {d: float(np.mean(v)) for d, v in fields["som"].items()},
+            {d: float(np.mean(v)) for d, v in fields["base"].items()},
+            fields["cells"], fields["unresolved"], fields["som"], fields["base"],
+        )
+        assert report == expected
+
     def test_training_error_names_its_own_arm(self):
         # complete-only training needs a complete row.  Under global MCAR on
         # 5 x 3, with this seed, repeats 0 and 1 keep one and repeat 2 does
@@ -379,4 +421,19 @@ class TestDeletionCurve:
             assert masked.mask.all(axis=1).any() == (rep < 2)
         with pytest.raises(ValueError, match=r"^deletion arm d=1, repeat=2: complete-only mode"):
             deletion_curve(data, [1], GridTopology(1, 2), sched, n_maps=2, n_repeats=4,
+                           mode=TrainingMode.COMPLETE_ONLY, global_mcar=True)
+
+    def test_training_error_in_a_later_d_names_its_own_arm(self):
+        # every d trains in the same call, so the failing map's position must
+        # map back across d: on 6 x 4 with this seed, both d = 1 arms keep a
+        # complete row and the first d = 2 arm does not (maps 0-3 train, map 4
+        # fails)
+        data = DataMatrix.from_nan(np.random.default_rng(7).normal(size=(6, 4)))
+        sched = TrainingSchedule(total_iters=40, radius0=1, rng_seed=5)
+        for d, rep, keeps in ((1, 0, True), (1, 1, True), (2, 0, False), (2, 1, True)):
+            seed = int(np.random.SeedSequence([5, d, rep, 0]).generate_state(1)[0])
+            masked, _ = mask_random(data, MaskingPlan(d, seed, global_mcar=True))
+            assert masked.mask.all(axis=1).any() == keeps
+        with pytest.raises(ValueError, match=r"^deletion arm d=2, repeat=0: complete-only mode"):
+            deletion_curve(data, [1, 2], GridTopology(1, 2), sched, n_maps=2, n_repeats=2,
                            mode=TrainingMode.COMPLETE_ONLY, global_mcar=True)

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -189,6 +192,60 @@ def test_csv_roundtrip_with_categorical(tmp_path):
     assert back.categorical_name == "level"
 
 
+def test_write_csv_refuses_text_read_csv_would_change(tmp_path):
+    # read_csv strips labels and names, and reads a default missing marker
+    # as missing; write_csv refuses such text instead of writing a file that
+    # reads back changed
+    values = np.array([[1.0], [2.0]])
+    mask = np.ones((2, 1), bool)
+    path = tmp_path / "t.csv"
+    spaced = DataMatrix(values, mask, (" a", "b "), ("x",), ("lo", "hi"), "level")
+    with pytest.raises(ValueError, match=r"^row 0, column 'label': ' a' has surrounding"):
+        write_csv(spaced, path)
+    marker = DataMatrix(values, mask, ("a", "b"), ("x",), ("NA", "lo"), "level")
+    with pytest.raises(ValueError, match=r"^row 0, column 'level': category 'NA' is a missing"):
+        write_csv(marker, path)
+    empty = DataMatrix(values, mask, ("a", "b"), ("x",), ("lo", ""), "level")
+    with pytest.raises(ValueError, match=r"^row 1, column 'level': category '' is a missing"):
+        write_csv(empty, path)
+    name = DataMatrix(values, mask, ("a", "b"), ("x ",))
+    with pytest.raises(ValueError, match=r"^header, column 1: 'x ' has surrounding"):
+        write_csv(name, path)
+    assert not path.exists()
+    # the same table with clean text round-trips
+    clean = DataMatrix(values, mask, ("a", "b"), ("x",), ("lo", None), "level")
+    write_csv(clean, path)
+    back = read_csv(path, categorical_col="level")
+    assert (back.row_labels, back.col_names, back.categorical) == (("a", "b"), ("x",), ("lo", None))
+    # a category is checked against the markers the file is read back with
+    write_csv(marker, path, read_markers=("?",))
+    back = read_csv(path, missing_markers=("?",), categorical_col="level")
+    assert back.categorical == ("NA", "lo")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.text(max_size=6), min_size=1, max_size=4))
+def test_model_roundtrip_with_arbitrary_column_names(names):
+    # load_model splits the file with str.splitlines and the header on tabs,
+    # so save_model refuses exactly the names holding a tab or a line break;
+    # every other name comes back unchanged
+    p = len(names)
+    cb = CodeBook(np.arange(2.0 * p).reshape(2, p), GridTopology(1, 2), names)
+    model = SomModel(cb, StandardizationParams(np.zeros(p), np.ones(p)),
+                     TrainingSchedule(total_iters=10, radius0=1), TrainingMode.INCLUDE_INCOMPLETE)
+    refused = [n for n in names if "\t" in n or n.splitlines() not in ([], [n])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        if refused:
+            with pytest.raises(ValueError, match="contains a tab or a line break"):
+                save_model(model, path)
+            return
+        save_model(model, path)
+        back = load_model(path)
+    assert back.codebook.col_names == tuple(names)
+    assert back.codebook.codes.tobytes() == cb.codes.tobytes()
+
+
 def test_model_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     topo = GridTopology(2, 3)
@@ -301,6 +358,20 @@ def test_manifest_roundtrip(tmp_path):
     assert read_manifest(path) == entries
 
 
+def test_cli_import_loads_no_http_or_xml_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl;
+    # urllib.parse alone comes with pathlib, which numpy imports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, somimpute.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "somimpute.render" in loaded
+    heavy = [m for m in loaded if m == "urllib.request"
+             or m.partition(".")[0] in ("xml", "http", "email", "ssl")]
+    assert heavy == []
+
+
 def test_render_map_text_golden():
     cb = CodeBook(np.array([[0.0], [1.0]]), GridTopology(1, 2), ("x",))
     asg = Assignment(np.array([0, 0, -1]), np.array([0.0, 0.1, np.nan]), 2)
@@ -326,6 +397,14 @@ def test_render_map_svg_markers():
     assert svg.count("<rect") >= 5  # 4 cells + at least one modality bar
     assert 'class="supp"' in svg
     assert "b*" in svg
+
+
+def test_render_map_svg_escapes_labels():
+    cb = CodeBook(np.array([[0.0], [1.0]]), GridTopology(1, 2), ("x",))
+    asg = Assignment(np.array([0, 1]), np.zeros(2), 2)
+    svg = render_map_svg(cb, asg, ("a&b", "<c>"), [False, True])
+    assert ">a&amp;b</text>" in svg
+    assert ">&lt;c&gt;*</text>" in svg
 
 
 def _write_training_csv(path, n=18, seed=0, all_missing_row=True):
@@ -477,6 +556,24 @@ class TestCli:
         prov = (out / "provenance.csv").read_text().splitlines()
         fills = [l for l in prov[1:] if not l.endswith("unresolved")]
         assert fills and all(";" in l.split(",")[3] for l in fills)  # 3 units listed
+
+    def test_impute_with_custom_marker_keeps_an_na_category(self, tmp_path):
+        # under --missing-marker ?, "NA" is a category like any other, and
+        # imputed.csv writes it as read
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path, all_missing_row=False)
+        text = csv_path.read_text().replace(",NA,", ",?,").replace(",hi,", ",NA,")
+        csv_path.write_text(text.replace(",NA\n", ",?\n"))
+        out = tmp_path / "imp"
+        rc = main([
+            "impute", "--input", str(csv_path), "--output-dir", str(out),
+            "--n-maps", "2", "--grid-rows", "2", "--grid-cols", "2",
+            "--iters", "200", "--radius0", "1", "--seed", "3",
+            "--categorical-col", "level", "--missing-marker", "?",
+        ])
+        assert rc == 0
+        back = read_csv(out / "imputed.csv", missing_markers=("?",), categorical_col="level")
+        assert back.categorical.count("NA") == 9
 
     def test_model_with_n_maps_rejected(self, tmp_path):
         csv_path = tmp_path / "data.csv"
