@@ -39,7 +39,7 @@ from .model_io import (
 from .render import render_curve_svg, render_map_svg, render_map_text
 from .superclass import hierarchical_codes, superclass_of_rows
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, classify_supplementary, train
+from .trainer import TrainingMode, TrainingSchedule, classify_supplementary, pool_mask, train
 
 
 def _add_io_flags(p: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -277,7 +277,9 @@ def cmd_impute(args) -> int:
         report = apply_column_mean_fallback(report, standardize(data, params))
     out_report = _destandardized_report(report, data, params)
     outdir = _outdir(args)
-    write_csv(out_report.filled, outdir / "imputed.csv", read_markers=markers)
+    # missing cells as the first marker, so that the file reads back under --missing-marker
+    write_csv(out_report.filled, outdir / "imputed.csv", missing_marker=markers[0],
+              read_markers=markers)
     write_provenance_csv(
         outdir / "provenance.csv", out_report, data.row_labels, data.col_names
     )
@@ -313,10 +315,7 @@ def cmd_render(args) -> int:
     data = _read_model_columns(args, markers, model)
     std = standardize(data, model.standardizer)
     assignment = classify_supplementary(model.codebook, std)
-    if model.mode is TrainingMode.COMPLETE_ONLY:
-        supplementary = ~std.mask.all(axis=1) & (assignment.units >= 0)
-    else:
-        supplementary = np.zeros(data.n_rows, dtype=bool)
+    supplementary = ~pool_mask(std, model.mode) & (assignment.units >= 0)
     sc = None
     if args.superclasses is not None:
         sc = hierarchical_codes(model.codebook, args.superclasses)

@@ -133,18 +133,6 @@ class DataMatrix:
             )
         return float(self.values[row, col])
 
-    def complete_row_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask.all(axis=1))
-
-    def all_missing_row_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.mask.any(axis=1))
-
-    def observed_column(self, col: int) -> np.ndarray:
-        """Observed values of one column, in row order."""
-        if not 0 <= col < self.n_cols:
-            raise IndexError(f"column {col} out of range for {self.n_cols} columns")
-        return self.values[self.mask[:, col], col]
-
     def column_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) per column over observed cells."""
         return np.nanmin(self.values, axis=0), np.nanmax(self.values, axis=0)

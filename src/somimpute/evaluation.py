@@ -130,12 +130,12 @@ def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
     """Fill every missing cell with its column's observed mean.
 
     The baseline the codebook method is judged against; on standardized data
-    every filled value is 0 by construction.
+    every filled value is 0 by construction.  No map is involved, so every
+    cell's source is ``"column-mean"``.
     """
     rows, cols = np.nonzero(~data.mask)
     filled = _with_fills(data, rows, cols, np.nanmean(data.values, axis=0)[cols])
-    fills = Fills(rows, cols, np.empty((rows.size, 0)), source="column-mean")
-    return ImputationReport(filled, fills)
+    return ImputationReport(filled, Fills(rows, cols, np.empty((data.n_rows, 0))))
 
 
 @dataclass(frozen=True)
@@ -223,9 +223,9 @@ def deletion_curve(
     seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
              for d, rep in keys]
     try:
-        codebooks = [fit.codebook for fit in train_maps(
+        codebooks = train_maps(
             [std for std, _ in arms for _ in range(n_maps)], topology,
-            [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)]
+            [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)
     except _MapError as exc:
         d, rep = keys[exc.index // n_maps]
         raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc

@@ -21,37 +21,49 @@ from .trainer import train  # unused here; perfbench/tracing.py wraps it
 
 @dataclass(frozen=True)
 class Fills:
-    """Provenance of the filled cells as parallel arrays, one entry per cell.
+    """Provenance of the filled cells: one entry per cell, one winner per row.
 
     Cell ``j`` is ``(rows[j], cols[j])``; its estimate is the report's
-    ``filled.values[rows[j], cols[j]]``.  ``units[j]`` holds its winning
-    unit on each map (shape ``(n_cells, n_maps)``; ``UNCLASSIFIABLE`` for a
-    cell that no map filled), ``seeds`` the maps' training seeds when known
-    (else empty), and ``source[j]`` how the cell was filled (``"codebook"``
-    or ``"column-mean"``).
+    ``filled.values[rows[j], cols[j]]``.  ``winners`` holds every table
+    row's winning unit on each map (shape ``(n_rows, n_maps)``;
+    ``UNCLASSIFIABLE`` where a map has none), and ``seeds`` the maps'
+    training seeds when known (else empty).  A cell's units and source
+    follow from its row's winners.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    units: np.ndarray
+    winners: np.ndarray
     seeds: tuple[int, ...] = ()
-    source: np.ndarray | str = "codebook"
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=int)
         cols = np.array(self.cols, dtype=int)
-        units = np.array(self.units, dtype=int)
+        winners = np.array(self.winners, dtype=int)
         if rows.ndim != 1 or cols.shape != rows.shape:
             raise ValueError("rows and cols must be 1-D arrays of equal length")
-        if units.ndim != 2 or units.shape[0] != rows.shape[0]:
-            raise ValueError("units must have one row per cell")
-        source = np.broadcast_to(np.asarray(self.source, dtype=str), rows.shape).copy()
-        for name, a in (("rows", rows), ("cols", cols), ("units", units), ("source", source)):
+        if winners.ndim != 2:
+            raise ValueError("winners must be 2-D, one row per table row")
+        if rows.size and not 0 <= rows.min() <= rows.max() < winners.shape[0]:
+            raise ValueError(f"a cell's row lies outside the {winners.shape[0]} rows of winners")
+        for name, a in (("rows", rows), ("cols", cols), ("winners", winners)):
             object.__setattr__(self, name, _readonly(a))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def units(self) -> np.ndarray:
+        """Each cell's winning unit on each map, ``winners[rows]``."""
+        return self.winners[self.rows]
+
+    @property
+    def source(self) -> np.ndarray:
+        """How each cell was filled: ``"codebook"`` where a map has a winner
+        for its row, else ``"column-mean"``."""
+        from_map = (self.winners >= 0).any(axis=1)[self.rows]
+        return np.where(from_map, "codebook", "column-mean")
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,7 @@ def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
     units = _winners(codebook, data)
     rows, cols = np.nonzero(~data.mask & (units >= 0)[:, None])
     filled = _with_fills(data, rows, cols, codebook.codes[units[rows], cols])
-    return ImputationReport(filled, Fills(rows, cols, units[rows, None]))
+    return ImputationReport(filled, Fills(rows, cols, units[:, None]))
 
 
 def impute_ensemble(
@@ -131,13 +143,12 @@ def impute_ensemble(
     """
     if not codebooks:
         raise ValueError("need at least one codebook")
-    units = np.stack([_winners(cb, data) for cb in codebooks], axis=1)
-    rows, cols = np.nonzero(~data.mask & (units[:, 0] >= 0)[:, None])
-    units = units[rows]
-    estimates = np.stack([cb.codes[units[:, k], cols] for k, cb in enumerate(codebooks)],
+    winners = np.stack([_winners(cb, data) for cb in codebooks], axis=1)
+    rows, cols = np.nonzero(~data.mask & (winners[:, 0] >= 0)[:, None])
+    estimates = np.stack([cb.codes[winners[rows, k], cols] for k, cb in enumerate(codebooks)],
                          axis=1).mean(axis=1)
     return ImputationReport(_with_fills(data, rows, cols, estimates),
-                            Fills(rows, cols, units, seeds or ()))
+                            Fills(rows, cols, winners, seeds or ()))
 
 
 def impute_multi(
@@ -154,8 +165,8 @@ def impute_multi(
     if n_maps < 1:
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
     seeds = tuple(base_seed + j for j in range(n_maps))
-    codebooks = [fit.codebook for fit in train_maps(
-        [data] * n_maps, topology, [replace(schedule, rng_seed=s) for s in seeds], mode)]
+    codebooks = train_maps([data] * n_maps, topology,
+                           [replace(schedule, rng_seed=s) for s in seeds], mode)
     return impute_ensemble(codebooks, data, seeds)
 
 
@@ -164,18 +175,14 @@ def apply_column_mean_fallback(report: ImputationReport, data: DataMatrix) -> Im
 
     Deliberately a separate, explicit step: the codebook method gives those
     cells no winner, and falling back silently would hide that.  The new
-    cells follow the report's own, with no winning unit.
+    cells follow the report's own; their rows have no winner, so their
+    source is ``"column-mean"``.
     """
     rows, cols = np.nonzero(~report.filled.mask)
     if not rows.size:
         return report
     old = report.fills
-    fills = Fills(
-        np.concatenate([old.rows, rows]),
-        np.concatenate([old.cols, cols]),
-        np.concatenate([old.units, np.full((rows.size, old.units.shape[1]), UNCLASSIFIABLE)]),
-        old.seeds,
-        np.concatenate([old.source, np.full(rows.size, "column-mean")]),
-    )
+    fills = Fills(np.concatenate([old.rows, rows]), np.concatenate([old.cols, cols]),
+                  old.winners, old.seeds)
     means = np.nanmean(data.values, axis=0)[cols]
     return ImputationReport(_with_fills(report.filled, rows, cols, means), fills)

@@ -164,7 +164,8 @@ def _refuse_changed_text(header, labels, categories, markers) -> None:
 
 def write_csv(data: DataMatrix, path, missing_marker: str = "",
               read_markers=DEFAULT_MISSING_MARKERS) -> None:
-    """Write a DataMatrix back out; masked cells become ``missing_marker``.
+    """Write a DataMatrix back out; masked cells and missing categories
+    become ``missing_marker``.
 
     Text that :func:`read_csv` with ``read_markers`` would read back
     changed (a header name, row label or category with surrounding
@@ -176,7 +177,7 @@ def write_csv(data: DataMatrix, path, missing_marker: str = "",
     columns: list = [data.row_labels]
     if data.categorical is not None:
         header.append(data.categorical_name or "category")
-        columns.append(["" if c is None else c for c in data.categorical])
+        columns.append([missing_marker if c is None else c for c in data.categorical])
     header.extend(data.col_names)
     _refuse_changed_text(header, data.row_labels, data.categorical, set(read_markers))
     for k in range(data.n_cols):
@@ -356,16 +357,18 @@ def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) 
     cells a fallback filled.
     """
     f = report.fills
-    from_map = (f.source == "codebook").tolist()
+    rows, source = f.rows.tolist(), f.source.tolist()
+    from_map = [s == "codebook" for s in source]
     seeds = ";".join(str(s) for s in f.seeds)
-    units = [";".join(map(str, u)) if m else "" for u, m in zip(f.units.tolist(), from_map)]
+    # each row's winners joined once, for all of its cells
+    units = [";".join(map(str, w)) for w in f.winners.tolist()]
     filled = zip(
-        [row_labels[i] for i in f.rows.tolist()],
+        [row_labels[i] for i in rows],
         [col_names[k] for k in f.cols.tolist()],
         map(fmt17, report.filled.values[f.rows, f.cols].tolist()),
-        units,
+        [units[i] if m else "" for i, m in zip(rows, from_map)],
         [seeds if m else "" for m in from_map],
-        f.source.tolist(),
+        source,
     )
     unresolved = ([row_labels[i], col_names[k], "", "", "", "unresolved"]
                   for i, k in report.unresolved)

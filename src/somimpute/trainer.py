@@ -96,7 +96,7 @@ class TrainingSchedule:
 class TrainResult:
     """Final codebook, one assignment per row, and training bookkeeping.
 
-    ``training_pool`` marks the rows that were eligible for sampling;
+    ``training_pool`` is :func:`pool_mask`, the rows eligible for sampling;
     rows outside it were either all-missing (skipped, counted in
     ``n_skipped_all_missing``) or incomplete under complete-only mode and
     classified afterwards as supplementary observations.
@@ -248,11 +248,15 @@ def train(
     per iteration, uniform over the trainable pool, in a single
     ``rng.integers(pool_size, size=total_iters)`` call (the same stream as
     one ``rng.integers(pool_size)`` per iteration).
-    Rows with no observed component are excluded from the pool and counted;
-    under complete-only mode the pool is the complete rows and the remaining
-    rows are classified afterwards as supplementary observations.
+    The pool is :func:`pool_mask`.  Every row is classified under the final
+    codes: rows outside the pool that have an observed component are
+    supplementary observations, and rows with none are flagged
+    unclassifiable and counted.
     """
-    return train_maps([data], topology, [schedule], mode)[0]
+    codebook = train_maps([data], topology, [schedule], mode)[0]
+    assignment = classify_supplementary(codebook, data)
+    return TrainResult(codebook, assignment, int((assignment.units == UNCLASSIFIABLE).sum()),
+                       _readonly(pool_mask(data, mode)))
 
 
 class _MapError(ValueError):
@@ -263,14 +267,20 @@ class _MapError(ValueError):
         self.index = index
 
 
+def pool_mask(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
+    """The rows a map trains on: the complete rows under complete-only mode,
+    otherwise every row with an observed component."""
+    if mode is TrainingMode.COMPLETE_ONLY:
+        return data.mask.all(axis=1)
+    return data.mask.any(axis=1)
+
+
 class _Start(NamedTuple):
     """A map's state before its first step, as :func:`train` documents it."""
 
     codes: np.ndarray  # initial (n_units, p) codes
     rng: np.random.Generator  # the seeded stream, positioned after the codes
     pool: np.ndarray  # rows that may be drawn
-    pool_mask: np.ndarray
-    n_all_missing: int
 
     def draws(self, n: int) -> np.ndarray:
         return self.pool[self.rng.integers(self.pool.size, size=n)]
@@ -280,19 +290,13 @@ def _start(data: DataMatrix, topology: GridTopology, schedule: TrainingSchedule,
            mode: TrainingMode, index: int) -> _Start:
     """Map ``index``'s training pool and initial codes; a map without
     trainable rows raises :class:`_MapError`."""
-    all_missing = ~data.mask.any(axis=1)
-    if mode is TrainingMode.COMPLETE_ONLY:
-        pool_mask = data.mask.all(axis=1)
-        if not pool_mask.any():
-            raise _MapError(index, "complete-only mode requires at least one complete row")
-    else:
-        pool_mask = ~all_missing
-    pool = np.flatnonzero(pool_mask)
+    pool = np.flatnonzero(pool_mask(data, mode))
     if pool.size == 0:
-        raise _MapError(index, "no trainable rows: every row is entirely missing")
+        raise _MapError(index, "complete-only mode requires at least one complete row"
+                        if mode is TrainingMode.COMPLETE_ONLY
+                        else "no trainable rows: every row is entirely missing")
     rng = np.random.default_rng(schedule.rng_seed)
-    codes = _draw_initial_codes(rng, data, topology)
-    return _Start(codes, rng, pool, pool_mask, int(all_missing.sum()))
+    return _Start(_draw_initial_codes(rng, data, topology), rng, pool)
 
 
 def _lockstep_updates(C, values, mask, rows, alphas, radii, cheb) -> None:
@@ -380,11 +384,12 @@ def train_maps(
     topology: GridTopology,
     schedules: Sequence[TrainingSchedule],
     mode: TrainingMode = TrainingMode.INCLUDE_INCOMPLETE,
-) -> list[TrainResult]:
-    """Train one map per ``(data, schedule)`` pair on the same grid.
+) -> list[CodeBook]:
+    """Train one map per ``(data, schedule)`` pair on the same grid and
+    return their codebooks; no row is classified.
 
-    Equal, bit for bit, to ``[train(d, topology, s, mode) for d, s in
-    zip(datas, schedules)]``: each map keeps :func:`train`'s pool, seed
+    Equal, bit for bit, to ``[train(d, topology, s, mode).codebook for d, s
+    in zip(datas, schedules)]``: each map keeps :func:`train`'s pool, seed
     stream, initial codes and draws.  Two or more maps whose schedules
     differ at most in ``rng_seed``, on tables of one width and with at most
     ``_LOCKSTEP_MAX_CELLS`` code cells per map, train together in
@@ -422,12 +427,7 @@ def train_maps(
             c3 = _transposed(st.codes, topology)
             _online_updates(c3, d.values, d.mask, st.draws(s.total_iters), *_schedule_arrays(s))
             finals.append(c3.reshape(d.n_cols, -1).T)
-    results = []
-    for d, codes, st in zip(datas, finals, starts):
-        codebook = CodeBook(codes, topology, d.col_names)
-        results.append(TrainResult(codebook, classify_supplementary(codebook, d),
-                                   st.n_all_missing, _readonly(st.pool_mask)))
-    return results
+    return [CodeBook(codes, topology, d.col_names) for d, codes in zip(datas, finals)]
 
 
 @dataclass(frozen=True)

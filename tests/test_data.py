@@ -11,6 +11,7 @@ from somimpute import (
     fit_standardizer,
     standardize,
 )
+from somimpute.trainer import TrainingMode, pool_mask
 from conftest import random_incomplete
 
 
@@ -34,8 +35,11 @@ class TestDataMatrix:
         assert small_incomplete.value_at(1, 2) == 6.0
 
     def test_all_missing_rows_are_admitted(self, small_incomplete):
-        assert list(small_incomplete.all_missing_row_indices()) == [2]
-        assert list(small_incomplete.complete_row_indices()) == [0]
+        # admitted here, and left out of the training pool in both modes
+        incomplete = pool_mask(small_incomplete, TrainingMode.INCLUDE_INCOMPLETE)
+        assert np.flatnonzero(~incomplete).tolist() == [2]
+        complete = pool_mask(small_incomplete, TrainingMode.COMPLETE_ONLY)
+        assert np.flatnonzero(complete).tolist() == [0]
 
     def test_all_missing_column_rejected(self):
         values = np.array([[1.0, 0.0], [2.0, 0.0]])

@@ -113,7 +113,7 @@ def _report_for(data, estimates):
         mask[i, k] = True
     rows = [i for i, _ in cells]
     cols = [k for _, k in cells]
-    fills = Fills(rows, cols, np.zeros((len(cells), 1)))
+    fills = Fills(rows, cols, np.zeros((data.n_rows, 1)))
     filled = DataMatrix(values, mask, data.row_labels, data.col_names)
     return ImputationReport(filled, fills)
 
@@ -391,10 +391,10 @@ class TestDeletionCurve:
                 truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
                 arms.append((standardize(masked, params), MaskingLedger(ledger.cells, truth)))
                 seeds.append(tuple(range(map_seed, map_seed + n_maps)))
-            fits = train_maps([std for std, _ in arms for _ in range(n_maps)], topo,
-                              [replace(sched, rng_seed=s) for arm in seeds for s in arm])
-            reports = [impute_ensemble([f.codebook for f in fits[a * n_maps:(a + 1) * n_maps]],
-                                       std, seeds[a]) for a, (std, _) in enumerate(arms)]
+            codebooks = train_maps([std for std, _ in arms for _ in range(n_maps)], topo,
+                                   [replace(sched, rng_seed=s) for arm in seeds for s in arm])
+            reports = [impute_ensemble(codebooks[a * n_maps:(a + 1) * n_maps], std, seeds[a])
+                       for a, (std, _) in enumerate(arms)]
             fields["som"][d] = tuple(rmse_deleted(ledger, r) for (_, ledger), r in zip(arms, reports))
             fields["base"][d] = tuple(rmse_deleted(ledger, mean_impute_baseline(std))
                                       for std, ledger in arms)

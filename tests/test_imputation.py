@@ -1,11 +1,13 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from somimpute import (
+    UNCLASSIFIABLE,
     CodeBook,
     DataMatrix,
+    Fills,
     GridTopology,
     TrainingSchedule,
     apply_column_mean_fallback,
@@ -198,6 +200,23 @@ def test_column_mean_fallback_is_explicit(small_incomplete):
         assert fb.estimate_at(2, k) == col_means[k]
     sources = set(fb.fills.source[fb.fills.rows == 2].tolist())
     assert sources == {"column-mean"}
+
+
+def test_fills_keep_one_winner_row_per_table_row(small_incomplete):
+    # units and source are derived from the per-row winners; the fallback
+    # appends cells and leaves the winners as they are
+    cb = _codebook(np.ones((2, 3)))
+    report = impute(cb, small_incomplete)
+    f = report.fills
+    assert [field.name for field in fields(Fills)] == ["rows", "cols", "winners", "seeds"]
+    assert f.winners.shape == (small_incomplete.n_rows, 1)
+    assert f.winners[:, 0].tolist() == [UNCLASSIFIABLE, 0, UNCLASSIFIABLE, 0]
+    assert f.units.tolist() == f.winners[f.rows].tolist()
+    fb = apply_column_mean_fallback(report, small_incomplete)
+    assert fb.fills.winners.tobytes() == f.winners.tobytes()
+    assert fb.fills.source.tolist() == ["codebook"] * len(f) + ["column-mean"] * 3
+    with pytest.raises(ValueError, match="outside the 4 rows"):
+        Fills([4], [0], f.winners)
 
 
 def test_dimension_mismatch_rejected(small_incomplete):

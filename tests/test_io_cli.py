@@ -358,6 +358,28 @@ def test_manifest_roundtrip(tmp_path):
     assert read_manifest(path) == entries
 
 
+_manifest_values = st.one_of(
+    st.text(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.lists(st.text(), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True),
+                       _manifest_values, max_size=8),
+       st.text(alphabet="=\n\r\x1c\x85\u2028", min_size=1))
+def test_manifest_roundtrip_property(entries, awkward):
+    # values of every kind the CLI records, with "=" and line breaks in text
+    entries = {**entries, "input": awkward}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.txt"
+        write_manifest(path, entries)
+        assert read_manifest(path) == entries
+
+
 def test_cli_import_loads_no_http_or_xml_modules():
     # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl;
     # urllib.parse alone comes with pathlib, which numpy imports
@@ -575,6 +597,28 @@ class TestCli:
         back = read_csv(out / "imputed.csv", missing_markers=("?",), categorical_col="level")
         assert back.categorical.count("NA") == 9
 
+    def test_impute_with_custom_marker_writes_it_for_unresolved_cells(self, tmp_path):
+        # an unresolved cell and a missing category are written as the first
+        # given marker, so imputed.csv reads back under the same markers
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        text = csv_path.read_text().replace("NA", "?").replace("r01,hi,", "r01,?,")
+        csv_path.write_text(text)
+        out = tmp_path / "imp"
+        rc = main([
+            "impute", "--input", str(csv_path), "--output-dir", str(out),
+            "--n-maps", "2", "--grid-rows", "2", "--grid-cols", "2",
+            "--iters", "200", "--radius0", "1", "--seed", "3",
+            "--categorical-col", "level", "--missing-marker", "?",
+        ])
+        assert rc == 0
+        assert "r18,lo,?,?,?,?" in (out / "imputed.csv").read_text().splitlines()
+        back = read_csv(out / "imputed.csv", missing_markers=("?",), categorical_col="level")
+        assert np.flatnonzero(~back.mask.all(axis=1)).tolist() == [18]
+        assert not back.mask[18].any()
+        assert back.categorical[1] is None
+        assert back.categorical.count(None) == 1
+
     def test_model_with_n_maps_rejected(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         _write_training_csv(csv_path)
@@ -653,6 +697,25 @@ class TestCli:
         svg = (out / "map.svg").read_text()
         assert 'class="supp"' in svg
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize("mode", [m.value for m in TrainingMode])
+    def test_train_and_render_flag_the_same_supplementary_rows(self, tmp_path, mode):
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        run = tmp_path / "run"
+        assert main(_train_args(csv_path, run, ("--mode", mode))) == 0
+        with (run / "assignments.csv").open(newline="") as fh:
+            trained = {r["label"] for r in csv.DictReader(fh) if r["supplementary"] == "yes"}
+        out = tmp_path / "render"
+        assert main(["render", "--input", str(csv_path), "--output-dir", str(out),
+                     "--model", str(run / "model.txt"), "--categorical-col", "level"]) == 0
+        rendered = {cell.strip()[:-1] for line in (out / "map.txt").read_text().splitlines()
+                    for cell in line.split("|") if cell.strip().endswith("*")}
+        assert rendered == trained
+        if mode == "complete-only":
+            assert trained == {"r03", "r08", "r13"}  # the incomplete, classifiable rows
+        else:
+            assert trained == set()
 
     def test_missing_input_file_is_a_clean_error(self, tmp_path):
         rc = main([

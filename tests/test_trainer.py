@@ -445,16 +445,22 @@ class TestTrainMaps:
                                 zero_radius_fraction=0.5, rng_seed=0)
         schedules = [replace(base, rng_seed=seed % 1000 + 7 * k) for k in range(n_maps)]
         mode = TrainingMode.COMPLETE_ONLY if complete_only else TrainingMode.INCLUDE_INCOMPLETE
-        fits = train_maps(datas, topo, schedules, mode)
-        assert len(fits) == n_maps
-        for k, (data, sched, fit) in enumerate(zip(datas, schedules, fits)):
+        codebooks = train_maps(datas, topo, schedules, mode)
+        assert len(codebooks) == n_maps
+        for k, (data, sched, cb) in enumerate(zip(datas, schedules, codebooks)):
             ref = reference_train_codes(data, topo, sched, complete_only)
-            assert fit.codebook.codes.tobytes() == ref.tobytes(), f"map {k}"
+            assert cb.codes.tobytes() == ref.tobytes(), f"map {k}"
             one = train(data, topo, sched, mode)
-            assert np.array_equal(fit.assignment.units, one.assignment.units)
-            assert fit.assignment.sq_distances.tobytes() == one.assignment.sq_distances.tobytes()
-            assert fit.n_skipped_all_missing == one.n_skipped_all_missing
-            assert np.array_equal(fit.training_pool, one.training_pool)
+            assert cb.codes.tobytes() == one.codebook.codes.tobytes()
+            assert cb.topology == one.codebook.topology
+            assert cb.col_names == one.codebook.col_names == data.col_names
+            # train alone classifies, against the codebook train_maps returns
+            asg = assign(cb.codes, data.values, data.mask)
+            assert np.array_equal(one.assignment.units, asg.units)
+            assert one.assignment.sq_distances.tobytes() == asg.sq_distances.tobytes()
+            assert one.n_skipped_all_missing == int((~data.mask.any(axis=1)).sum())
+            pool = data.mask.all(axis=1) if complete_only else data.mask.any(axis=1)
+            assert np.array_equal(one.training_pool, pool)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.booleans(), st.integers(1, 10), st.integers(1, 10),
@@ -545,6 +551,16 @@ class TestTrainMaps:
         wide = random_incomplete(4, n=20, p=_LOCKSTEP_MAX_CELLS // 6 + 1)
         train_maps([wide] * 2, topo, seeds[:2])
         assert calls == [(3, 4, 6)]
+
+    def test_returns_codebooks_and_classifies_no_row(self, monkeypatch, small_incomplete):
+        calls = []
+        monkeypatch.setattr(trainer, "classify_supplementary", lambda *a: calls.append(a))
+        monkeypatch.setattr(trainer, "assign", lambda *a: calls.append(a))
+        sched = TrainingSchedule(total_iters=20, radius0=1)
+        codebooks = train_maps([small_incomplete] * 3, GridTopology(1, 2),
+                               [replace(sched, rng_seed=s) for s in range(3)])
+        assert [type(cb) for cb in codebooks] == [CodeBook] * 3
+        assert calls == []
 
     def test_inputs_rejected(self, small_incomplete):
         topo = GridTopology(1, 2)
