@@ -38,10 +38,7 @@ from .metric import (
     UNCLASSIFIABLE,
     Assignment,
     CodeBook,
-    UnclassifiableRowError,
     assign,
-    masked_sq_distances,
-    winner,
 )
 from .superclass import (
     SuperClassing,
@@ -57,8 +54,6 @@ from .trainer import (
     TrainResult,
     classify_supplementary,
     forgy_train,
-    init_codebook,
-    sgd_step,
     train,
 )
 
@@ -82,7 +77,6 @@ __all__ = [
     "TrainingMode",
     "TrainingSchedule",
     "UNCLASSIFIABLE",
-    "UnclassifiableRowError",
     "apply_column_mean_fallback",
     "assign",
     "classify_supplementary",
@@ -94,17 +88,13 @@ __all__ = [
     "impute",
     "impute_ensemble",
     "impute_multi",
-    "init_codebook",
     "mask_random",
-    "masked_sq_distances",
     "mean_impute_baseline",
     "modality_proportions",
     "pairwise_correlation",
     "rmse_deleted",
-    "sgd_step",
     "standardize",
     "superclass_of_rows",
     "train",
     "ward_dendrogram",
-    "winner",
 ]

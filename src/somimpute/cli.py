@@ -23,6 +23,7 @@ from .imputation import ImputationReport, apply_column_mean_fallback, impute, im
 from .model_io import (
     DEFAULT_MISSING_MARKERS,
     SomModel,
+    _checked_markers,
     load_model,
     read_csv,
     read_manifest,
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_markers(args) -> tuple[str, ...]:
     if args.missing_markers is None:
         args.missing_markers = list(DEFAULT_MISSING_MARKERS)
-    return tuple(args.missing_markers)
+    return _checked_markers(args.missing_markers)
 
 
 def _outdir(args) -> Path:

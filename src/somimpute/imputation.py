@@ -105,10 +105,6 @@ def _winners(codebook: CodeBook, data: DataMatrix) -> np.ndarray:
     """Winning unit of every row with a missing cell; ``UNCLASSIFIABLE``
     for complete rows, which need none, and for all-missing rows, which
     have none."""
-    if codebook.n_features != data.n_cols:
-        raise ValueError(
-            f"codebook has {codebook.n_features} components, data has {data.n_cols}"
-        )
     if not data.mask.any():
         raise ValueError("every row is entirely missing; nothing can be imputed")
     holed = np.flatnonzero(~data.mask.all(axis=1))

@@ -1,9 +1,9 @@
 """Squared distance restricted to observed components, and winner selection.
 
 The distance between an observation and a code vector is the sum of squared
-differences over the observation's observed components only; a row with no
-observed component is at distance 0 from every unit (empty sum) and therefore
-has no meaningful winner.
+differences over its observed components only.  :func:`assign`, the one
+winner search, returns each row's winner and that distance; a row observing
+nothing is at 0 from every unit and is flagged ``UNCLASSIFIABLE`` instead.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import numpy as np
 
 from .data import _readonly
 from .topology import GridTopology
-
-
-class UnclassifiableRowError(ValueError):
-    """Row with no observed component: every unit is at distance zero."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +48,6 @@ class CodeBook:
     def n_features(self) -> int:
         return self.codes.shape[1]
 
-    def with_codes(self, codes: np.ndarray) -> "CodeBook":
-        return CodeBook(codes, self.topology, self.col_names)
-
-
-
 
 UNCLASSIFIABLE = -1
 
@@ -86,9 +77,6 @@ class Assignment:
     @property
     def n_rows(self) -> int:
         return self.units.shape[0]
-
-    def unclassifiable_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.units == UNCLASSIFIABLE)
 
 
 # rows per chunk are chosen so that a chunk's (rows, n_units) distance buffer
@@ -147,33 +135,3 @@ def assign(codes: np.ndarray, values: np.ndarray, mask: np.ndarray) -> Assignmen
         units[rows][ok] = w[ok]
         dists[rows][ok] = np.take_along_axis(d, w[:, None], axis=1)[ok, 0]
     return Assignment(units, dists, n_units)
-
-
-def masked_sq_distances(x: np.ndarray, observed: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Masked squared distance from one row to every code vector at once.
-
-    Sums the squared differences over observed components sequentially, in
-    ascending component order; a fully-missing row is at distance 0 from
-    every code (empty sum).
-    """
-    x = np.asarray(x, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    codes = np.asarray(codes, dtype=float)
-    if (x.ndim != 1 or codes.ndim != 2 or codes.shape[1] != x.shape[0]
-            or observed.shape != x.shape):
-        raise ValueError(
-            f"shape mismatch: x {x.shape}, observed {observed.shape}, codes {codes.shape}"
-        )
-    return _sq_distances(codes, x[None], observed[None])[0]
-
-
-def winner(x: np.ndarray, observed: np.ndarray, codebook: CodeBook) -> int:
-    """Index of the unit minimizing the masked squared distance.
-
-    Ties break to the lowest unit index.  Raises UnclassifiableRowError for
-    a row with no observed component.
-    """
-    observed = np.asarray(observed, dtype=bool)
-    if not observed.any():
-        raise UnclassifiableRowError("row has no observed component; cannot pick a winner")
-    return int(assign(codebook.codes, np.asarray(x, dtype=float)[None], observed[None]).units[0])

@@ -71,6 +71,16 @@ def _first_bad_cell(path, header, numeric_idx, markers) -> ValueError:
     raise AssertionError("no bad cell found")
 
 
+def _checked_markers(markers) -> tuple[str, ...]:
+    """``markers`` as a tuple.  Cells are compared after stripping, so a
+    marker with surrounding whitespace would never match: it is refused."""
+    markers = tuple(markers)
+    for m in markers:
+        if m != m.strip():
+            raise ValueError(f"missing marker {m!r} has surrounding whitespace")
+    return markers
+
+
 def read_csv(
     path,
     missing_markers=DEFAULT_MISSING_MARKERS,
@@ -80,11 +90,12 @@ def read_csv(
     """Load a rectangular CSV with a header row into a DataMatrix.
 
     The label column defaults to the first one; cells equal to a missing
-    marker (after stripping surrounding whitespace) are masked, everything
-    else must parse as a finite decimal.  Blank lines are skipped (messages
-    keep physical line numbers) and a UTF-8 byte order mark is ignored.
-    Numeric column names must be unique.
+    marker after stripping surrounding whitespace (so a marker that has any
+    is refused) are masked, everything else must parse as a finite decimal.
+    Blank lines are skipped (messages keep physical line numbers) and a
+    UTF-8 byte order mark is ignored.  Numeric column names must be unique.
     """
+    markers = set(_checked_markers(missing_markers))
     path = Path(path)
     rows = [row for _, row in _records(path)]
     if len(rows) < 2:
@@ -110,7 +121,6 @@ def read_csv(
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ValueError(f"{path}: duplicate column name {name!r}")
-    markers = set(missing_markers)
 
     if any(len(row) != len(header) for row in rows):
         raise _first_bad_cell(path, header, numeric_idx, markers)

@@ -30,12 +30,9 @@ class GridTopology:
     def n_units(self) -> int:
         return self.rows * self.cols
 
-    def _check_unit(self, u: int) -> None:
+    def unit_coords(self, u: int) -> tuple[int, int]:
         if not 0 <= u < self.n_units:
             raise IndexError(f"unit {u} out of range for {self.rows}x{self.cols} grid")
-
-    def unit_coords(self, u: int) -> tuple[int, int]:
-        self._check_unit(u)
         return divmod(int(u), self.cols)
 
     def unit_index(self, row: int, col: int) -> int:
@@ -48,26 +45,9 @@ class GridTopology:
         idx = np.arange(self.n_units)
         return idx // self.cols, idx % self.cols
 
-    def grid_distance(self, u: int, v: int) -> int:
-        """Chebyshev (8-neighbor) distance between two units."""
-        ur, uc = self.unit_coords(u)
-        vr, vc = self.unit_coords(v)
-        return max(abs(ur - vr), abs(uc - vc))
-
     def distance_matrix(self) -> np.ndarray:
         """n_units x n_units Chebyshev distances."""
         rr, cc = self.coord_arrays()
         return np.maximum(
             np.abs(rr[:, None] - rr[None, :]), np.abs(cc[:, None] - cc[None, :])
         )
-
-    def neighbors(self, u: int, radius: int) -> np.ndarray:
-        """Units within ``radius`` of ``u`` (inclusive), ascending; always contains u."""
-        self._check_unit(u)
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
-        rr, cc = self.coord_arrays()
-        ur, uc = divmod(int(u), self.cols)
-        within = np.maximum(np.abs(rr - ur), np.abs(cc - uc)) <= radius
-        return np.flatnonzero(within)
-

@@ -113,13 +113,6 @@ def _draw_initial_codes(rng: np.random.Generator, data: DataMatrix, topology: Gr
     return rng.uniform(lo, hi, size=(topology.n_units, data.n_cols))
 
 
-def init_codebook(data: DataMatrix, topology: GridTopology, seed: int) -> CodeBook:
-    """Codes drawn uniformly from each column's observed range, one
-    ``(n_units, p)`` draw from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    return CodeBook(_draw_initial_codes(rng, data, topology), topology, data.col_names)
-
-
 def _schedule_arrays(schedule: TrainingSchedule) -> tuple[np.ndarray, np.ndarray]:
     """``alpha_at(t)`` and ``radius_at(t)`` for every step ``t``, as two
     arrays, bit for bit: the same float operations and exact integer
@@ -189,45 +182,12 @@ def _transposed(codes: np.ndarray, topology: GridTopology) -> np.ndarray:
     return codes.T.copy().reshape(-1, topology.rows, topology.cols)
 
 
-def sgd_step(
-    codebook: CodeBook,
-    data: DataMatrix,
-    row: int,
-    radius: int,
-    alpha: float,
-) -> CodeBook:
-    """One online update: pull the observed components of the winner and its
-    neighbors within ``radius`` (0 is the winner alone) toward the row;
-    missing components leave every code untouched.
-
-    Returns a new codebook; the input is not modified.
-    """
-    if int(radius) != radius or radius < 0:
-        raise ValueError(f"radius must be a nonnegative integer, got {radius}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if codebook.n_features != data.n_cols:
-        raise ValueError(
-            f"codebook has {codebook.n_features} components, data has {data.n_cols}"
-        )
-    if not data.mask[row].any():
-        raise ValueError(f"row {row} has no observed component")
-    c3 = _transposed(codebook.codes, codebook.topology)
-    _online_updates(c3, data.values, data.mask, np.array([row]), np.array([alpha]),
-                    np.array([int(radius)]))
-    return codebook.with_codes(c3.reshape(codebook.n_features, -1).T)
-
-
 def classify_supplementary(codebook: CodeBook, data: DataMatrix) -> Assignment:
     """Winner per row under the masked distance; the codebook is not touched.
 
     All-missing rows are flagged UNCLASSIFIABLE rather than assigned
     arbitrarily.
     """
-    if codebook.n_features != data.n_cols:
-        raise ValueError(
-            f"codebook has {codebook.n_features} components, data has {data.n_cols}"
-        )
     return assign(codebook.codes, data.values, data.mask)
 
 

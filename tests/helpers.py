@@ -29,6 +29,20 @@ def brute_winner(x, observed, codes) -> int:
     return best_u
 
 
+def brute_grid_distance(cols, u, v) -> int:
+    """Chebyshev distance between units ``u`` and ``v`` of a grid ``cols``
+    units wide, from their row-major ``divmod`` coordinates."""
+    ur, uc = divmod(u, cols)
+    vr, vc = divmod(v, cols)
+    return max(abs(ur - vr), abs(uc - vc))
+
+
+def brute_neighbors(rows, cols, u, radius) -> list[int]:
+    """Units within ``radius`` of ``u`` (inclusive), ascending, by
+    enumerating every unit of the grid."""
+    return [v for v in range(rows * cols) if brute_grid_distance(cols, u, v) <= radius]
+
+
 def reference_train_codes(data, topology, schedule, complete_only=False):
     """Final codes of online training, one plain step at a time.
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from somimpute import (
+    UNCLASSIFIABLE,
     CodeBook,
     DataMatrix,
     GridTopology,
@@ -18,6 +19,7 @@ from somimpute import (
     MaskingPlan,
     TrainingMode,
     TrainingSchedule,
+    assign,
     classify_supplementary,
     deletion_curve,
     fit_standardizer,
@@ -25,7 +27,6 @@ from somimpute import (
     impute,
     impute_multi,
     mask_random,
-    masked_sq_distances,
     mean_impute_baseline,
     pairwise_correlation,
     rmse_deleted,
@@ -77,7 +78,9 @@ def test_criterion_1_masked_trainer_matches_unmasked_reference_bitwise():
 
 
 def test_criterion_2_masked_distance_matches_bruteforce_on_10000_triples():
+    # assign on a one-unit codebook returns that unit's masked distance
     rng = np.random.default_rng(20260811)
+    n_empty = 0
     for trial in range(10_000):
         p = int(rng.integers(1, 17))
         x = rng.normal(size=p)
@@ -90,8 +93,16 @@ def test_criterion_2_masked_distance_matches_bruteforce_on_10000_triples():
             if observed[k]:
                 d = x[k] - c[k]
                 expected += d * d
-        assert masked_sq_distances(x, observed, c[None])[0] == expected, f"triple {trial}"
-    _ok(2, "masked_sq_distances exact against the explicit-loop oracle on 10000 triples")
+        got = assign(c[None], x[None], observed[None])
+        if observed.any():
+            assert got.sq_distances[0] == expected, f"triple {trial}"
+        else:
+            # no observed component: the empty sum, and no winner
+            n_empty += 1
+            assert got.units[0] == UNCLASSIFIABLE, f"triple {trial}"
+            assert np.isnan(got.sq_distances[0]), f"triple {trial}"
+    _ok(2, "one-unit assign exact against the explicit-loop oracle on 10000 triples "
+           f"({n_empty} with no observed component flagged unclassifiable)")
 
 
 def test_criterion_3_imputation_identity_on_1000_random_instances():

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,6 +52,15 @@ class TestReadCsv:
         path.write_text("id,x\nr1,?\nr2,1\n")
         data = read_csv(path, missing_markers=("?",))
         assert data.missing_set(0) == frozenset({0})
+
+    @pytest.mark.parametrize("marker", [" ?", "? ", "\t?", "NA\n", " "],
+                             ids=["leading-space", "trailing-space", "tab", "newline", "blank"])
+    def test_marker_with_surrounding_whitespace_rejected(self, tmp_path, marker):
+        # cells are compared after stripping, so such a marker never matches
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,x,y\nr1,1,{marker}\nr2,2,3\n")
+        with pytest.raises(ValueError, match=f"missing marker {re.escape(repr(marker))}"):
+            read_csv(path, missing_markers=("", marker))
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -618,6 +628,20 @@ class TestCli:
         assert not back.mask[18].any()
         assert back.categorical[1] is None
         assert back.categorical.count(None) == 1
+
+    def test_padded_missing_marker_rejected_before_any_output(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        csv_path.write_text(csv_path.read_text().replace("NA", " ?"))
+        out = tmp_path / "imp"
+        rc = main([
+            "impute", "--input", str(csv_path), "--output-dir", str(out),
+            "--grid-rows", "2", "--grid-cols", "2", "--iters", "50",
+            "--categorical-col", "level", "--missing-marker", " ?",
+        ])
+        assert rc == 2
+        assert "missing marker ' ?' has surrounding whitespace" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_with_n_maps_rejected(self, tmp_path):
         csv_path = tmp_path / "data.csv"

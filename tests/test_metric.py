@@ -7,30 +7,35 @@ from somimpute import (
     UNCLASSIFIABLE,
     CodeBook,
     GridTopology,
-    UnclassifiableRowError,
     assign,
-    masked_sq_distances,
-    winner,
 )
 from somimpute import metric
 from helpers import brute_masked_sq_distance, brute_winner
 
 
+def _distance(x, observed, code):
+    """Masked squared distance from one row to one code vector: ``assign``
+    on a one-row block and a one-unit codebook.  NaN when nothing is
+    observed."""
+    x, code = np.asarray(x, dtype=float), np.asarray(code, dtype=float)
+    return assign(code[None], x[None], np.asarray(observed, dtype=bool)[None]).sq_distances[0]
+
+
 def test_complete_identical_vectors_are_at_zero():
     x = np.array([1.0, 2.0, 3.0])
-    assert masked_sq_distances(x, np.ones(3, bool), x[None])[0] == 0.0
+    assert _distance(x, np.ones(3, bool), x) == 0.0
 
 
 def test_hand_case_skips_missing_component():
     x = np.array([1.0, np.nan, 3.0])
     obs = np.array([True, False, True])
     c = np.array([0.0, 5.0, 1.0])
-    assert masked_sq_distances(x, obs, c[None])[0] == 5.0
+    assert _distance(x, obs, c) == 5.0
 
 
 def test_all_missing_row_is_empty_sum():
     x = np.full(4, np.nan)
-    assert masked_sq_distances(x, np.zeros(4, bool), np.arange(4.0)[None])[0] == 0.0
+    assert metric._sq_distances(np.arange(4.0)[None], x[None], np.zeros((1, 4), bool))[0, 0] == 0.0
 
 
 def test_matches_bruteforce_loop_exactly():
@@ -40,7 +45,10 @@ def test_matches_bruteforce_loop_exactly():
         x = rng.normal(size=p)
         c = rng.normal(size=p)
         obs = rng.random(p) < 0.7
-        assert masked_sq_distances(x, obs, c[None])[0] == brute_masked_sq_distance(x, obs, c)
+        if obs.any():
+            assert _distance(x, obs, c) == brute_masked_sq_distance(x, obs, c)
+        else:
+            assert np.isnan(_distance(x, obs, c))
 
 
 def test_complete_row_reduces_to_plain_squared_euclidean():
@@ -52,7 +60,7 @@ def test_complete_row_reduces_to_plain_squared_euclidean():
         for k in range(6):
             d = x[k] - c[k]
             plain += d * d
-        assert masked_sq_distances(x, np.ones(6, bool), c[None])[0] == plain
+        assert _distance(x, np.ones(6, bool), c) == plain
 
 
 @settings(max_examples=100)
@@ -63,12 +71,15 @@ def test_masking_a_component_never_increases_distance(seed):
     x = rng.normal(size=p)
     c = rng.normal(size=p)
     obs = rng.random(p) < 0.8
-    base = masked_sq_distances(x, obs, c[None])[0]
     observed_idx = np.flatnonzero(obs)
     if observed_idx.size:
+        base = _distance(x, obs, c)
         shrunk = obs.copy()
         shrunk[observed_idx[int(rng.integers(observed_idx.size))]] = False
-        assert masked_sq_distances(x, shrunk, c[None])[0] <= base
+        # with its last component masked the row is at the empty sum, 0.0
+        less = (_distance(x, shrunk, c) if shrunk.any()
+                else metric._sq_distances(c[None], x[None], shrunk[None])[0, 0])
+        assert less <= base
 
 
 def test_vectorized_distances_agree_with_scalar():
@@ -77,41 +88,42 @@ def test_vectorized_distances_agree_with_scalar():
     for _ in range(100):
         x = rng.normal(size=5)
         obs = rng.random(5) < 0.6
-        vec = masked_sq_distances(x, obs, codes)
+        vec = metric._sq_distances(codes, x[None], obs[None])[0]
         for u in range(7):
             assert vec[u] == brute_masked_sq_distance(x, obs, codes[u])
+            if obs.any():
+                assert _distance(x, obs, codes[u]) == vec[u]
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        masked_sq_distances(np.zeros(3), np.ones(3, bool), np.zeros(4)[None])
+        assign(np.zeros((1, 4)), np.zeros((1, 3)), np.ones((1, 3), bool))
     with pytest.raises(ValueError):
-        masked_sq_distances(np.zeros(3), np.ones(3, bool), np.zeros((2, 4)))
+        assign(np.zeros((2, 4)), np.zeros((1, 3)), np.ones((1, 3), bool))
+    with pytest.raises(ValueError):
+        assign(np.zeros((2, 3)), np.zeros((1, 3)), np.ones((1, 4), bool))
 
 
-def _codebook(codes):
-    codes = np.asarray(codes, dtype=float)
-    return CodeBook(codes, GridTopology(1, codes.shape[0]),
-                    tuple(f"v{k}" for k in range(codes.shape[1])))
+def _winner(x, observed, codes):
+    """The winner of one row: ``assign`` on a one-row block."""
+    x, observed = np.asarray(x, dtype=float), np.asarray(observed, dtype=bool)
+    return int(assign(np.asarray(codes, dtype=float), x[None], observed[None]).units[0])
 
 
 def test_single_unit_codebook_always_wins():
-    cb = _codebook([[4.0, 4.0]])
-    assert winner(np.array([0.0, 0.0]), np.ones(2, bool), cb) == 0
+    assert _winner([0.0, 0.0], np.ones(2, bool), [[4.0, 4.0]]) == 0
 
 
 def test_winner_hand_case():
-    cb = _codebook([[0.0, 9.0], [5.0, 0.0]])
     x = np.array([0.0, np.nan])
     obs = np.array([True, False])
-    assert winner(x, obs, cb) == 0  # distances 0 vs 25
+    assert _winner(x, obs, [[0.0, 9.0], [5.0, 0.0]]) == 0  # distances 0 vs 25
 
 
 def test_exact_tie_breaks_to_lowest_unit():
     codes = np.arange(12.0).reshape(6, 2)
     codes[5] = codes[2]  # units 2 and 5 tie exactly at distance 0
-    cb = _codebook(codes)
-    assert winner(codes[2].copy(), np.ones(2, bool), cb) == 2
+    assert _winner(codes[2].copy(), np.ones(2, bool), codes) == 2
 
 
 def test_winner_invariant_under_positive_rescaling():
@@ -122,23 +134,21 @@ def test_winner_invariant_under_positive_rescaling():
         obs = rng.random(4) < 0.7
         if not obs.any():
             continue
-        w1 = winner(x, obs, _codebook(codes))
-        w2 = winner(3.7 * x, obs, _codebook(3.7 * codes))
-        assert w1 == w2
+        assert _winner(x, obs, codes) == _winner(3.7 * x, obs, 3.7 * codes)
 
 
 def test_all_missing_row_has_no_winner():
-    cb = _codebook([[0.0], [1.0]])
-    with pytest.raises(UnclassifiableRowError):
-        winner(np.array([np.nan]), np.array([False]), cb)
+    got = assign(np.array([[0.0], [1.0]]), np.array([[np.nan]]), np.array([[False]]))
+    assert got.units[0] == UNCLASSIFIABLE
+    assert np.isnan(got.sq_distances[0])
 
 
 def test_winner_is_deterministic():
     rng = np.random.default_rng(11)
-    cb = _codebook(rng.normal(size=(5, 3)))
+    codes = rng.normal(size=(5, 3))
     x = rng.normal(size=3)
     obs = np.array([True, False, True])
-    assert winner(x, obs, cb) == winner(x, obs, cb)
+    assert _winner(x, obs, codes) == _winner(x, obs, codes)
 
 
 def test_codebook_validation():
@@ -222,4 +232,7 @@ def test_single_code_distance_is_the_ascending_sum_for_long_rows():
         x = rng.normal(size=p)
         c = rng.normal(size=(1, p))
         obs = rng.random(p) < 0.8
-        assert masked_sq_distances(x, obs, c)[0] == brute_masked_sq_distance(x, obs, c[0])
+        if obs.any():
+            assert _distance(x, obs, c[0]) == brute_masked_sq_distance(x, obs, c[0])
+        else:
+            assert np.isnan(_distance(x, obs, c[0]))

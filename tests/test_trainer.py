@@ -15,9 +15,6 @@ from somimpute import (
     classify_supplementary,
     fit_standardizer,
     forgy_train,
-    init_codebook,
-    masked_sq_distances,
-    sgd_step,
     standardize,
     train,
 )
@@ -26,13 +23,38 @@ from somimpute.synthetic import gaussian_blobs
 from somimpute import trainer
 from somimpute.trainer import (
     _LOCKSTEP_MAX_CELLS,
+    _draw_initial_codes,
     _lockstep_updates,
     _neighbor_blocks,
+    _online_updates,
     _schedule_arrays,
+    _transposed,
+    pool_mask,
     train_maps,
 )
 from conftest import random_incomplete
-from helpers import brute_winner, reference_train_codes
+from helpers import (
+    brute_masked_sq_distance,
+    brute_neighbors,
+    brute_winner,
+    reference_train_codes,
+)
+
+
+def _kernel_runs(codes, topo, data, draws, alpha, radius):
+    """Codes after presenting the rows ``draws`` in order at a fixed
+    ``alpha`` and ``radius``, once per training kernel: the window kernel
+    on a transposed copy, and the lockstep kernel on two copies at once
+    (K = 2)."""
+    codes = np.asarray(codes, dtype=float)
+    draws = np.asarray(draws)
+    alphas, radii = np.full(draws.size, alpha), np.full(draws.size, radius)
+    c3 = _transposed(codes, topo)
+    _online_updates(c3, data.values, data.mask, draws, alphas, radii)
+    C = np.ascontiguousarray(np.stack([codes, codes]).transpose(0, 2, 1))
+    _lockstep_updates(C, data.values, data.mask, np.stack([draws, draws], axis=1),
+                      alphas, radii, topo.distance_matrix())
+    return [c3.reshape(codes.shape[1], -1).T, C[0].T, C[1].T]
 
 
 class TestSchedule:
@@ -64,12 +86,16 @@ class TestSchedule:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             TrainingSchedule(total_iters=0)
-        with pytest.raises(ValueError):
-            TrainingSchedule(alpha0=1.5)
+        for bad in (0.0, -0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha0"):
+                TrainingSchedule(alpha0=bad)
+        with pytest.raises(ValueError, match="alpha_final"):
+            TrainingSchedule(alpha_final=0.0)
         with pytest.raises(ValueError):
             TrainingSchedule(alpha0=0.3, alpha_final=0.4)
-        with pytest.raises(ValueError):
-            TrainingSchedule(radius0=-1)
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="radius0"):
+                TrainingSchedule(radius0=bad)
         with pytest.raises(ValueError):
             TrainingSchedule(zero_radius_fraction=1.5)
         with pytest.raises(ValueError):
@@ -101,99 +127,91 @@ class TestInitCodebook:
     def test_degenerate_range_pins_component(self):
         values = np.array([[2.0, 1.0], [2.0, 5.0], [2.0, 3.0]])
         data = DataMatrix.from_nan(values)
-        cb = init_codebook(data, GridTopology(2, 2), seed=0)
-        assert np.all(cb.codes[:, 0] == 2.0)
+        codes = _draw_initial_codes(np.random.default_rng(0), data, GridTopology(2, 2))
+        assert np.all(codes[:, 0] == 2.0)
 
     def test_same_seed_same_codes(self, small_incomplete):
-        a = init_codebook(small_incomplete, GridTopology(2, 3), seed=9)
-        b = init_codebook(small_incomplete, GridTopology(2, 3), seed=9)
-        assert np.array_equal(a.codes, b.codes)
+        topo = GridTopology(2, 3)
+        a = _draw_initial_codes(np.random.default_rng(9), small_incomplete, topo)
+        b = _draw_initial_codes(np.random.default_rng(9), small_incomplete, topo)
+        assert np.array_equal(a, b)
 
     def test_components_stay_in_observed_ranges(self):
         for seed in range(100):
             data = random_incomplete(seed)
             lo, hi = data.column_ranges()
-            cb = init_codebook(data, GridTopology(2, 2), seed=seed)
-            assert np.all(cb.codes >= lo) and np.all(cb.codes <= hi)
+            codes = _draw_initial_codes(np.random.default_rng(seed), data, GridTopology(2, 2))
+            assert np.all(codes >= lo) and np.all(codes <= hi)
 
 
 class TestSgdStep:
-    def _one_unit(self, codes):
-        codes = np.asarray(codes, dtype=float)
-        return CodeBook(codes, GridTopology(1, codes.shape[0]),
-                        tuple(f"v{k}" for k in range(codes.shape[1])))
+    """One online step, as both training kernels make it (see _kernel_runs)."""
 
     def test_alpha_one_copies_observed_components(self):
-        cb = self._one_unit([[5.0, 5.0]])
         values = np.array([[2.0, np.nan], [1.0, 1.0]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
-        out = sgd_step(cb, data, 0, radius=0, alpha=1.0)
-        assert out.codes[0, 0] == 2.0
-        assert out.codes[0, 1] == 5.0  # missing component untouched
+        for out in _kernel_runs([[5.0, 5.0]], GridTopology(1, 1), data, [0], 1.0, 0):
+            assert out[0, 0] == 2.0
+            assert out[0, 1] == 5.0  # missing component untouched
 
     def test_half_step_hand_case(self):
-        cb = self._one_unit([[0.0]])
         data = DataMatrix.from_nan(np.array([[2.0]]))
-        out = sgd_step(cb, data, 0, radius=0, alpha=0.5)
-        assert out.codes[0, 0] == 1.0
+        for out in _kernel_runs([[0.0]], GridTopology(1, 1), data, [0], 0.5, 0):
+            assert out[0, 0] == 1.0
 
     def test_missing_column_leaves_codebook_column_bit_identical(self):
         rng = np.random.default_rng(0)
-        cb = self._one_unit(rng.normal(size=(4, 3)))
+        codes = rng.normal(size=(4, 3))
         values = np.array([[1.0, np.nan, 2.0], [0.5, 3.0, 0.5]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y", "z"))
-        out = sgd_step(cb, data, 0, radius=3, alpha=0.7)
-        assert np.array_equal(out.codes[:, 1], cb.codes[:, 1])
+        for out in _kernel_runs(codes, GridTopology(1, 4), data, [0], 0.7, 3):
+            assert np.array_equal(out[:, 1], codes[:, 1])
 
     def test_non_neighbors_untouched(self):
-        cb = self._one_unit([[0.0], [10.0], [20.0]])
+        codes = np.array([[0.0], [10.0], [20.0]])
         data = DataMatrix.from_nan(np.array([[1.0]]))
-        out = sgd_step(cb, data, 0, radius=0, alpha=0.5)
-        assert out.codes[0, 0] == 0.5
-        assert np.array_equal(out.codes[1:], cb.codes[1:])
+        for out in _kernel_runs(codes, GridTopology(1, 3), data, [0], 0.5, 0):
+            assert out[0, 0] == 0.5
+            assert np.array_equal(out[1:], codes[1:])
+        # radius 1 moves the winner's grid neighbour too, and nothing beyond it
+        for out in _kernel_runs(codes, GridTopology(1, 3), data, [0], 0.5, 1):
+            assert out.ravel().tolist() == [0.5, 5.5, 20.0]
+        for out in _kernel_runs([[0.0], [3.0]], GridTopology(1, 2), data, [0], 0.5, 1):
+            assert out.ravel().tolist() == [0.5, 2.0]
 
     def test_input_codebook_not_modified(self):
-        cb = self._one_unit([[0.0]])
-        before = cb.codes.copy()
+        # each kernel updates its own transposed or stacked copy in place
+        codes = np.array([[0.0], [4.0]])
         data = DataMatrix.from_nan(np.array([[2.0]]))
-        sgd_step(cb, data, 0, radius=0, alpha=0.5)
-        assert np.array_equal(cb.codes, before)
-
-    def test_alpha_validation(self):
-        cb = self._one_unit([[0.0]])
-        data = DataMatrix.from_nan(np.array([[2.0]]))
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                sgd_step(cb, data, 0, radius=0, alpha=bad)
-
-    def test_radius_validation(self):
-        cb = self._one_unit([[0.0], [3.0]])
-        data = DataMatrix.from_nan(np.array([[1.0]]))
-        assert np.array_equal(sgd_step(cb, data, 0, radius=1, alpha=0.5).codes,
-                              [[0.5], [2.0]])
-        for bad in (-1, 1.5):
-            with pytest.raises(ValueError, match="radius"):
-                sgd_step(cb, data, 0, radius=bad, alpha=0.5)
+        before = codes.copy(), data.values.copy()
+        outs = _kernel_runs(codes, GridTopology(1, 2), data, [0], 0.5, 1)
+        assert all(out.ravel().tolist() == [1.0, 3.0] for out in outs)
+        assert np.array_equal(codes, before[0])
+        assert np.array_equal(data.values, before[1])
 
     def test_all_missing_row_rejected(self):
-        cb = self._one_unit([[0.0, 0.0]])
+        # the training pool leaves such a row out, and a kernel handed one
+        # anyway moves nothing
+        codes = np.array([[0.0, 0.0], [3.0, 3.0]])
         values = np.array([[np.nan, np.nan], [1.0, 1.0]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
-        with pytest.raises(ValueError):
-            sgd_step(cb, data, 0, radius=0, alpha=0.5)
+        for mode in TrainingMode:
+            assert pool_mask(data, mode).tolist() == [False, True]
+        for out in _kernel_runs(codes, GridTopology(1, 2), data, [0], 0.5, 1):
+            assert np.array_equal(out, codes)
 
     def test_training_on_rows_missing_a_column_isolates_it(self):
         # every presented row misses column 1: that codebook column never moves
         rng = np.random.default_rng(2)
-        cb = self._one_unit(rng.normal(size=(3, 3)))
-        init_col = cb.codes[:, 1].copy()
+        codes = rng.normal(size=(3, 3))
         values = rng.normal(size=(6, 3))
         values[:, 1] = np.nan
         values[0, 1] = 4.0  # keeps the column constructible; row 0 is never presented
         data = DataMatrix(values, np.isfinite(values), tuple("abcdef"), ("x", "y", "z"))
-        for row in (1, 2, 3, 4, 5, 1, 2, 3):
-            cb = sgd_step(cb, data, row, radius=1, alpha=0.3)
-        assert np.array_equal(cb.codes[:, 1], init_col)
+        draws = [1, 2, 3, 4, 5, 1, 2, 3]
+        for out in _kernel_runs(codes, GridTopology(1, 3), data, draws, 0.3, 1):
+            assert np.array_equal(out[:, 1], codes[:, 1])
+            assert not np.array_equal(out, codes)
 
     def test_winner_is_the_assign_winner_bit_for_bit(self):
         # The online winner adds the observed squared differences in ascending
@@ -214,13 +232,12 @@ class TestSgdStep:
             codes[v, obs] = codes[u, obs][rng.permutation(obs.size)]
             if case % 3 == 0:
                 codes[z] = codes[u]
-            cb = CodeBook(codes, GridTopology(1, n_units), tuple(f"v{k}" for k in range(p)))
             data = DataMatrix.from_nan(np.vstack([x, np.ones(p)]))
-            out = sgd_step(cb, data, 0, radius=0, alpha=0.5)
-            moved = np.flatnonzero((out.codes != cb.codes).any(axis=1))
             expected = assign(codes, x[None], m[None]).units[0]
             assert expected == brute_winner(x, m, codes)
-            assert moved.tolist() == [expected], f"case {case}"
+            for out in _kernel_runs(codes, GridTopology(1, n_units), data, [0], 0.5, 0):
+                moved = np.flatnonzero((out != codes).any(axis=1))
+                assert moved.tolist() == [expected], f"case {case}"
 
 
 class TestTrain:
@@ -234,8 +251,9 @@ class TestTrain:
         assert np.array_equal(a.assignment.units, b.assignment.units)
 
     def test_trajectory_matches_unmasked_reference_step_for_step(self):
-        # replays the documented sampling protocol through the public
-        # sgd_step and compares against a plain unmasked loop after every step
+        # replays the documented sampling protocol one draw per kernel call,
+        # through both kernels, and compares against a plain unmasked loop
+        # after every step
         rng = np.random.default_rng(14)
         raw = rng.normal(size=(20, 3))
         data = DataMatrix.from_nan(raw)
@@ -243,24 +261,26 @@ class TestTrain:
         sched = TrainingSchedule(total_iters=60, radius0=1, zero_radius_fraction=0.5,
                                  rng_seed=5)
         g = np.random.default_rng(sched.rng_seed)
-        cb = CodeBook(g.uniform(raw.min(axis=0), raw.max(axis=0), size=(4, 3)),
-                      topo, data.col_names)
-        ref = cb.codes.copy()
+        ref = g.uniform(raw.min(axis=0), raw.max(axis=0), size=(4, 3))
+        c3 = _transposed(ref, topo)
+        C = np.ascontiguousarray(np.stack([ref, ref]).transpose(0, 2, 1))
         cheb = topo.distance_matrix()
         for t in range(sched.total_iters):
             i = int(g.integers(raw.shape[0]))
-            cb = sgd_step(cb, data, i, sched.radius_at(t),
-                          sched.alpha_at(t))
+            step = np.array([sched.alpha_at(t)]), np.array([sched.radius_at(t)])
+            _online_updates(c3, data.values, data.mask, np.array([i]), *step)
+            _lockstep_updates(C, data.values, data.mask, np.array([[i, i]]), *step, cheb)
             x = raw[i]
             w = int(np.argmin(((ref - x) ** 2).sum(axis=1)))
             nb = np.flatnonzero(cheb[w] <= sched.radius_at(t))
             ref[nb] = ref[nb] + sched.alpha_at(t) * (x - ref[nb])
-            assert np.array_equal(cb.codes, ref), f"diverged at step {t}"
+            assert np.array_equal(c3.reshape(3, -1).T, ref), f"diverged at step {t}"
+            assert np.array_equal(C[0].T, ref) and np.array_equal(C[1].T, ref), f"step {t}"
 
     def test_train_matches_sgd_step_replay_on_holed_data(self):
-        # train and sgd_step share one update; replaying the documented draws
-        # through sgd_step must give train's codebook bit for bit, here with
-        # holes in every one of 12 columns
+        # replaying the documented draws one window-kernel call per step must
+        # give train's codebook bit for bit, here with holes in every one of
+        # 12 columns
         topo = GridTopology(3, 3)
         for seed in range(6):
             data = random_incomplete(seed, n=40, p=12, missing=0.3)
@@ -268,13 +288,13 @@ class TestTrain:
             pool = np.flatnonzero(data.mask.any(axis=1))
             g = np.random.default_rng(sched.rng_seed)
             lo, hi = data.column_ranges()
-            cb = CodeBook(g.uniform(lo, hi, size=(topo.n_units, data.n_cols)),
-                          topo, data.col_names)
+            c3 = _transposed(g.uniform(lo, hi, size=(topo.n_units, data.n_cols)), topo)
             for t in range(sched.total_iters):
                 i = int(pool[g.integers(pool.size)])
-                cb = sgd_step(cb, data, i, sched.radius_at(t), sched.alpha_at(t))
+                _online_updates(c3, data.values, data.mask, np.array([i]),
+                                np.array([sched.alpha_at(t)]), np.array([sched.radius_at(t)]))
             fit = train(data, topo, sched)
-            assert np.array_equal(cb.codes, fit.codebook.codes), f"seed {seed}"
+            assert np.array_equal(c3.reshape(data.n_cols, -1).T, fit.codebook.codes), f"seed {seed}"
 
     def test_fixed_seed_is_bit_reproducible(self):
         data = random_incomplete(31, n=20, p=4)
@@ -312,18 +332,22 @@ class TestTrain:
         assert fit.codebook.codes.tobytes() == ref.tobytes()
 
     def test_neighbor_windows_match_topology_neighbors(self):
-        # each unit's slice window holds exactly GridTopology.neighbors, as
-        # views into the codebook so that updates land in place
+        # each unit's slice window holds exactly the units within the radius
+        # on the grid, enumerated one by one, as views into the codebook so
+        # that updates land in place; so does each lockstep ball
         for rows in range(1, 8):
             for cols in range(1, 8):
                 topo = GridTopology(rows, cols)
                 units = np.arange(topo.n_units, dtype=float).reshape(1, rows, cols)
                 for radius in range(max(rows, cols) + 1):
                     blocks = _neighbor_blocks(units, radius)
+                    balls = topo.distance_matrix() <= radius
                     assert len(blocks) == topo.n_units
                     for u, block in enumerate(blocks):
+                        expected = brute_neighbors(rows, cols, u, radius)
                         assert np.shares_memory(block, units)
-                        assert block.ravel().tolist() == topo.neighbors(u, radius).tolist()
+                        assert block.ravel().tolist() == expected
+                        assert np.flatnonzero(balls[u]).tolist() == expected
 
     def test_two_clusters_codes_land_on_cluster_means(self):
         data, labels = gaussian_blobs(
@@ -387,8 +411,8 @@ class TestTrain:
             obs = data.mask[i]
             if not obs.any():
                 continue
-            d = masked_sq_distances(data.values[i], obs, fit.codebook.codes)
-            assert fit.assignment.units[i] == int(np.argmin(d))
+            assert fit.assignment.units[i] == brute_winner(data.values[i], obs,
+                                                           fit.codebook.codes)
 
     def test_sgd_reduces_total_distortion(self):
         # statistical check: final distortion under the trained codes never
@@ -399,17 +423,17 @@ class TestTrain:
         for seed in range(5):
             sched = TrainingSchedule(total_iters=800, radius0=1, zero_radius_fraction=0.5,
                                      rng_seed=seed)
-            init = init_codebook(std, topo, seed=seed)
+            init = _draw_initial_codes(np.random.default_rng(seed), std, topo)
             fit = train(std, topo, sched)
 
-            def distortion(cb):
+            def distortion(codes):
                 total = 0.0
                 for i in range(std.n_rows):
-                    d = masked_sq_distances(std.values[i], std.mask[i], cb.codes)
-                    total += float(d.min())
+                    w = brute_winner(std.values[i], std.mask[i], codes)
+                    total += brute_masked_sq_distance(std.values[i], std.mask[i], codes[w])
                 return total
 
-            assert distortion(fit.codebook) <= distortion(init)
+            assert distortion(fit.codebook.codes) <= distortion(init)
 
 
 def _holed_tables(seed, n_maps, shared, p, missing):
@@ -588,6 +612,52 @@ class TestTrainMaps:
         assert batch.value.index == 1
 
 
+class TestKernelSegments:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 12), st.sampled_from([0.0, 0.3, 0.6]), st.integers(1, 120),
+           st.integers(0, 8), st.lists(st.integers(0, 120), max_size=6),
+           st.integers(0, 2**32 - 1))
+    @example(2, True, 3, 3, 4, 0.3, 40, 2, [10, 25], 0)  # radius 2, 1, 0 across the cuts
+    def test_segmented_calls_equal_one_whole_call(
+        self, n_maps, shared, rows, cols, p, missing, total_iters, radius0, cuts, seed,
+    ):
+        # Cutting the draws anywhere and running each segment in turn, with
+        # the rate and radius arrays sliced to match, gives the codes of one
+        # whole call bit for bit, in both kernels.  The segments run before
+        # the whole call, so that state one call leaves behind (a radius
+        # cache, say) would reach the whole call and show.
+        datas = _holed_tables(seed, n_maps, shared, p, missing)
+        topo = GridTopology(rows, cols)
+        sched = TrainingSchedule(total_iters=total_iters, radius0=radius0,
+                                 zero_radius_fraction=0.5, rng_seed=seed % 1000)
+        alphas, radii = _schedule_arrays(sched)
+        bounds = sorted({0, total_iters, *(c % (total_iters + 1) for c in cuts)})
+        segments = list(zip(bounds, bounds[1:]))
+        starts = [trainer._start(d, topo, replace(sched, rng_seed=sched.rng_seed + k),
+                                 TrainingMode.INCLUDE_INCOMPLETE, k)
+                  for k, d in enumerate(datas)]
+        draws = [st_.draws(total_iters) for st_ in starts]
+
+        for data, st_, drawn in zip(datas, starts, draws):
+            parts, whole = _transposed(st_.codes, topo), _transposed(st_.codes, topo)
+            for a, b in segments:
+                _online_updates(parts, data.values, data.mask, drawn[a:b], alphas[a:b],
+                                radii[a:b])
+            _online_updates(whole, data.values, data.mask, drawn, alphas, radii)
+            assert parts.tobytes() == whole.tobytes()
+
+        values, mask, offsets = trainer._shared_table(datas)
+        table = np.stack([d + off for d, off in zip(draws, offsets)], axis=1)
+        start = np.ascontiguousarray(np.stack([st_.codes for st_ in starts]).transpose(0, 2, 1))
+        parts, whole = start.copy(), start.copy()
+        cheb = topo.distance_matrix()
+        for a, b in segments:
+            _lockstep_updates(parts, values, mask, table[a:b], alphas[a:b], radii[a:b], cheb)
+        _lockstep_updates(whole, values, mask, table, alphas, radii, cheb)
+        assert parts.tobytes() == whole.tobytes()
+
+
 class TestClassifySupplementary:
     def test_row_equal_to_a_code_lands_there(self):
         codes = np.arange(8.0).reshape(4, 2)
@@ -610,7 +680,7 @@ class TestClassifySupplementary:
         asg = classify_supplementary(cb, small_incomplete)
         assert asg.units[2] == UNCLASSIFIABLE
         assert np.isnan(asg.sq_distances[2])
-        assert list(asg.unclassifiable_rows()) == [2]
+        assert np.flatnonzero(asg.units == UNCLASSIFIABLE).tolist() == [2]
 
     def test_codebook_not_modified(self, small_incomplete):
         codes = np.random.default_rng(0).normal(size=(4, 3))
