@@ -9,7 +9,6 @@ random deletion.
 
 from .data import (
     DataMatrix,
-    MaskedCellError,
     StandardizationParams,
     destandardize,
     fit_standardizer,
@@ -68,7 +67,6 @@ __all__ = [
     "ForgyResult",
     "GridTopology",
     "ImputationReport",
-    "MaskedCellError",
     "MaskingLedger",
     "MaskingPlan",
     "StandardizationParams",

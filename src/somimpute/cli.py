@@ -10,6 +10,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -183,10 +184,11 @@ def cmd_train(args) -> int:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
     data = read_csv(args.input, markers, args.label_col, args.categorical_col)
     params = fit_standardizer(data)
-    result = train(standardize(data, params), topo, schedule, mode)
+    std = standardize(data, params)
+    result = train(std, topo, schedule, mode)
     outdir = _outdir(args)
     save_model(SomModel(result.codebook, params, schedule, mode), outdir / "model.txt")
-    supplementary = ~result.training_pool & (result.assignment.units >= 0)
+    supplementary = ~pool_mask(std, mode) & (result.assignment.units >= 0)
     row_sc = None
     if args.superclasses is not None:
         sc = hierarchical_codes(result.codebook, args.superclasses)
@@ -197,9 +199,10 @@ def cmd_train(args) -> int:
         outdir / "assignments.csv", data.row_labels, result.assignment, topo,
         superclass_labels=row_sc, supplementary=supplementary,
     )
-    if result.n_skipped_all_missing:
+    n_all_missing = int((~std.mask.any(axis=1)).sum())
+    if n_all_missing:
         print(
-            f"warning: {result.n_skipped_all_missing} all-missing row(s) skipped during "
+            f"warning: {n_all_missing} all-missing row(s) skipped during "
             "training and flagged unclassifiable",
             file=sys.stderr,
         )
@@ -346,10 +349,19 @@ def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
     if "subcommand" not in manifest:
         raise ValueError(f"{args.manifest}: not a run manifest (no subcommand)")
+    # relative inputs start from the original run's directory: the manifest's
+    # directory less the relative output_dir it was written into, else "."
+    out = Path(manifest.get("output_dir", ".")).parts
+    here = Path(os.path.abspath(args.manifest)).parent.parts
+    keep = len(here) - len(out)
+    run_dir = os.path.relpath(Path(*here[:keep])) if here[keep:] == out else "."
     for key, digest in sorted(manifest.items()):
         if not key.endswith("_sha256"):
             continue
-        src = manifest.get(key[: -len("_sha256")])
+        name = key[: -len("_sha256")]
+        src = manifest.get(name)
+        if src is not None and run_dir != ".":
+            src = manifest[name] = os.path.join(run_dir, src)
         if src is None or not Path(src).exists():
             raise ValueError(f"replay input {src!r} is missing")
         if sha256_file(src) != digest:

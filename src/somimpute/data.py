@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class MaskedCellError(LookupError):
-    """Read of a cell that the mask marks as missing."""
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -113,33 +109,9 @@ class DataMatrix:
             col_names = tuple(f"v{k}" for k in range(p))
         return cls(values, mask, tuple(row_labels), tuple(col_names), categorical, categorical_name)
 
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range for {self.n_rows} rows")
-
-    def missing_set(self, row: int) -> frozenset[int]:
-        """Column indices missing in ``row``; empty for a complete row."""
-        self._check_row(row)
-        return frozenset(int(k) for k in np.flatnonzero(~self.mask[row]))
-
-    def value_at(self, row: int, col: int) -> float:
-        """Checked read of one cell; raises MaskedCellError if it is missing."""
-        self._check_row(row)
-        if not 0 <= col < self.n_cols:
-            raise IndexError(f"column {col} out of range for {self.n_cols} columns")
-        if not self.mask[row, col]:
-            raise MaskedCellError(
-                f"cell ({row}, {col}) [{self.row_labels[row]}, {self.col_names[col]}] is missing"
-            )
-        return float(self.values[row, col])
-
     def column_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) per column over observed cells."""
         return np.nanmin(self.values, axis=0), np.nanmax(self.values, axis=0)
-
-    def with_values(self, values: np.ndarray) -> "DataMatrix":
-        """Same mask, labels and metadata, new cell values."""
-        return self.with_cells(values, self.mask)
 
     def with_cells(self, values: np.ndarray, mask: np.ndarray) -> "DataMatrix":
         """Same labels and metadata, new cell values and mask."""
@@ -205,7 +177,7 @@ def standardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:
         raise ValueError(
             f"params cover {params.n_cols} columns, data has {data.n_cols}"
         )
-    return data.with_values((data.values - params.means) / params.stds)
+    return data.with_cells((data.values - params.means) / params.stds, data.mask)
 
 
 def destandardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:
@@ -214,4 +186,4 @@ def destandardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix
         raise ValueError(
             f"params cover {params.n_cols} columns, data has {data.n_cols}"
         )
-    return data.with_values(data.values * params.stds + params.means)
+    return data.with_cells(data.values * params.stds + params.means, data.mask)

@@ -17,7 +17,7 @@ from .imputation import Fills, ImputationReport, _with_fills, impute, impute_ens
 from .imputation import impute_multi  # unused here; perfbench/tracing.py wraps it
 from .metric import Assignment
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, _MapError, train_maps
+from .trainer import TrainingMode, TrainingSchedule, _pool, train_maps
 from .trainer import train  # unused here; perfbench/tracing.py wraps it
 
 
@@ -191,11 +191,11 @@ def deletion_curve(
     seeds ``s .. s + n_maps - 1``, ``s`` derived alike from ``(...,
     repeat, 1)``, so the whole curve is bit-reproducible.
 
-    Every arm of every d is masked and standardized first, in ``(d,
-    repeat)`` order; then all ``len(d_range) * n_repeats * n_maps`` maps
-    train in one :func:`somimpute.trainer.train_maps` call, and each arm is
-    imputed and scored in the same order.  An error names the arm it comes
-    from as ``deletion arm d=..., repeat=...``.
+    Every arm of every d is first masked, standardized and checked for an
+    empty training pool, in ``(d, repeat)`` order; then all ``len(d_range) *
+    n_repeats * n_maps`` maps train in one :func:`somimpute.trainer.train_maps`
+    call, and each arm is imputed and scored in the same order.  An error
+    names the arm it comes from as ``deletion arm d=..., repeat=...``.
     """
     if data.n_missing_cells:
         raise ValueError("deletion_curve requires a complete input matrix")
@@ -218,17 +218,14 @@ def deletion_curve(
     for d, rep in keys:
         try:
             arms.append(_masked_arm(data, d, rep, schedule.rng_seed, global_mcar))
+            _pool(arms[-1][0], mode)
         except ValueError as exc:
             raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
     seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
              for d, rep in keys]
-    try:
-        codebooks = train_maps(
-            [std for std, _ in arms for _ in range(n_maps)], topology,
-            [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)
-    except _MapError as exc:
-        d, rep = keys[exc.index // n_maps]
-        raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
+    codebooks = train_maps(
+        [std for std, _ in arms for _ in range(n_maps)], topology,
+        [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)
     som: list[float] = []
     base: list[float] = []
     unres: list[int] = []

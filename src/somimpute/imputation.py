@@ -54,11 +54,6 @@ class Fills:
         return self.rows.shape[0]
 
     @property
-    def units(self) -> np.ndarray:
-        """Each cell's winning unit on each map, ``winners[rows]``."""
-        return self.winners[self.rows]
-
-    @property
     def source(self) -> np.ndarray:
         """How each cell was filled: ``"codebook"`` where a map has a winner
         for its row, else ``"column-mean"``."""
@@ -84,11 +79,6 @@ class ImputationReport:
     def unresolved(self) -> tuple[tuple[int, int], ...]:
         """The cells still missing in ``filled``, in row-major order."""
         return tuple(map(tuple, np.argwhere(~self.filled.mask).tolist()))
-
-    def estimate_at(self, row: int, col: int) -> float:
-        if not ((self.fills.rows == row) & (self.fills.cols == col)).any():
-            raise KeyError(f"cell ({row}, {col}) was not filled")
-        return float(self.filled.values[row, col])
 
 
 def _with_fills(data: DataMatrix, rows, cols, estimates) -> DataMatrix:
@@ -118,12 +108,10 @@ def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
 
     The codebook must have been trained on data scaled the same way as
     ``data`` (normally: both standardized with the same parameters).  Cells
-    are listed in row-major order.
+    are listed in row-major order.  This is the one-map ensemble,
+    :func:`impute_ensemble` on ``[codebook]``.
     """
-    units = _winners(codebook, data)
-    rows, cols = np.nonzero(~data.mask & (units >= 0)[:, None])
-    filled = _with_fills(data, rows, cols, codebook.codes[units[rows], cols])
-    return ImputationReport(filled, Fills(rows, cols, units[:, None]))
+    return impute_ensemble([codebook], data)
 
 
 def impute_ensemble(
@@ -134,8 +122,7 @@ def impute_ensemble(
     """Average the per-map estimates of several codebooks, cell by cell.
 
     Every map fills the same cells (the missing cells of the classifiable
-    rows), in the same order, each with its winner's code component, as
-    :func:`impute` does.
+    rows), in row-major order, each with its winner's code component.
     """
     if not codebooks:
         raise ValueError("need at least one codebook")

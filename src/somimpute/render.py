@@ -16,6 +16,9 @@ SUPERCLASS_PALETTE = (
     "#c49c94", "#f7b6d2", "#dbdb8d", "#9edae5", "#d9d9d9",
 )
 
+_CELL_WIDTH, _LINE_HEIGHT = 150, 13  # map cells
+_CURVE_WIDTH, _CURVE_HEIGHT = 640, 420
+
 
 def _escape(text: str) -> str:
     """``&``, ``<`` and ``>`` as XML entities: the bytes of
@@ -80,8 +83,6 @@ def render_map_svg(
     supplementary=None,
     superclassing=None,
     modality_table=None,
-    cell_width: int = 150,
-    line_height: int = 13,
 ) -> str:
     """SVG analogue of the text grid with super-class fills and an optional
     grayscale modality bar at the bottom of each cell."""
@@ -89,8 +90,8 @@ def render_map_svg(
     cells = _cell_members(assignment, row_labels, supplementary)
     max_lines = max(1, max(len(c) for c in cells))
     bar_h = 10 if modality_table is not None else 0
-    cell_h = 8 + max_lines * line_height + bar_h + 4
-    width = topo.cols * cell_width
+    cell_h = 8 + max_lines * _LINE_HEIGHT + bar_h + 4
+    width = topo.cols * _CELL_WIDTH
     height = topo.rows * cell_h
     modalities: list[str] = []
     if modality_table is not None:
@@ -103,25 +104,25 @@ def render_map_svg(
     ]
     for u in range(topo.n_units):
         r, c = topo.unit_coords(u)
-        x, y = c * cell_width, r * cell_h
+        x, y = c * _CELL_WIDTH, r * cell_h
         fill = "#ffffff"
         if superclassing is not None:
             fill = SUPERCLASS_PALETTE[int(superclassing.labels[u]) % len(SUPERCLASS_PALETTE)]
         parts.append(
-            f'<rect x="{x}" y="{y}" width="{cell_width}" height="{cell_h}" '
+            f'<rect x="{x}" y="{y}" width="{_CELL_WIDTH}" height="{cell_h}" '
             f'fill="{fill}" stroke="#333333"/>'
         )
         for line_i, (label, supp) in enumerate(cells[u]):
             cls = ' class="supp"' if supp else ""
             text = _escape(label + ("*" if supp else ""))
             parts.append(
-                f'<text x="{x + 4}" y="{y + 14 + line_i * line_height}"{cls}>{text}</text>'
+                f'<text x="{x + 4}" y="{y + 14 + line_i * _LINE_HEIGHT}"{cls}>{text}</text>'
             )
         if modality_table is not None and modalities:
             table = modality_table.get(u, {})
             bx = x + 4.0
             by = y + cell_h - bar_h - 2
-            avail = cell_width - 8.0
+            avail = _CELL_WIDTH - 8.0
             for mi, m in enumerate(modalities):
                 frac = table.get(m, 0.0)
                 if frac <= 0.0:
@@ -137,12 +138,12 @@ def render_map_svg(
     return "\n".join(parts) + "\n"
 
 
-def render_curve_svg(report: EvalReport, width: int = 640, height: int = 420) -> str:
+def render_curve_svg(report: EvalReport) -> str:
     """Line chart of imputation RMSE versus deletions per row, with the
     column-mean baseline dashed for scale."""
     ml, mr, mt, mb = 55, 15, 15, 45
-    plot_w = width - ml - mr
-    plot_h = height - mt - mb
+    plot_w = _CURVE_WIDTH - ml - mr
+    plot_h = _CURVE_HEIGHT - mt - mb
     ds = list(report.d_values)
     som = [report.rmse_som[d] for d in ds]
     base = [report.rmse_mean_baseline[d] for d in ds]
@@ -162,8 +163,8 @@ def render_curve_svg(report: EvalReport, width: int = 640, height: int = 420) ->
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"{extra}/>'
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CURVE_WIDTH}" height="{_CURVE_HEIGHT}" '
+        f'viewBox="0 0 {_CURVE_WIDTH} {_CURVE_HEIGHT}">',
         '<style>text { font-family: monospace; font-size: 12px; }</style>',
         f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#333333"/>',
     ]
@@ -195,7 +196,7 @@ def render_curve_svg(report: EvalReport, width: int = 640, height: int = 420) ->
         f'<text x="{ml + 10}" y="{mt + 32}" fill="#888888">column-mean baseline</text>'
     )
     parts.append(
-        f'<text x="{ml + plot_w / 2:.0f}" y="{height - 8}" text-anchor="middle">'
+        f'<text x="{ml + plot_w / 2:.0f}" y="{_CURVE_HEIGHT - 8}" text-anchor="middle">'
         "values deleted per row</text>"
     )
     parts.append("</svg>")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataMatrix, _readonly
+from .data import DataMatrix
 # UNCLASSIFIABLE and Assignment live in metric and stay importable from here
 from .metric import UNCLASSIFIABLE, Assignment, CodeBook, assign
 from .topology import GridTopology
@@ -68,7 +68,8 @@ class TrainingSchedule:
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
         if self.radius_at(self.total_iters - 1) != 0:
             raise ValueError(
-                "schedule never reaches radius 0; increase total_iters or zero_radius_fraction"
+                f"schedule never reaches radius 0: radius0={self.radius0} > 0 needs "
+                "zero_radius_fraction > 0"
             )
 
     @property
@@ -94,18 +95,15 @@ class TrainingSchedule:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final codebook, one assignment per row, and training bookkeeping.
+    """Final codebook and one assignment per row.
 
-    ``training_pool`` is :func:`pool_mask`, the rows eligible for sampling;
-    rows outside it were either all-missing (skipped, counted in
-    ``n_skipped_all_missing``) or incomplete under complete-only mode and
-    classified afterwards as supplementary observations.
+    Rows outside :func:`pool_mask` were either all-missing (unclassifiable)
+    or incomplete under complete-only mode and classified afterwards as
+    supplementary observations.
     """
 
     codebook: CodeBook
     assignment: Assignment
-    n_skipped_all_missing: int
-    training_pool: np.ndarray
 
 
 def _draw_initial_codes(rng: np.random.Generator, data: DataMatrix, topology: GridTopology) -> np.ndarray:
@@ -211,20 +209,10 @@ def train(
     The pool is :func:`pool_mask`.  Every row is classified under the final
     codes: rows outside the pool that have an observed component are
     supplementary observations, and rows with none are flagged
-    unclassifiable and counted.
+    unclassifiable.
     """
     codebook = train_maps([data], topology, [schedule], mode)[0]
-    assignment = classify_supplementary(codebook, data)
-    return TrainResult(codebook, assignment, int((assignment.units == UNCLASSIFIABLE).sum()),
-                       _readonly(pool_mask(data, mode)))
-
-
-class _MapError(ValueError):
-    """Map ``index`` of a :func:`train_maps` call has no trainable rows."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(reason)
-        self.index = index
+    return TrainResult(codebook, classify_supplementary(codebook, data))
 
 
 def pool_mask(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
@@ -246,15 +234,20 @@ class _Start(NamedTuple):
         return self.pool[self.rng.integers(self.pool.size, size=n)]
 
 
-def _start(data: DataMatrix, topology: GridTopology, schedule: TrainingSchedule,
-           mode: TrainingMode, index: int) -> _Start:
-    """Map ``index``'s training pool and initial codes; a map without
-    trainable rows raises :class:`_MapError`."""
+def _pool(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
+    """The row numbers of :func:`pool_mask`; an empty pool is a ``ValueError``."""
     pool = np.flatnonzero(pool_mask(data, mode))
     if pool.size == 0:
-        raise _MapError(index, "complete-only mode requires at least one complete row"
-                        if mode is TrainingMode.COMPLETE_ONLY
-                        else "no trainable rows: every row is entirely missing")
+        raise ValueError("complete-only mode requires at least one complete row"
+                         if mode is TrainingMode.COMPLETE_ONLY
+                         else "no trainable rows: every row is entirely missing")
+    return pool
+
+
+def _start(data: DataMatrix, topology: GridTopology, schedule: TrainingSchedule,
+           mode: TrainingMode) -> _Start:
+    """A map's training pool and initial codes."""
+    pool = _pool(data, mode)
     rng = np.random.default_rng(schedule.rng_seed)
     return _Start(_draw_initial_codes(rng, data, topology), rng, pool)
 
@@ -357,16 +350,14 @@ def train_maps(
     :func:`_online_updates` in turn.  Both kernels take the same winners and
     make the same updates, so the choice never changes a codebook.
 
-    A map without trainable rows raises a ``ValueError`` with
-    :func:`train`'s message and the map's position as ``index``.
+    A map without trainable rows raises :func:`train`'s ``ValueError``.
     """
     datas, schedules = list(datas), list(schedules)
     if not datas:
         raise ValueError("train_maps needs at least one map")
     if len(schedules) != len(datas):
         raise ValueError(f"{len(datas)} tables but {len(schedules)} schedules")
-    starts = [_start(d, topology, s, mode, j)
-              for j, (d, s) in enumerate(zip(datas, schedules))]
+    starts = [_start(d, topology, s, mode) for d, s in zip(datas, schedules)]
     p = datas[0].n_cols
     base = replace(schedules[0], rng_seed=0)
     if (len(datas) > 1 and p * topology.n_units <= _LOCKSTEP_MAX_CELLS

@@ -9,6 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def estimate(report, row: int, col: int) -> float:
+    """The report's estimate for cell ``(row, col)``, which must be one of
+    its filled cells."""
+    f = report.fills
+    assert ((f.rows == row) & (f.cols == col)).any(), f"cell ({row}, {col}) was not filled"
+    return float(report.filled.values[row, col])
+
+
 def brute_masked_sq_distance(x, observed, code) -> float:
     """Explicit loop over observed components, ascending index order."""
     total = 0.0

@@ -37,7 +37,7 @@ from somimpute import (
 from somimpute.cli import main
 from somimpute.model_io import write_csv
 from somimpute.synthetic import correlated_clusters, gaussian_blobs, iid_gaussian
-from helpers import best_partition_at_k, brute_winner, labels_to_partition
+from helpers import best_partition_at_k, brute_winner, estimate, labels_to_partition
 
 
 def _ok(n, message):
@@ -332,8 +332,8 @@ def test_criterion_10_multi_map_averaging_halves_estimate_variance():
         one = TrainingSchedule(total_iters=1000, radius0=2, rng_seed=50_000 + r)
         rep1 = impute(train(std, topo, one).codebook, std)
         repm = impute_multi(std, topo, sched, n_maps=5, base_seed=100_000 + 5 * r)
-        single[r] = [rep1.estimate_at(*c) for c in cells]
-        multi[r] = [repm.estimate_at(*c) for c in cells]
+        single[r] = [estimate(rep1, *c) for c in cells]
+        multi[r] = [estimate(repm, *c) for c in cells]
     var_single = single.var(axis=0, ddof=1).mean()
     var_multi = multi.var(axis=0, ddof=1).mean()
     assert var_multi <= 0.5 * var_single, (

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from somimpute import (
     DataMatrix,
-    MaskedCellError,
     StandardizationParams,
     destandardize,
     fit_standardizer,
@@ -17,22 +16,20 @@ from conftest import random_incomplete
 
 class TestDataMatrix:
     def test_missing_set_complete_row(self, small_incomplete):
-        assert small_incomplete.missing_set(0) == frozenset()
+        assert small_incomplete.mask[0].all()
+        assert small_incomplete.values[0].tolist() == [1.0, 2.0, 3.0]
 
     def test_missing_set_partial_row(self, small_incomplete):
-        assert small_incomplete.missing_set(1) == frozenset({1})
+        assert np.flatnonzero(~small_incomplete.mask[1]).tolist() == [1]
+        assert small_incomplete.values[1, 2] == 6.0
+        assert np.isnan(small_incomplete.values[1, 1])  # the tripwire, not a value
 
     def test_missing_set_all_missing_row(self, small_incomplete):
-        assert small_incomplete.missing_set(2) == frozenset({0, 1, 2})
+        assert np.flatnonzero(~small_incomplete.mask[2]).tolist() == [0, 1, 2]
 
     def test_missing_set_out_of_range(self, small_incomplete):
         with pytest.raises(IndexError):
-            small_incomplete.missing_set(4)
-
-    def test_masked_read_is_an_error(self, small_incomplete):
-        with pytest.raises(MaskedCellError):
-            small_incomplete.value_at(1, 1)
-        assert small_incomplete.value_at(1, 2) == 6.0
+            small_incomplete.mask[4]
 
     def test_all_missing_rows_are_admitted(self, small_incomplete):
         # admitted here, and left out of the training pool in both modes
@@ -121,7 +118,7 @@ class TestStandardizer:
         params = fit_standardizer(small_incomplete)
         std = standardize(small_incomplete, params)
         assert np.array_equal(std.mask, small_incomplete.mask)
-        assert std.missing_set(1) == frozenset({1})
+        assert np.flatnonzero(~std.mask[1]).tolist() == [1]
 
     def test_standardized_columns_centered_and_scaled(self):
         rng = np.random.default_rng(3)

@@ -26,7 +26,7 @@ from somimpute import (
 from somimpute.evaluation import EvalReport, count_unresolved_deleted
 from somimpute.imputation import impute_ensemble
 from somimpute.trainer import train_maps
-from helpers import naive_pearson
+from helpers import estimate, naive_pearson
 
 
 def _complete(seed=0, n=10, p=5):
@@ -183,7 +183,7 @@ class TestMeanBaseline:
         values = np.array([[2.0, 0.0], [4.0, 1.0], [np.nan, 2.0]])
         data = DataMatrix(values, np.isfinite(values), ("a", "b", "c"), ("x", "y"))
         report = mean_impute_baseline(data)
-        assert report.estimate_at(2, 0) == 3.0
+        assert estimate(report, 2, 0) == 3.0
 
     def test_complete_data_fills_nothing(self):
         report = mean_impute_baseline(_complete())

@@ -17,7 +17,7 @@ from somimpute import (
     impute_multi,
     train,
 )
-from helpers import brute_winner
+from helpers import brute_winner, estimate
 from conftest import random_incomplete
 
 
@@ -41,10 +41,11 @@ def test_filled_value_is_exactly_the_winning_code_component():
     values = np.array([[0.2, np.nan], [9.7, np.nan], [5.0, 1.0]])
     data = DataMatrix(values, np.isfinite(values), ("a", "b", "c"), ("x", "y"))
     report = impute(cb, data)
-    assert report.estimate_at(0, 1) == 3.5
-    assert report.estimate_at(1, 1) == -1.25
-    assert report.fills.units.shape == (len(report.fills), 1)
-    assert (report.fills.units >= 0).all()
+    assert estimate(report, 0, 1) == 3.5
+    assert estimate(report, 1, 1) == -1.25
+    f = report.fills
+    assert f.winners[f.rows].shape == (len(f), 1)
+    assert (f.winners[f.rows] >= 0).all()
     assert report.filled.mask.all()
 
 
@@ -77,7 +78,7 @@ def test_point_clusters_recover_deleted_value_exactly_with_batch_centroids():
     data = DataMatrix(values, mask, tuple("pqrstu"), ("x", "y", "z"))
     res = forgy_train(data, 2, seed=0)
     report = impute(res.centroids, data)
-    assert report.estimate_at(0, 2) == 3.0  # exact: mean of two identical observers
+    assert estimate(report, 0, 2) == 3.0  # exact: mean of two identical observers
 
 
 def test_point_clusters_recover_deleted_value_with_trained_map():
@@ -89,7 +90,7 @@ def test_point_clusters_recover_deleted_value_with_trained_map():
     sched = TrainingSchedule(total_iters=1500, radius0=1, zero_radius_fraction=0.5, rng_seed=4)
     fit = train(data, GridTopology(1, 2), sched)
     report = impute(fit.codebook, data)
-    assert report.estimate_at(0, 2) == pytest.approx(3.0, abs=1e-6)
+    assert estimate(report, 0, 2) == pytest.approx(3.0, abs=1e-6)
 
 
 def test_multi_with_one_map_equals_single_impute():
@@ -121,7 +122,8 @@ def test_multi_equals_the_ensemble_of_maps_trained_one_by_one():
         data, seeds,
     )
     assert multi.filled.values.tobytes() == one_by_one.filled.values.tobytes()
-    assert np.array_equal(multi.fills.units, one_by_one.fills.units)
+    assert np.array_equal(multi.fills.rows, one_by_one.fills.rows)
+    assert np.array_equal(multi.fills.winners, one_by_one.fills.winners)
     assert multi.fills.seeds == seeds
 
 def test_agreeing_maps_return_the_common_value():
@@ -131,10 +133,10 @@ def test_agreeing_maps_return_the_common_value():
     topo = GridTopology(1, 2)
     sched = TrainingSchedule(total_iters=100, radius0=1, zero_radius_fraction=0.5, rng_seed=0)
     report = impute_multi(data, topo, sched, n_maps=4, base_seed=10)
-    assert report.estimate_at(2, 1) == 4.0
+    assert estimate(report, 2, 1) == 4.0
     j = np.flatnonzero((report.fills.rows == 2) & (report.fills.cols == 1))[0]
     assert report.fills.seeds == (10, 11, 12, 13)
-    assert len(report.fills.units[j]) == 4
+    assert len(report.fills.winners[report.fills.rows[j]]) == 4
 
 
 def test_ensemble_averages_estimates():
@@ -142,7 +144,7 @@ def test_ensemble_averages_estimates():
     values = np.array([[np.nan, 0.0], [1.5, 1.0]])
     data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
     report = impute_ensemble(books, data)
-    assert report.estimate_at(0, 0) == 2.0
+    assert estimate(report, 0, 0) == 2.0
 
 
 def test_observed_cells_are_bit_identical():
@@ -197,13 +199,13 @@ def test_column_mean_fallback_is_explicit(small_incomplete):
     assert fb.unresolved == ()
     col_means = np.nanmean(small_incomplete.values, axis=0)
     for k in range(3):
-        assert fb.estimate_at(2, k) == col_means[k]
+        assert estimate(fb, 2, k) == col_means[k]
     sources = set(fb.fills.source[fb.fills.rows == 2].tolist())
     assert sources == {"column-mean"}
 
 
 def test_fills_keep_one_winner_row_per_table_row(small_incomplete):
-    # units and source are derived from the per-row winners; the fallback
+    # source is derived from the per-row winners; the fallback
     # appends cells and leaves the winners as they are
     cb = _codebook(np.ones((2, 3)))
     report = impute(cb, small_incomplete)
@@ -211,7 +213,7 @@ def test_fills_keep_one_winner_row_per_table_row(small_incomplete):
     assert [field.name for field in fields(Fills)] == ["rows", "cols", "winners", "seeds"]
     assert f.winners.shape == (small_incomplete.n_rows, 1)
     assert f.winners[:, 0].tolist() == [UNCLASSIFIABLE, 0, UNCLASSIFIABLE, 0]
-    assert f.units.tolist() == f.winners[f.rows].tolist()
+    assert f.winners[f.rows, 0].tolist() == [0] * len(f)
     fb = apply_column_mean_fallback(report, small_incomplete)
     assert fb.fills.winners.tobytes() == f.winners.tobytes()
     assert fb.fills.source.tolist() == ["codebook"] * len(f) + ["column-mean"] * 3

@@ -42,16 +42,15 @@ class TestReadCsv:
         data = read_csv(path)
         assert data.row_labels == ("r1", "r2")
         assert data.col_names == ("x", "y")
-        assert data.value_at(0, 0) == 3.5
-        assert data.missing_set(0) == frozenset({1})
-        assert data.missing_set(1) == frozenset({0})
-        assert data.value_at(1, 1) == -1.25
+        assert data.mask.tolist() == [[True, False], [False, True]]
+        assert data.values[0, 0] == 3.5
+        assert data.values[1, 1] == -1.25
 
     def test_custom_marker(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,x\nr1,?\nr2,1\n")
         data = read_csv(path, missing_markers=("?",))
-        assert data.missing_set(0) == frozenset({0})
+        assert data.mask.tolist() == [[False], [True]]
 
     @pytest.mark.parametrize("marker", [" ?", "? ", "\t?", "NA\n", " "],
                              ids=["leading-space", "trailing-space", "tab", "newline", "blank"])
@@ -484,6 +483,14 @@ class TestCli:
         assert rows[0] == "label,unit,grid_row,grid_col,sq_distance,status,superclass,supplementary"
         assert rows[-1].startswith("r18,,,,,unclassifiable")
 
+    def test_train_warns_of_all_missing_rows(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)  # its last row, r18, is all missing
+        csv_path.write_text(csv_path.read_text() + "r19,hi,NA,NA,NA,NA\n")
+        assert main(_train_args(csv_path, tmp_path / "run")) == 0
+        assert ("warning: 2 all-missing row(s) skipped during training and flagged "
+                "unclassifiable\n") in capsys.readouterr().err
+
     def test_classify_against_saved_model(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         _write_training_csv(csv_path)
@@ -860,6 +867,30 @@ class TestReplay:
             "--radius0", "1", "--d-min", "1", "--d-max", "2", "--seed", "2",
         ]) == 0
         self._assert_replay_identical(tmp_path, ev, "evaluate")
+
+    def test_replay_from_another_working_directory(self, tmp_path, monkeypatch):
+        # relative paths as typed at a prompt; the manifest is replayed from
+        # a subdirectory, and that replay's manifest from the parent again
+        monkeypatch.chdir(tmp_path)
+        _write_training_csv(Path("t.csv"))
+        assert main(_train_args("t.csv", "out")) == 0
+        assert main(["classify", "--input", "t.csv", "--output-dir", "cls",
+                     "--model", "out/model.txt", "--categorical-col", "level"]) == 0
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        for run in ("out", "cls"):
+            assert main(["replay", "--manifest", f"../{run}/manifest.txt",
+                         "--output-dir", f"redo_{run}"]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["replay", "--manifest", "sub/redo_cls/manifest.txt",
+                     "--output-dir", "redo_again"]) == 0
+        for run, redo in (("out", "sub/redo_out"), ("cls", "sub/redo_cls"),
+                          ("cls", "redo_again")):
+            names = self._csvs(tmp_path / run)
+            assert names == self._csvs(tmp_path / redo) and names
+            for name in names:
+                assert ((tmp_path / run / name).read_bytes()
+                        == (tmp_path / redo / name).read_bytes()), (redo, name)
 
     def test_replay_detects_changed_input(self, tmp_path):
         csv_path = tmp_path / "data.csv"

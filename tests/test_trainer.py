@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,23 @@ class TestSchedule:
     def test_schedule_that_never_reaches_zero_radius_rejected(self):
         with pytest.raises(ValueError, match="radius 0"):
             TrainingSchedule(total_iters=10, radius0=20, zero_radius_fraction=0.0)
+
+    def test_schedule_error_names_the_real_condition(self):
+        # the schedule is rejected exactly when the error says: more
+        # iterations never help, since with no step reserved for radius 0
+        # the last step still has a positive radius
+        for total_iters in (*range(1, 13), 99, 1000, 10**6):
+            for radius0 in (0, 1, 2, 3, 40):
+                for zero_fraction in (0.0, 1e-9, 0.001, 0.1, 0.4, 0.5, 0.999, 1.0):
+                    args = dict(total_iters=total_iters, radius0=radius0,
+                                zero_radius_fraction=zero_fraction)
+                    if radius0 > 0 and zero_fraction == 0.0:
+                        with pytest.raises(ValueError, match=re.escape(
+                                f"radius0={radius0} > 0 needs zero_radius_fraction > 0")):
+                            TrainingSchedule(**args)
+                    else:
+                        s = TrainingSchedule(**args)
+                        assert s.radius_at(total_iters - 1) == 0, args
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3000), st.integers(0, 40), st.floats(0.001, 0.999),
@@ -374,9 +392,8 @@ class TestTrain:
     def test_all_missing_rows_skipped_and_flagged(self, small_incomplete):
         sched = TrainingSchedule(total_iters=50, radius0=1, zero_radius_fraction=0.5, rng_seed=0)
         fit = train(small_incomplete, GridTopology(1, 2), sched)
-        assert fit.n_skipped_all_missing == 1
-        assert fit.assignment.units[2] == UNCLASSIFIABLE
-        assert not fit.training_pool[2]
+        assert np.flatnonzero(fit.assignment.units == UNCLASSIFIABLE).tolist() == [2]
+        assert not pool_mask(small_incomplete, TrainingMode.INCLUDE_INCOMPLETE)[2]
 
     def test_complete_only_needs_a_complete_row(self):
         values = np.array([[1.0, np.nan], [np.nan, 2.0]])
@@ -390,7 +407,7 @@ class TestTrain:
         sched = TrainingSchedule(total_iters=200, radius0=1, rng_seed=5)
         fit = train(data, GridTopology(2, 2), sched, TrainingMode.COMPLETE_ONLY)
         complete = data.mask.all(axis=1)
-        assert np.array_equal(fit.training_pool, complete)
+        assert np.array_equal(pool_mask(data, TrainingMode.COMPLETE_ONLY), complete)
         incomplete_but_classifiable = ~complete & data.mask.any(axis=1)
         assert np.all(fit.assignment.units[incomplete_but_classifiable] >= 0)
 
@@ -482,9 +499,10 @@ class TestTrainMaps:
             asg = assign(cb.codes, data.values, data.mask)
             assert np.array_equal(one.assignment.units, asg.units)
             assert one.assignment.sq_distances.tobytes() == asg.sq_distances.tobytes()
-            assert one.n_skipped_all_missing == int((~data.mask.any(axis=1)).sum())
+            all_missing = ~data.mask.any(axis=1)
+            assert np.array_equal(one.assignment.units == UNCLASSIFIABLE, all_missing)
             pool = data.mask.all(axis=1) if complete_only else data.mask.any(axis=1)
-            assert np.array_equal(one.training_pool, pool)
+            assert np.array_equal(pool_mask(data, mode), pool)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.booleans(), st.integers(1, 10), st.integers(1, 10),
@@ -596,7 +614,7 @@ class TestTrainMaps:
         with pytest.raises(ValueError, match="1 tables but 2 schedules"):
             train_maps([small_incomplete], topo, [sched] * 2)
 
-    def test_untrainable_map_raises_trains_message_and_index(self, small_incomplete):
+    def test_untrainable_map_raises_trains_message(self, small_incomplete):
         complete = DataMatrix.from_nan(np.random.default_rng(0).normal(size=(6, 3)))
         topo = GridTopology(1, 2)
         sched = TrainingSchedule(total_iters=20, radius0=1)
@@ -609,7 +627,6 @@ class TestTrainMaps:
             train_maps([complete, holed, complete], topo, [sched] * 3, mode)
         assert str(batch.value) == str(single.value)
         assert "complete-only mode requires at least one complete row" in str(single.value)
-        assert batch.value.index == 1
 
 
 class TestKernelSegments:
@@ -635,7 +652,7 @@ class TestKernelSegments:
         bounds = sorted({0, total_iters, *(c % (total_iters + 1) for c in cuts)})
         segments = list(zip(bounds, bounds[1:]))
         starts = [trainer._start(d, topo, replace(sched, rng_seed=sched.rng_seed + k),
-                                 TrainingMode.INCLUDE_INCOMPLETE, k)
+                                 TrainingMode.INCLUDE_INCOMPLETE)
                   for k, d in enumerate(datas)]
         draws = [st_.draws(total_iters) for st_ in starts]
 
