@@ -44,9 +44,8 @@ from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule, classify_supplementary, pool_mask, train
 
 
-def _add_io_flags(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        p.add_argument("--input", required=True, help="input CSV (header row, label column first)")
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="input CSV (header row, label column first)")
     p.add_argument("--output-dir", required=True, help="directory for outputs and manifest")
     p.add_argument(
         "--missing-marker",
@@ -162,9 +161,9 @@ def _write_run_manifest(outdir: Path, args, digests: dict[str, str]) -> None:
     write_manifest(outdir / "manifest.txt", entries)
 
 
-def _schedule_from_args(args, topo: GridTopology | None = None) -> TrainingSchedule:
+def _schedule_from_args(args, topo: GridTopology) -> TrainingSchedule:
     if args.radius0 is None:
-        args.radius0 = max(topo.rows, topo.cols) // 2 if topo is not None else 0
+        args.radius0 = max(topo.rows, topo.cols) // 2
     return TrainingSchedule(
         total_iters=args.iters,
         alpha0=args.alpha0,
@@ -282,8 +281,7 @@ def cmd_impute(args) -> int:
     out_report = _destandardized_report(report, data, params)
     outdir = _outdir(args)
     # missing cells as the first marker, so that the file reads back under --missing-marker
-    write_csv(out_report.filled, outdir / "imputed.csv", missing_marker=markers[0],
-              read_markers=markers)
+    write_csv(out_report.filled, outdir / "imputed.csv", markers)
     write_provenance_csv(
         outdir / "provenance.csv", out_report, data.row_labels, data.col_names
     )
@@ -308,7 +306,7 @@ def cmd_evaluate(args) -> int:
     )
     outdir = _outdir(args)
     write_eval_csv(outdir / "eval.csv", report)
-    (outdir / "curve.svg").write_text(render_curve_svg(report))
+    (outdir / "curve.svg").write_text(render_curve_svg(report), encoding="utf-8")
     _write_run_manifest(outdir, args, {"input": args.input})
     return 0
 
@@ -328,12 +326,14 @@ def cmd_render(args) -> int:
         modality = modality_proportions(assignment, data)
     outdir = _outdir(args)
     (outdir / "map.txt").write_text(
-        render_map_text(model.codebook, assignment, data.row_labels, supplementary, sc)
+        render_map_text(model.codebook, assignment, data.row_labels, supplementary, sc),
+        encoding="utf-8",
     )
     (outdir / "map.svg").write_text(
         render_map_svg(
             model.codebook, assignment, data.row_labels, supplementary, sc, modality
-        )
+        ),
+        encoding="utf-8",
     )
     _write_run_manifest(outdir, args, {"input": args.input, "model": args.model})
     return 0

@@ -85,15 +85,9 @@ class DataMatrix:
         return int((~self.mask).sum())
 
     @classmethod
-    def from_nan(
-        cls,
-        values,
-        row_labels=None,
-        col_names=None,
-        categorical=None,
-        categorical_name=None,
-    ) -> "DataMatrix":
-        """Build a matrix treating NaN entries of ``values`` as missing.
+    def from_nan(cls, values) -> "DataMatrix":
+        """Build a matrix treating NaN entries of ``values`` as missing, with
+        rows labelled ``r0, r1, ...`` and columns named ``v0, v1, ...``.
 
         Only NaN means missing: an infinite entry is an observed cell and is
         rejected like any other non-finite observation.  Boundary convenience
@@ -101,13 +95,9 @@ class DataMatrix:
         authority on missingness.
         """
         values = np.asarray(values, dtype=float)
-        mask = ~np.isnan(values)
         n, p = values.shape
-        if row_labels is None:
-            row_labels = tuple(f"r{i}" for i in range(n))
-        if col_names is None:
-            col_names = tuple(f"v{k}" for k in range(p))
-        return cls(values, mask, tuple(row_labels), tuple(col_names), categorical, categorical_name)
+        return cls(values, ~np.isnan(values), tuple(f"r{i}" for i in range(n)),
+                   tuple(f"v{k}" for k in range(p)))
 
     def column_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) per column over observed cells."""

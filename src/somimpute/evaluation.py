@@ -8,6 +8,7 @@ overlaying a categorical variable on the map.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -291,18 +292,9 @@ def modality_proportions(assignment: Assignment, data: DataMatrix) -> dict[int, 
         raise ValueError(
             f"assignment covers {assignment.n_rows} rows, data has {data.n_rows}"
         )
-    out: dict[int, dict[str, float]] = {u: {} for u in range(assignment.n_units)}
-    counts: dict[int, dict[str, int]] = {u: {} for u in range(assignment.n_units)}
-    for i in range(data.n_rows):
-        u = int(assignment.units[i])
-        if u < 0:
-            continue
-        modality = data.categorical[i]
-        if modality is None or modality == "":
-            continue
-        counts[u][modality] = counts[u].get(modality, 0) + 1
-    for u, table in counts.items():
-        total = sum(table.values())
-        if total:
-            out[u] = {m: c / total for m, c in sorted(table.items())}
-    return out
+    counts: list[Counter[str]] = [Counter() for _ in range(assignment.n_units)]
+    for u, modality in zip(assignment.units.tolist(), data.categorical):
+        if u >= 0 and modality:  # neither unclassified rows nor missing modalities count
+            counts[u][modality] += 1
+    return {u: {m: c / table.total() for m, c in sorted(table.items())}
+            for u, table in enumerate(counts)}

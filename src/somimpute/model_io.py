@@ -146,7 +146,7 @@ def read_csv(
 
 def _write_rows(path, header, rows) -> None:
     """Write ``header`` then ``rows`` as CSV with ``\\n`` line endings."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -172,27 +172,25 @@ def _refuse_changed_text(header, labels, categories, markers) -> None:
             raise ValueError(f"row {i}, column {header[1]!r}: category {cat!r} is a missing marker")
 
 
-def write_csv(data: DataMatrix, path, missing_marker: str = "",
-              read_markers=DEFAULT_MISSING_MARKERS) -> None:
+def write_csv(data: DataMatrix, path, markers=DEFAULT_MISSING_MARKERS) -> None:
     """Write a DataMatrix back out; masked cells and missing categories
-    become ``missing_marker``.
+    become ``markers[0]``.
 
-    Text that :func:`read_csv` with ``read_markers`` would read back
-    changed (a header name, row label or category with surrounding
-    whitespace, or a category equal to one of ``read_markers``) is a
-    ``ValueError`` naming its row and column, raised before the file is
-    opened.
+    Text that :func:`read_csv` with ``markers`` would read back changed (a
+    header name, row label or category with surrounding whitespace, or a
+    category equal to one of ``markers``) is a ``ValueError`` naming its
+    row and column, raised before the file is opened.
     """
     header = ["label"]
     columns: list = [data.row_labels]
     if data.categorical is not None:
         header.append(data.categorical_name or "category")
-        columns.append([missing_marker if c is None else c for c in data.categorical])
+        columns.append([markers[0] if c is None else c for c in data.categorical])
     header.extend(data.col_names)
-    _refuse_changed_text(header, data.row_labels, data.categorical, set(read_markers))
+    _refuse_changed_text(header, data.row_labels, data.categorical, set(markers))
     for k in range(data.n_cols):
         columns.append([
-            fmt17(v) if m else missing_marker
+            fmt17(v) if m else markers[0]
             for v, m in zip(data.values[:, k].tolist(), data.mask[:, k].tolist())
         ])
     _write_rows(path, header, zip(*columns))
@@ -231,20 +229,10 @@ def save_model(model: SomModel, path) -> None:
         lines.append("\t".join(fmt17(v) for v in cb.codes[u]))
     lines.append("mean\t" + "\t".join(fmt17(v) for v in model.standardizer.means))
     lines.append("std\t" + "\t".join(fmt17(v) for v in model.standardizer.stds))
-    s = model.schedule
-    lines.append(
-        "schedule\t"
-        + "\t".join(
-            [
-                f"total_iters={s.total_iters}",
-                f"alpha0={fmt17(s.alpha0)}",
-                f"alpha_final={fmt17(s.alpha_final)}",
-                f"radius0={s.radius0}",
-                f"zero_radius_fraction={fmt17(s.zero_radius_fraction)}",
-                f"rng_seed={s.rng_seed}",
-            ]
-        )
-    )
+    lines.append("\t".join(["schedule"] + [
+        f"{key}={(fmt17 if parse is float else str)(getattr(model.schedule, key))}"
+        for key, parse in _SCHEDULE_FIELDS.items()
+    ]))
     lines.append(f"mode\t{model.mode.value}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -418,12 +406,12 @@ def sha256_file(path) -> str:
 def write_manifest(path, entries: dict) -> None:
     """key=value text, keys sorted, values json-encoded."""
     lines = [f"{key}={json.dumps(entries[key])}" for key in sorted(entries)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line:
             continue
         key, _, raw = line.partition("=")

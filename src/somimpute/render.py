@@ -32,8 +32,7 @@ def _cell_members(assignment: Assignment, row_labels, supplementary) -> list[lis
         u = int(assignment.units[i])
         if u < 0:
             continue
-        supp = bool(supplementary[i]) if supplementary is not None else False
-        cells[u].append((label, supp))
+        cells[u].append((label, bool(supplementary[i])))
     return cells
 
 
@@ -41,7 +40,7 @@ def render_map_text(
     codebook: CodeBook,
     assignment: Assignment,
     row_labels,
-    supplementary=None,
+    supplementary,
     superclassing=None,
 ) -> str:
     """Fixed-width grid of member labels; supplementary rows carry a ``*``
@@ -80,7 +79,7 @@ def render_map_svg(
     codebook: CodeBook,
     assignment: Assignment,
     row_labels,
-    supplementary=None,
+    supplementary,
     superclassing=None,
     modality_table=None,
 ) -> str:

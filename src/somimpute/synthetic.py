@@ -17,24 +17,20 @@ def correlated_clusters(
     n_cols: int = 11,
     n_clusters: int = 3,
     seed: int = 0,
-    cluster_spread: float = 0.35,
-    column_noise: float = 0.4,
 ) -> tuple[DataMatrix, np.ndarray]:
     """Complete matrix driven by one latent factor with cluster structure.
 
-    Every column is a scaled copy of the latent factor plus independent
-    noise, so all inter-column correlations are high (raise them by lowering
-    ``column_noise``).  Returns the matrix and the generating cluster label
-    per row.
+    The factor is the row's cluster center (evenly spaced on [-2, 2]) plus
+    normal noise of sd 0.35.  Every column scales it by a draw from [0.8,
+    1.2] and adds independent normal noise of sd 0.4, so all inter-column
+    correlations are high.  Returns the matrix and the cluster label per row.
     """
     rng = np.random.default_rng(seed)
     centers = np.linspace(-2.0, 2.0, n_clusters)
     labels = np.arange(n_rows) % n_clusters
-    latent = centers[labels] + cluster_spread * rng.standard_normal(n_rows)
+    latent = centers[labels] + 0.35 * rng.standard_normal(n_rows)
     scale = rng.uniform(0.8, 1.2, size=n_cols)
-    values = latent[:, None] * scale[None, :] + column_noise * rng.standard_normal(
-        (n_rows, n_cols)
-    )
+    values = latent[:, None] * scale[None, :] + 0.4 * rng.standard_normal((n_rows, n_cols))
     dm = DataMatrix(
         values,
         np.ones_like(values, dtype=bool),

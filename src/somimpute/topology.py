@@ -40,14 +40,9 @@ class GridTopology:
             raise IndexError(f"coordinates ({row}, {col}) outside {self.rows}x{self.cols} grid")
         return row * self.cols + col
 
-    def coord_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column coordinate of every unit, in unit order."""
-        idx = np.arange(self.n_units)
-        return idx // self.cols, idx % self.cols
-
     def distance_matrix(self) -> np.ndarray:
         """n_units x n_units Chebyshev distances."""
-        rr, cc = self.coord_arrays()
+        rr, cc = np.divmod(np.arange(self.n_units), self.cols)
         return np.maximum(
             np.abs(rr[:, None] - rr[None, :]), np.abs(cc[:, None] - cc[None, :])
         )

@@ -66,7 +66,7 @@ class TrainingSchedule:
         if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        if self.radius_at(self.total_iters - 1) != 0:
+        if self.radius0 > 0 and self.zero_radius_fraction == 0:
             raise ValueError(
                 f"schedule never reaches radius 0: radius0={self.radius0} > 0 needs "
                 "zero_radius_fraction > 0"
@@ -77,20 +77,6 @@ class TrainingSchedule:
         """Length of the shrinking-radius phase; the remainder runs at radius 0."""
         n_zero = int(np.ceil(self.total_iters * self.zero_radius_fraction))
         return self.total_iters - n_zero
-
-    def alpha_at(self, t: int) -> float:
-        if self.total_iters == 1:
-            return self.alpha0
-        frac = t / (self.total_iters - 1)
-        return self.alpha0 + (self.alpha_final - self.alpha0) * frac
-
-    def radius_at(self, t: int) -> int:
-        d = self.decay_iters
-        if t >= d:
-            return 0
-        # ceil(radius0 * (d - t) / d) in exact integer arithmetic
-        num = self.radius0 * (d - t)
-        return (num + d - 1) // d
 
 
 @dataclass(frozen=True)
@@ -112,9 +98,10 @@ def _draw_initial_codes(rng: np.random.Generator, data: DataMatrix, topology: Gr
 
 
 def _schedule_arrays(schedule: TrainingSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """``alpha_at(t)`` and ``radius_at(t)`` for every step ``t``, as two
-    arrays, bit for bit: the same float operations and exact integer
-    arithmetic, applied elementwise."""
+    """Every step's learning rate and radius, as two arrays.  Of ``n`` steps,
+    step ``t`` has rate ``alpha0 + (alpha_final - alpha0) * (t / (n - 1))``
+    (``alpha0`` when ``n == 1``) and radius ``ceil(radius0 * (d - t) / d)``,
+    in exact integers, while ``t < d = decay_iters``, then 0."""
     n = schedule.total_iters
     t = np.arange(n)
     if n == 1:

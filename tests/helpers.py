@@ -51,6 +51,24 @@ def brute_neighbors(rows, cols, u, radius) -> list[int]:
     return [v for v in range(rows * cols) if brute_grid_distance(cols, u, v) <= radius]
 
 
+def alpha_at(schedule, t: int) -> float:
+    """The learning rate of step ``t``, one scalar at a time."""
+    if schedule.total_iters == 1:
+        return schedule.alpha0
+    frac = t / (schedule.total_iters - 1)
+    return schedule.alpha0 + (schedule.alpha_final - schedule.alpha0) * frac
+
+
+def radius_at(schedule, t: int) -> int:
+    """The neighbourhood radius of step ``t``, one scalar at a time."""
+    d = schedule.decay_iters
+    if t >= d:
+        return 0
+    # ceil(radius0 * (d - t) / d) in exact integer arithmetic
+    num = schedule.radius0 * (d - t)
+    return (num + d - 1) // d
+
+
 def reference_train_codes(data, topology, schedule, complete_only=False):
     """Final codes of online training, one plain step at a time.
 
@@ -72,9 +90,9 @@ def reference_train_codes(data, topology, schedule, complete_only=False):
         obs_idx = np.flatnonzero(mask[i])
         x_obs = values[i, obs_idx]
         w = np.argmin(((codes[:, obs_idx] - x_obs) ** 2).sum(axis=1))
-        nb = np.flatnonzero(cheb[w] <= schedule.radius_at(t))[:, None]
+        nb = np.flatnonzero(cheb[w] <= radius_at(schedule, t))[:, None]
         block = codes[nb, obs_idx]
-        codes[nb, obs_idx] = block + schedule.alpha_at(t) * (x_obs - block)
+        codes[nb, obs_idx] = block + alpha_at(schedule, t) * (x_obs - block)
     return codes
 
 

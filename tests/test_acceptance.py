@@ -37,7 +37,8 @@ from somimpute import (
 from somimpute.cli import main
 from somimpute.model_io import write_csv
 from somimpute.synthetic import correlated_clusters, gaussian_blobs, iid_gaussian
-from helpers import best_partition_at_k, brute_winner, estimate, labels_to_partition
+from helpers import (alpha_at, best_partition_at_k, brute_winner, estimate,
+                     labels_to_partition, radius_at)
 
 
 def _ok(n, message):
@@ -68,8 +69,8 @@ def test_criterion_1_masked_trainer_matches_unmasked_reference_bitwise():
         i = int(g.integers(raw.shape[0]))
         x = raw[i]
         w = int(np.argmin(((codes - x) ** 2).sum(axis=1)))
-        nb = np.flatnonzero(cheb[w] <= sched.radius_at(t))
-        a = sched.alpha_at(t)
+        nb = np.flatnonzero(cheb[w] <= radius_at(sched, t))
+        a = alpha_at(sched, t)
         codes[nb] = codes[nb] + a * (x - codes[nb])
 
     assert np.array_equal(fit.codebook.codes, codes), "codebooks differ bitwise"

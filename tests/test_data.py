@@ -71,11 +71,11 @@ class TestDataMatrix:
             DataMatrix.from_nan(np.array([[1.0, bad], [2.0, 3.0]]))
 
     def test_from_nan_roundtrip(self, small_incomplete):
-        again = DataMatrix.from_nan(
-            np.array(small_incomplete.values), small_incomplete.row_labels,
-            small_incomplete.col_names,
-        )
+        again = DataMatrix.from_nan(np.array(small_incomplete.values))
         assert np.array_equal(again.mask, small_incomplete.mask)
+        assert np.array_equal(again.values, small_incomplete.values, equal_nan=True)
+        assert again.row_labels == ("r0", "r1", "r2", "r3")
+        assert again.col_names == ("v0", "v1", "v2")
 
 
 class TestStandardizer:

@@ -164,7 +164,7 @@ def _holed_tables(draw):
 def test_csv_write_read_roundtrip_is_bit_exact(data, marker):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_csv(data, path, missing_marker=marker)
+        write_csv(data, path, (marker,))
         back = read_csv(path, missing_markers=(marker,))
     assert back.row_labels == data.row_labels
     assert back.col_names == data.col_names
@@ -227,9 +227,20 @@ def test_write_csv_refuses_text_read_csv_would_change(tmp_path):
     back = read_csv(path, categorical_col="level")
     assert (back.row_labels, back.col_names, back.categorical) == (("a", "b"), ("x",), ("lo", None))
     # a category is checked against the markers the file is read back with
-    write_csv(marker, path, read_markers=("?",))
+    write_csv(marker, path, ("?",))
     back = read_csv(path, missing_markers=("?",), categorical_col="level")
     assert back.categorical == ("NA", "lo")
+
+
+def test_write_csv_refuses_a_category_equal_to_its_own_marker(tmp_path):
+    # masked cells are written as markers[0] and read back under the same
+    # markers, so a category equal to one of them would come back missing
+    values = np.array([[1.0], [np.nan]])
+    data = DataMatrix(values, ~np.isnan(values), ("a", "b"), ("x",), ("?", "lo"), "level")
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"^row 0, column 'level': category '\?' is a missing"):
+        write_csv(data, path, ("?",))
+    assert not path.exists()
 
 
 @settings(max_examples=80, deadline=None)
@@ -401,6 +412,29 @@ def test_cli_import_loads_no_http_or_xml_modules():
     heavy = [m for m in loaded if m == "urllib.request"
              or m.partition(".")[0] in ("xml", "http", "email", "ssl")]
     assert heavy == []
+
+
+def test_cli_writes_utf8_whatever_the_locale(tmp_path):
+    # read_csv reads UTF-8, so every text output is written as UTF-8 too,
+    # even where the locale's encoding is ASCII and UTF-8 mode is off
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("id,x,y\ncaf\u00e9,1.0,\nr1,2.5,3.0\nr2,0.5,1.5\nr3,3.0,4.0\n",
+                        encoding="utf-8")
+    grid = ["--grid-rows", "1", "--grid-cols", "2", "--iters", "100"]
+    runs = {"train": grid, "impute": ["--n-maps", "2", *grid],
+            "render": ["--model", str(tmp_path / "train" / "model.txt")]}
+    for cmd, extra in runs.items():
+        run = subprocess.run([sys.executable, "-m", "somimpute.cli", cmd, "--input", str(csv_path),
+                              "--output-dir", str(tmp_path / cmd), *extra],
+                             env=env, capture_output=True)
+        assert run.returncode == 0, (cmd, run.stderr)
+    assert read_csv(tmp_path / "impute" / "imputed.csv").row_labels[0] == "caf\u00e9"
+    for name in ("train/assignments.csv", "impute/provenance.csv", "render/map.txt",
+                 "render/map.svg"):
+        assert "caf\u00e9" in (tmp_path / name).read_text(encoding="utf-8"), name
 
 
 def test_render_map_text_golden():

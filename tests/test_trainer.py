@@ -35,9 +35,11 @@ from somimpute.trainer import (
 )
 from conftest import random_incomplete
 from helpers import (
+    alpha_at,
     brute_masked_sq_distance,
     brute_neighbors,
     brute_winner,
+    radius_at,
     reference_train_codes,
 )
 
@@ -61,7 +63,7 @@ def _kernel_runs(codes, topo, data, draws, alpha, radius):
 class TestSchedule:
     def test_alpha_positive_and_non_increasing(self):
         s = TrainingSchedule(total_iters=500, alpha0=0.5, alpha_final=0.01, radius0=3)
-        alphas = [s.alpha_at(t) for t in range(500)]
+        alphas = [alpha_at(s, t) for t in range(500)]
         assert all(a > 0 for a in alphas)
         assert all(a >= b for a, b in zip(alphas, alphas[1:]))
         assert alphas[0] == 0.5
@@ -69,7 +71,7 @@ class TestSchedule:
 
     def test_radius_steps_down_to_zero(self):
         s = TrainingSchedule(total_iters=100, radius0=2, zero_radius_fraction=0.4)
-        radii = [s.radius_at(t) for t in range(100)]
+        radii = [radius_at(s, t) for t in range(100)]
         assert radii[0] == 2
         assert all(isinstance(r, int) for r in radii)
         assert all(a >= b for a, b in zip(radii, radii[1:]))
@@ -79,7 +81,7 @@ class TestSchedule:
 
     def test_equal_plateau_lengths(self):
         s = TrainingSchedule(total_iters=100, radius0=2, zero_radius_fraction=0.4)
-        radii = [s.radius_at(t) for t in range(100)]
+        radii = [radius_at(s, t) for t in range(100)]
         assert radii.count(2) == 30
         assert radii.count(1) == 30
         assert radii.count(0) == 40
@@ -121,7 +123,7 @@ class TestSchedule:
                             TrainingSchedule(**args)
                     else:
                         s = TrainingSchedule(**args)
-                        assert s.radius_at(total_iters - 1) == 0, args
+                        assert radius_at(s, total_iters - 1) == 0, args
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3000), st.integers(0, 40), st.floats(0.001, 0.999),
@@ -137,8 +139,8 @@ class TestSchedule:
         except ValueError:
             assume(False)
         alphas, radii = _schedule_arrays(s)
-        assert alphas.tolist() == [s.alpha_at(t) for t in range(total_iters)]
-        assert radii.tolist() == [s.radius_at(t) for t in range(total_iters)]
+        assert alphas.tolist() == [alpha_at(s, t) for t in range(total_iters)]
+        assert radii.tolist() == [radius_at(s, t) for t in range(total_iters)]
 
 
 class TestInitCodebook:
@@ -285,13 +287,13 @@ class TestTrain:
         cheb = topo.distance_matrix()
         for t in range(sched.total_iters):
             i = int(g.integers(raw.shape[0]))
-            step = np.array([sched.alpha_at(t)]), np.array([sched.radius_at(t)])
+            step = np.array([alpha_at(sched, t)]), np.array([radius_at(sched, t)])
             _online_updates(c3, data.values, data.mask, np.array([i]), *step)
             _lockstep_updates(C, data.values, data.mask, np.array([[i, i]]), *step, cheb)
             x = raw[i]
             w = int(np.argmin(((ref - x) ** 2).sum(axis=1)))
-            nb = np.flatnonzero(cheb[w] <= sched.radius_at(t))
-            ref[nb] = ref[nb] + sched.alpha_at(t) * (x - ref[nb])
+            nb = np.flatnonzero(cheb[w] <= radius_at(sched, t))
+            ref[nb] = ref[nb] + alpha_at(sched, t) * (x - ref[nb])
             assert np.array_equal(c3.reshape(3, -1).T, ref), f"diverged at step {t}"
             assert np.array_equal(C[0].T, ref) and np.array_equal(C[1].T, ref), f"step {t}"
 
@@ -310,7 +312,7 @@ class TestTrain:
             for t in range(sched.total_iters):
                 i = int(pool[g.integers(pool.size)])
                 _online_updates(c3, data.values, data.mask, np.array([i]),
-                                np.array([sched.alpha_at(t)]), np.array([sched.radius_at(t)]))
+                                np.array([alpha_at(sched, t)]), np.array([radius_at(sched, t)]))
             fit = train(data, topo, sched)
             assert np.array_equal(c3.reshape(data.n_cols, -1).T, fit.codebook.codes), f"seed {seed}"
 
