@@ -74,6 +74,8 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zero-radius-fraction", type=float, default=0.4,
                    help="final fraction of iterations at radius 0")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=[m.value for m in TrainingMode],
+                   default=TrainingMode.INCLUDE_INCOMPLETE.value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_grid_flags(p)
     _add_schedule_flags(p)
-    p.add_argument("--mode", choices=[m.value for m in TrainingMode],
-                   default=TrainingMode.INCLUDE_INCOMPLETE.value)
     p.add_argument("--superclasses", type=int, default=None,
                    help="also cut the code vectors into k super-classes")
     p.set_defaults(func=cmd_train)
@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-rows", type=int, default=None)
     p.add_argument("--grid-cols", type=int, default=None)
     _add_schedule_flags(p)
-    p.add_argument("--mode", choices=[m.value for m in TrainingMode],
-                   default=TrainingMode.INCLUDE_INCOMPLETE.value)
     p.add_argument("--fallback", choices=["none", "column-mean"], default="none",
                    help="fill unresolved (all-missing-row) cells with column means")
     p.set_defaults(func=cmd_impute)
@@ -121,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, required=True, help="largest deletions-per-row")
     p.add_argument("--n-maps", type=int, default=1)
     p.add_argument("--repeats", type=int, default=1, help="independent arms averaged per d")
-    p.add_argument("--mode", choices=[m.value for m in TrainingMode],
-                   default=TrainingMode.INCLUDE_INCOMPLETE.value)
     p.add_argument("--deletion-mode", choices=["per-row", "global-mcar"], default="per-row",
                    help="per-row is the reference protocol; global-mcar spreads the "
                         "same cell budget over the whole table")
@@ -144,7 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_markers(args) -> tuple[str, ...]:
     if args.missing_markers is None:
         args.missing_markers = list(DEFAULT_MISSING_MARKERS)
-    return _checked_markers(args.missing_markers)
+    # argv is decoded by the locale (undecodable bytes surrogate-escaped), the CSV as UTF-8
+    decoded = []
+    for m in args.missing_markers:
+        try:
+            decoded.append(m.encode("utf-8", "surrogateescape").decode("utf-8"))
+        except UnicodeError:
+            raise ValueError(f"missing marker {m!r} is not valid UTF-8") from None
+    args.missing_markers = decoded
+    return _checked_markers(decoded)
 
 
 def _outdir(args) -> Path:
@@ -161,10 +165,11 @@ def _write_run_manifest(outdir: Path, args, digests: dict[str, str]) -> None:
     write_manifest(outdir / "manifest.txt", entries)
 
 
-def _schedule_from_args(args, topo: GridTopology) -> TrainingSchedule:
+def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
+    topo = GridTopology(args.grid_rows, args.grid_cols)
     if args.radius0 is None:
         args.radius0 = max(topo.rows, topo.cols) // 2
-    return TrainingSchedule(
+    schedule = TrainingSchedule(
         total_iters=args.iters,
         alpha0=args.alpha0,
         alpha_final=args.alpha_final,
@@ -172,13 +177,12 @@ def _schedule_from_args(args, topo: GridTopology) -> TrainingSchedule:
         zero_radius_fraction=args.zero_radius_fraction,
         rng_seed=args.seed,
     )
+    return topo, schedule, TrainingMode(args.mode)
 
 
 def cmd_train(args) -> int:
     markers = _effective_markers(args)
-    topo = GridTopology(args.grid_rows, args.grid_cols)
-    schedule = _schedule_from_args(args, topo)
-    mode = TrainingMode(args.mode)
+    topo, schedule, mode = _training_args(args)
     if args.superclasses is not None and not 1 <= args.superclasses <= topo.n_units:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
     data = read_csv(args.input, markers, args.label_col, args.categorical_col)
@@ -265,9 +269,7 @@ def cmd_impute(args) -> int:
     else:
         if args.grid_rows is None or args.grid_cols is None:
             raise ValueError("impute without --model needs --grid-rows and --grid-cols")
-        topo = GridTopology(args.grid_rows, args.grid_cols)
-        schedule = _schedule_from_args(args, topo)
-        mode = TrainingMode(args.mode)
+        topo, schedule, mode = _training_args(args)
         if args.n_maps < 1:
             raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
         data = read_csv(args.input, markers, args.label_col, args.categorical_col)
@@ -291,9 +293,7 @@ def cmd_impute(args) -> int:
 
 def cmd_evaluate(args) -> int:
     markers = _effective_markers(args)
-    topo = GridTopology(args.grid_rows, args.grid_cols)
-    schedule = _schedule_from_args(args, topo)
-    mode = TrainingMode(args.mode)
+    topo, schedule, mode = _training_args(args)
     if args.d_min < 1 or args.d_max < args.d_min:
         raise ValueError(f"invalid deletion range [{args.d_min}, {args.d_max}]")
     data = read_csv(args.input, markers, args.label_col, args.categorical_col)
@@ -363,7 +363,12 @@ def cmd_replay(args) -> int:
         if src is not None and run_dir != ".":
             src = manifest[name] = os.path.join(run_dir, src)
         if src is None or not Path(src).exists():
-            raise ValueError(f"replay input {src!r} is missing")
+            hint = ""
+            if ".." in out and src is not None and not os.path.isabs(src):
+                hint = (f"; the manifest's output_dir {manifest['output_dir']!r} climbs with "
+                        "'..', so the original run's directory cannot be recovered from it: "
+                        "replay from the directory that run started in")
+            raise ValueError(f"replay input {src!r} is missing{hint}")
         if sha256_file(src) != digest:
             raise ValueError(f"replay input {src!r} changed since the original run")
     argv: list[str] = [manifest["subcommand"]]

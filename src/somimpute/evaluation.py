@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DataMatrix, fit_standardizer, standardize
-from .imputation import Fills, ImputationReport, _with_fills, impute, impute_ensemble
+from .imputation import Fills, ImputationReport, apply_column_mean_fallback, impute, impute_ensemble
 from .imputation import impute_multi  # unused here; perfbench/tracing.py wraps it
 from .metric import Assignment
 from .topology import GridTopology
@@ -134,9 +134,8 @@ def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
     every filled value is 0 by construction.  No map is involved, so every
     cell's source is ``"column-mean"``.
     """
-    rows, cols = np.nonzero(~data.mask)
-    filled = _with_fills(data, rows, cols, np.nanmean(data.values, axis=0)[cols])
-    return ImputationReport(filled, Fills(rows, cols, np.empty((data.n_rows, 0))))
+    nothing = ImputationReport(data, Fills((), (), np.empty((data.n_rows, 0))))
+    return apply_column_mean_fallback(nothing, data)
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class EvalReport:
     rmse_mean_baseline: dict[int, float]
     n_cells: dict[int, int]
     n_unresolved: dict[int, int]
-    rmse_by_repeat: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    baseline_by_repeat: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    rmse_by_repeat: dict[int, tuple[float, ...]]
+    baseline_by_repeat: dict[int, tuple[float, ...]]
 
 
 def _derive_seed(*parts: int) -> int:

@@ -60,38 +60,28 @@ def ward_dendrogram(points: np.ndarray) -> list[tuple[int, int, float]]:
     ids = list(range(m))
     sizes = np.ones(m)
     means = pts.copy()
-    min_member = list(range(m))
     merges: list[tuple[int, int, float]] = []
     next_id = m
     active = list(range(m))  # indices into ids/sizes/means rows
+    lower = np.tri(m, dtype=bool)  # the diagonal and below: each pair once, as a < b
 
     while len(active) > 1:
+        n = len(active)
         sub_sizes = sizes[active]
         sub_means = means[active]
         diff = sub_means[:, None, :] - sub_means[None, :, :]
         sq = (diff**2).sum(axis=-1)
         weight = sub_sizes[:, None] * sub_sizes[None, :] / (sub_sizes[:, None] + sub_sizes[None, :])
         cost = weight * sq
-        np.fill_diagonal(cost, np.inf)
-        cmin = cost.min()
-        tie_i, tie_j = np.nonzero(cost == cmin)
-        best = None
-        for a, b in zip(tie_i.tolist(), tie_j.tolist()):
-            if a >= b:
-                continue
-            ia, ib = active[a], active[b]
-            key = tuple(sorted((min_member[ia], min_member[ib])))
-            if best is None or key < best[0]:
-                best = (key, a, b)
-        _, a, b = best
+        cost[lower[:n, :n]] = np.inf
+        # a merge keeps the lower slot, so each slot is its cluster's smallest member and
+        # ``active`` ascends: the first minimum in row-major order breaks ties as documented
+        a, b = divmod(int(cost.argmin()), n)
         ia, ib = active[a], active[b]
-        left, right = (ia, ib) if min_member[ia] <= min_member[ib] else (ib, ia)
-        merges.append((ids[left], ids[right], float(cmin)))
-        # merged cluster replaces the left slot, right slot retires
+        merges.append((ids[ia], ids[ib], float(cost[a, b])))
         total = sizes[ia] + sizes[ib]
         means[ia] = (sizes[ia] * means[ia] + sizes[ib] * means[ib]) / total
         sizes[ia] = total
-        min_member[ia] = min(min_member[ia], min_member[ib])
         ids[ia] = next_id
         next_id += 1
         active.remove(ib)
@@ -120,11 +110,8 @@ def cut_dendrogram(merges: list[tuple[int, int, float]], n_leaves: int, k: int) 
 
 def hierarchical_codes(codebook: CodeBook, k: int) -> SuperClassing:
     """Group the code vectors into ``k`` super-classes."""
-    n = codebook.n_units
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
     merges = ward_dendrogram(codebook.codes)
-    labels = cut_dendrogram(merges, n, k)
+    labels = cut_dendrogram(merges, codebook.n_units, k)
     return SuperClassing(labels, tuple(merges), k)
 
 

@@ -12,6 +12,14 @@ import numpy as np
 from .data import DataMatrix
 
 
+def _complete(values: np.ndarray) -> DataMatrix:
+    """``values`` all observed, rows labelled ``row000...``, columns ``v00...``."""
+    n_rows, n_cols = values.shape
+    return DataMatrix(values, np.ones_like(values, dtype=bool),
+                      tuple(f"row{i:03d}" for i in range(n_rows)),
+                      tuple(f"v{k:02d}" for k in range(n_cols)))
+
+
 def correlated_clusters(
     n_rows: int = 24,
     n_cols: int = 11,
@@ -31,13 +39,7 @@ def correlated_clusters(
     latent = centers[labels] + 0.35 * rng.standard_normal(n_rows)
     scale = rng.uniform(0.8, 1.2, size=n_cols)
     values = latent[:, None] * scale[None, :] + 0.4 * rng.standard_normal((n_rows, n_cols))
-    dm = DataMatrix(
-        values,
-        np.ones_like(values, dtype=bool),
-        tuple(f"row{i:03d}" for i in range(n_rows)),
-        tuple(f"v{k:02d}" for k in range(n_cols)),
-    )
-    return dm, labels
+    return _complete(values), labels
 
 
 def gaussian_blobs(
@@ -52,22 +54,10 @@ def gaussian_blobs(
     n_clusters, p = centers.shape
     labels = np.repeat(np.arange(n_clusters), n_per_cluster)
     values = centers[labels] + noise * rng.standard_normal((labels.size, p))
-    dm = DataMatrix(
-        values,
-        np.ones_like(values, dtype=bool),
-        tuple(f"row{i:03d}" for i in range(labels.size)),
-        tuple(f"v{k:02d}" for k in range(p)),
-    )
-    return dm, labels
+    return _complete(values), labels
 
 
 def iid_gaussian(n_rows: int, n_cols: int, seed: int = 0) -> DataMatrix:
     """Independent standard normal cells; the uncorrelated control case."""
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n_rows, n_cols))
-    return DataMatrix(
-        values,
-        np.ones_like(values, dtype=bool),
-        tuple(f"row{i:03d}" for i in range(n_rows)),
-        tuple(f"v{k:02d}" for k in range(n_cols)),
-    )
+    return _complete(rng.standard_normal((n_rows, n_cols)))

@@ -96,6 +96,58 @@ def reference_train_codes(data, topology, schedule, complete_only=False):
     return codes
 
 
+def reference_ward_dendrogram(points: np.ndarray) -> list[tuple[int, int, float]]:
+    """Full agglomerative merge sequence of ``points`` under Ward cost.
+
+    Returns ``len(points) - 1`` merges ``(left_id, right_id, height)`` where
+    ids follow the scipy convention and left/right are ordered by smallest
+    member index.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("points must be a nonempty 2-D array")
+    m = pts.shape[0]
+    ids = list(range(m))
+    sizes = np.ones(m)
+    means = pts.copy()
+    min_member = list(range(m))
+    merges: list[tuple[int, int, float]] = []
+    next_id = m
+    active = list(range(m))  # indices into ids/sizes/means rows
+
+    while len(active) > 1:
+        sub_sizes = sizes[active]
+        sub_means = means[active]
+        diff = sub_means[:, None, :] - sub_means[None, :, :]
+        sq = (diff**2).sum(axis=-1)
+        weight = sub_sizes[:, None] * sub_sizes[None, :] / (sub_sizes[:, None] + sub_sizes[None, :])
+        cost = weight * sq
+        np.fill_diagonal(cost, np.inf)
+        cmin = cost.min()
+        tie_i, tie_j = np.nonzero(cost == cmin)
+        best = None
+        for a, b in zip(tie_i.tolist(), tie_j.tolist()):
+            if a >= b:
+                continue
+            ia, ib = active[a], active[b]
+            key = tuple(sorted((min_member[ia], min_member[ib])))
+            if best is None or key < best[0]:
+                best = (key, a, b)
+        _, a, b = best
+        ia, ib = active[a], active[b]
+        left, right = (ia, ib) if min_member[ia] <= min_member[ib] else (ib, ia)
+        merges.append((ids[left], ids[right], float(cmin)))
+        # merged cluster replaces the left slot, right slot retires
+        total = sizes[ia] + sizes[ib]
+        means[ia] = (sizes[ia] * means[ia] + sizes[ib] * means[ib]) / total
+        sizes[ia] = total
+        min_member[ia] = min(min_member[ia], min_member[ib])
+        ids[ia] = next_id
+        next_id += 1
+        active.remove(ib)
+    return merges
+
+
 def set_partitions(items):
     """All partitions of ``items`` into nonempty blocks."""
     items = list(items)

@@ -437,6 +437,38 @@ def test_cli_writes_utf8_whatever_the_locale(tmp_path):
         assert "caf\u00e9" in (tmp_path / name).read_text(encoding="utf-8"), name
 
 
+def test_non_ascii_missing_marker_matches_whatever_the_locale(tmp_path):
+    # under an ASCII locale with UTF-8 mode off, argv arrives surrogate-escaped
+    # while read_csv decodes the file as UTF-8; the marker must still match,
+    # and the manifest, and so its replay, must hold the decoded marker
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("id,x,y\nr0,1.0,\u00e9\nr1,2.5,3.0\nr2,\u00e9,1.5\nr3,3.0,4.0\n",
+                        encoding="utf-8")
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "somimpute.cli", *argv],
+                              env=env, capture_output=True)
+
+    imp = ["impute", "--input", str(csv_path), "--n-maps", "2", "--grid-rows", "1",
+           "--grid-cols", "2", "--iters", "100", "--seed", "1"]
+    run = cli(*imp, "--output-dir", str(tmp_path / "out"), "--missing-marker", b"\xc3\xa9")
+    assert run.returncode == 0, run.stderr
+    assert read_manifest(tmp_path / "out" / "manifest.txt")["missing_markers"] == ["\u00e9"]
+    assert read_csv(tmp_path / "out" / "imputed.csv").mask.all()
+    run = cli("replay", "--manifest", str(tmp_path / "out" / "manifest.txt"),
+              "--output-dir", str(tmp_path / "redo"))
+    assert run.returncode == 0, run.stderr
+    assert ((tmp_path / "out" / "imputed.csv").read_bytes()
+            == (tmp_path / "redo" / "imputed.csv").read_bytes())
+    run = cli(*imp, "--output-dir", str(tmp_path / "bad"), "--missing-marker", b"\xff")
+    assert run.returncode == 2
+    assert b"is not valid UTF-8" in run.stderr
+    assert not (tmp_path / "bad").exists()
+
+
 def test_render_map_text_golden():
     cb = CodeBook(np.array([[0.0], [1.0]]), GridTopology(1, 2), ("x",))
     asg = Assignment(np.array([0, 0, -1]), np.array([0.0, 0.1, np.nan]), 2)
@@ -925,6 +957,22 @@ class TestReplay:
             for name in names:
                 assert ((tmp_path / run / name).read_bytes()
                         == (tmp_path / redo / name).read_bytes()), (redo, name)
+
+    def test_replay_names_a_climbing_output_dir(self, tmp_path, monkeypatch, capsys):
+        # output_dir "../out" does not say which directory the run started
+        # in, so a relative input cannot be placed from anywhere else
+        (tmp_path / "sub").mkdir()
+        _write_training_csv(tmp_path / "t.csv")
+        monkeypatch.chdir(tmp_path / "sub")
+        assert main(_train_args("../t.csv", "../out")) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["replay", "--manifest", "out/manifest.txt", "--output-dir", "redo"]) == 2
+        err = capsys.readouterr().err
+        assert "replay input '../t.csv' is missing" in err
+        assert "original run's directory cannot be recovered" in err
+        assert "replay from the directory that run started in" in err
+        assert not (tmp_path / "redo").exists()
 
     def test_replay_detects_changed_input(self, tmp_path):
         csv_path = tmp_path / "data.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from somimpute import (
@@ -11,7 +13,7 @@ from somimpute import (
     ward_dendrogram,
 )
 from somimpute.superclass import UNLABELED, cut_dendrogram
-from helpers import best_partition_at_k, labels_to_partition
+from helpers import best_partition_at_k, labels_to_partition, reference_ward_dendrogram
 
 
 def _codebook(codes):
@@ -89,6 +91,25 @@ def test_equal_merge_costs_break_to_smallest_unit_pair():
     sc = hierarchical_codes(cb, 3)
     left, right, _ = sc.dendrogram[0]
     assert (left, right) == (0, 1)
+
+
+@st.composite
+def _tie_heavy_points(draw):
+    """1-12 points in 1-3 dimensions, drawn with repeats from a few points
+    on the integer grid {0, 1, 2}^p, so equal merge costs abound."""
+    m = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 3))
+    grid = st.lists(st.integers(0, 2), min_size=p, max_size=p)
+    base = draw(st.lists(grid, min_size=1, max_size=m))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=m, max_size=m))
+    return np.array([base[i] for i in picks], dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_points())
+def test_merges_equal_the_reference_on_tie_heavy_points(points):
+    # ids and heights compared exactly, ties included
+    assert ward_dendrogram(points) == reference_ward_dendrogram(points)
 
 
 def test_agrees_with_scipy_ward_partitions():
