@@ -14,13 +14,14 @@ exercise training with missing values.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from somimpute import DataMatrix, MaskingPlan, mask_random
+from somimpute import MaskingPlan, mask_random
 from somimpute.model_io import write_csv
 from somimpute.synthetic import correlated_clusters, gaussian_blobs, iid_gaussian
 
@@ -45,8 +46,8 @@ def main() -> int:
         centers = rng.uniform(-1.0, 1.0, size=(args.clusters, args.cols)) * 10.0
         per = max(1, args.rows // args.clusters)
         data, labels = gaussian_blobs(centers, per, noise=1.0, seed=args.seed)
-        data = DataMatrix(data.values, data.mask, data.row_labels, data.col_names,
-                          tuple(f"cluster{g}" for g in labels), "cluster")
+        data = replace(data, categorical=tuple(f"cluster{g}" for g in labels),
+                       categorical_name="cluster")
     else:
         data = iid_gaussian(args.rows, args.cols, args.seed)
 

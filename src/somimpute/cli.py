@@ -157,11 +157,16 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_run_manifest(outdir: Path, args, digests: dict[str, str]) -> None:
+# the flags that name files a run reads; the manifest records a digest of each
+_INPUT_FLAGS = ("input", "model")
+
+
+def _write_run_manifest(outdir: Path, args) -> None:
     entries = {k: v for k, v in vars(args).items() if k != "func"}
     entries["tool_version"] = __version__
-    for name, path in digests.items():
-        entries[f"{name}_sha256"] = sha256_file(path)
+    for name in _INPUT_FLAGS:
+        if getattr(args, name, None) is not None:
+            entries[f"{name}_sha256"] = sha256_file(getattr(args, name))
     write_manifest(outdir / "manifest.txt", entries)
 
 
@@ -180,14 +185,36 @@ def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
     return topo, schedule, TrainingMode(args.mode)
 
 
+def _read_input(args, markers, model: SomModel | None = None):
+    """``(data, params, std)``: the input CSV, standardized once with the
+    model's parameters, after its numeric columns are checked to be the
+    model's by name and in order (the error names the first position that
+    differs), or with parameters fitted on the table when there is no model."""
+    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+    if model is None:
+        params = fit_standardizer(data)
+    else:
+        got, expected = data.col_names, model.codebook.col_names
+        if got != expected:
+            k = next(
+                (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+                min(len(got), len(expected)),
+            )
+            seen = repr(got[k]) if k < len(got) else "missing"
+            want = repr(expected[k]) if k < len(expected) else "no column"
+            raise ValueError(
+                f"{args.input}: numeric column {k + 1} is {seen}, the model has {want} there"
+            )
+        params = model.standardizer
+    return data, params, standardize(data, params)
+
+
 def cmd_train(args) -> int:
     markers = _effective_markers(args)
     topo, schedule, mode = _training_args(args)
     if args.superclasses is not None and not 1 <= args.superclasses <= topo.n_units:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
-    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
-    params = fit_standardizer(data)
-    std = standardize(data, params)
+    data, params, std = _read_input(args, markers)
     result = train(std, topo, schedule, mode)
     outdir = _outdir(args)
     save_model(SomModel(result.codebook, params, schedule, mode), outdir / "model.txt")
@@ -209,40 +236,20 @@ def cmd_train(args) -> int:
             "training and flagged unclassifiable",
             file=sys.stderr,
         )
-    _write_run_manifest(outdir, args, {"input": args.input})
+    _write_run_manifest(outdir, args)
     return 0
-
-
-def _read_model_columns(args, markers, model: SomModel):
-    """Read the input CSV and require its numeric columns to be the model's,
-    by name and in order; the error names the first position that differs."""
-    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
-    got, expected = data.col_names, model.codebook.col_names
-    if got != expected:
-        k = next(
-            (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
-            min(len(got), len(expected)),
-        )
-        seen = repr(got[k]) if k < len(got) else "missing"
-        want = repr(expected[k]) if k < len(expected) else "no column"
-        raise ValueError(
-            f"{args.input}: numeric column {k + 1} is {seen}, the model has {want} there"
-        )
-    return data
 
 
 def cmd_classify(args) -> int:
     markers = _effective_markers(args)
     model = load_model(args.model)
-    data = _read_model_columns(args, markers, model)
-    assignment = classify_supplementary(
-        model.codebook, standardize(data, model.standardizer)
-    )
+    data, _, std = _read_input(args, markers, model)
+    assignment = classify_supplementary(model.codebook, std)
     outdir = _outdir(args)
     write_assignment_csv(
         outdir / "assignments.csv", data.row_labels, assignment, model.codebook.topology
     )
-    _write_run_manifest(outdir, args, {"input": args.input, "model": args.model})
+    _write_run_manifest(outdir, args)
     return 0
 
 
@@ -257,29 +264,25 @@ def _destandardized_report(report: ImputationReport, data, params) -> Imputation
 
 def cmd_impute(args) -> int:
     markers = _effective_markers(args)
-    digests = {"input": args.input}
+    model = None
     if args.model is not None:
         if args.n_maps != 1:
             raise ValueError("--n-maps > 1 trains its own maps; it cannot be combined with --model")
         model = load_model(args.model)
-        data = _read_model_columns(args, markers, model)
-        params = model.standardizer
-        report = impute(model.codebook, standardize(data, params))
-        digests["model"] = args.model
     else:
         if args.grid_rows is None or args.grid_cols is None:
             raise ValueError("impute without --model needs --grid-rows and --grid-cols")
         topo, schedule, mode = _training_args(args)
         if args.n_maps < 1:
             raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
-        data = read_csv(args.input, markers, args.label_col, args.categorical_col)
-        params = fit_standardizer(data)
-        report = impute_multi(
-            standardize(data, params), topo, schedule, args.n_maps,
-            base_seed=args.seed, mode=mode,
-        )
+    data, params, std = _read_input(args, markers, model)
+    if model is not None:
+        report = impute(model.codebook, std)
+    else:
+        report = impute_multi(std, topo, schedule, args.n_maps, base_seed=args.seed, mode=mode)
     if args.fallback == "column-mean":
-        report = apply_column_mean_fallback(report, standardize(data, params))
+        report = apply_column_mean_fallback(report, std)
+    del std  # one standardized copy of the table fewer while the outputs are written
     out_report = _destandardized_report(report, data, params)
     outdir = _outdir(args)
     # missing cells as the first marker, so that the file reads back under --missing-marker
@@ -287,7 +290,7 @@ def cmd_impute(args) -> int:
     write_provenance_csv(
         outdir / "provenance.csv", out_report, data.row_labels, data.col_names
     )
-    _write_run_manifest(outdir, args, digests)
+    _write_run_manifest(outdir, args)
     return 0
 
 
@@ -307,15 +310,14 @@ def cmd_evaluate(args) -> int:
     outdir = _outdir(args)
     write_eval_csv(outdir / "eval.csv", report)
     (outdir / "curve.svg").write_text(render_curve_svg(report), encoding="utf-8")
-    _write_run_manifest(outdir, args, {"input": args.input})
+    _write_run_manifest(outdir, args)
     return 0
 
 
 def cmd_render(args) -> int:
     markers = _effective_markers(args)
     model = load_model(args.model)
-    data = _read_model_columns(args, markers, model)
-    std = standardize(data, model.standardizer)
+    data, _, std = _read_input(args, markers, model)
     assignment = classify_supplementary(model.codebook, std)
     supplementary = ~pool_mask(std, model.mode) & (assignment.units >= 0)
     sc = None
@@ -335,7 +337,7 @@ def cmd_render(args) -> int:
         ),
         encoding="utf-8",
     )
-    _write_run_manifest(outdir, args, {"input": args.input, "model": args.model})
+    _write_run_manifest(outdir, args)
     return 0
 
 
@@ -392,6 +394,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in _INPUT_FLAGS:
+            path = getattr(args, name, None)
+            if path is not None and os.path.exists(path) and not os.path.isfile(path):
+                raise ValueError(f"--{name} {path!r} is not a regular file: the manifest "
+                                 "records its digest, and replay reads it again")
         return args.func(args)
     except (ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

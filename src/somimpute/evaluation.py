@@ -164,11 +164,9 @@ def _masked_arm(
     masked, ledger = mask_random(
         data, MaskingPlan(d, _derive_seed(seed, d, rep, 0), global_mcar=global_mcar)
     )
-    params = fit_standardizer(masked)
-    std_masked = standardize(masked, params)
-    _, cols = _ledger_index(ledger)
-    std_truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
-    return std_masked, MaskingLedger(ledger.cells, std_truth)
+    std = standardize(data, fit_standardizer(masked))
+    truths = std.values[_ledger_index(ledger)]
+    return std.with_cells(std.values, masked.mask), MaskingLedger(ledger.cells, truths)
 
 
 def deletion_curve(

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
@@ -45,10 +45,9 @@ def _records(path: Path):
             line = reader.line_num + 1
 
 
-def _first_bad_cell(path, header, numeric_idx, markers) -> ValueError:
-    """The error for the first bad record or cell in row-major order."""
-    records = _records(path)
-    next(records)
+def _first_bad_cell(path, records, header, numeric_idx, markers) -> ValueError:
+    """The error for the first bad record or cell in row-major order, from
+    the ``(line, row)`` data records already read (a pipe cannot be re-read)."""
     for line, row in records:
         if len(row) != len(header):
             return ValueError(
@@ -97,10 +96,11 @@ def read_csv(
     """
     markers = set(_checked_markers(missing_markers))
     path = Path(path)
-    rows = [row for _, row in _records(path)]
-    if len(rows) < 2:
+    records = list(_records(path))
+    if len(records) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows.pop(0)]
+    header = [h.strip() for h in records.pop(0)[1]]
+    rows = [row for _, row in records]
     if label_col is None:
         label_idx = 0
     else:
@@ -123,7 +123,7 @@ def read_csv(
             raise ValueError(f"{path}: duplicate column name {name!r}")
 
     if any(len(row) != len(header) for row in rows):
-        raise _first_bad_cell(path, header, numeric_idx, markers)
+        raise _first_bad_cell(path, records, header, numeric_idx, markers)
     values = np.full((len(rows), len(numeric_idx)), np.nan)
     mask = np.empty(values.shape, dtype=bool)
     for out_k, j in enumerate(numeric_idx):
@@ -133,9 +133,9 @@ def read_csv(
         try:
             col = np.fromiter(map(float, compress(cells, observed.tolist())), dtype=float)
         except ValueError:
-            raise _first_bad_cell(path, header, numeric_idx, markers) from None
+            raise _first_bad_cell(path, records, header, numeric_idx, markers) from None
         if not np.isfinite(col).all():
-            raise _first_bad_cell(path, header, numeric_idx, markers)
+            raise _first_bad_cell(path, records, header, numeric_idx, markers)
         values[mask[:, out_k], out_k] = col
     labels = tuple(row[label_idx].strip() for row in rows)
     cats = None
@@ -237,8 +237,8 @@ def save_model(model: SomModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_SCHEDULE_FIELDS = {"total_iters": int, "alpha0": float, "alpha_final": float,
-                    "radius0": int, "zero_radius_fraction": float, "rng_seed": int}
+# every schedule field, so that none can be left out of the file and reset on load
+_SCHEDULE_FIELDS = {f.name: type(f.default) for f in fields(TrainingSchedule)}
 
 
 def load_model(path) -> SomModel:

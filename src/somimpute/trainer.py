@@ -384,7 +384,6 @@ def forgy_train(
     n_classes: int,
     max_iters: int = 100,
     seed: int = 0,
-    initial_codes: np.ndarray | None = None,
 ) -> ForgyResult:
     """Batch clustering tolerant of missing cells.
 
@@ -394,8 +393,8 @@ def forgy_train(
     member observes (or an empty class) keeps its previous value.  Stops at
     an assignment fixpoint or after ``max_iters`` update rounds.
 
-    Default initialization: ``n_classes`` distinct classifiable rows drawn
-    with ``default_rng(seed)``, their missing components completed by the
+    Initialization: ``n_classes`` distinct classifiable rows drawn with
+    ``default_rng(seed)``, their missing components completed by the
     per-column observed means.
     """
     if n_classes < 1:
@@ -403,21 +402,12 @@ def forgy_train(
     classifiable = np.flatnonzero(data.mask.any(axis=1))
     if classifiable.size == 0:
         raise ValueError("no classifiable rows: every row is entirely missing")
-    col_means = np.nanmean(data.values, axis=0)
-    if initial_codes is None:
-        if n_classes > classifiable.size:
-            raise ValueError(
-                f"n_classes={n_classes} exceeds the {classifiable.size} classifiable rows"
-            )
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(classifiable, size=n_classes, replace=False)
-        cents = np.where(data.mask[chosen], data.values[chosen], col_means)
-    else:
-        cents = np.array(initial_codes, dtype=float)
-        if cents.shape != (n_classes, data.n_cols):
-            raise ValueError(
-                f"initial_codes must have shape ({n_classes}, {data.n_cols}), got {cents.shape}"
-            )
+    if n_classes > classifiable.size:
+        raise ValueError(
+            f"n_classes={n_classes} exceeds the {classifiable.size} classifiable rows"
+        )
+    chosen = np.random.default_rng(seed).choice(classifiable, size=n_classes, replace=False)
+    cents = np.where(data.mask[chosen], data.values[chosen], np.nanmean(data.values, axis=0))
 
     observed = np.where(data.mask, data.values, 0.0)
     asg = assign(cents, data.values, data.mask)

@@ -145,6 +145,22 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="line 2 has 3 fields"):
             read_csv(path)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    @pytest.mark.parametrize("text, message", [
+        ("id,x\nr1,1\nr2,abc\n", "line 3, column 'x': cannot parse 'abc'"),
+        ("id,x\nr1,1\nr2,1,2\n", "line 3 has 3 fields, header has 2"),
+    ], ids=["unparseable", "ragged"])
+    def test_bad_cell_in_a_pipe_is_located(self, text, message):
+        # a pipe can be read only once: the error must come from that one read
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
 
 @st.composite
 def _holed_tables(draw):
@@ -467,6 +483,37 @@ def test_non_ascii_missing_marker_matches_whatever_the_locale(tmp_path):
     assert run.returncode == 2
     assert b"is not valid UTF-8" in run.stderr
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+@pytest.mark.parametrize("flag", ["--input", "--model"])
+def test_piped_input_or_model_is_refused_before_any_output(tmp_path, flag):
+    # the manifest records a digest of every input and replay reads it again,
+    # so an input that is not a regular file (here a pipe) is refused
+    csv_path = tmp_path / "data.csv"
+    _write_training_csv(csv_path)
+    assert main(_train_args(csv_path, tmp_path / "run")) == 0
+    model_path = tmp_path / "run" / "model.txt"
+    piped = (csv_path if flag == "--input" else model_path).read_bytes()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    r, w = os.pipe()
+    os.write(w, piped)
+    os.close(w)
+    paths = {"--input": str(csv_path), "--model": str(model_path), flag: f"/dev/fd/{r}"}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "somimpute.cli", "classify", "--output-dir",
+             str(tmp_path / "out"), "--categorical-col", "level",
+             "--input", paths["--input"], "--model", paths["--model"]],
+            env=env, capture_output=True, pass_fds=(r,),
+        )
+    finally:
+        os.close(r)
+    assert run.returncode == 2, run.stderr
+    assert f"error: {flag} '/dev/fd/{r}' is not a regular file".encode() in run.stderr
+    assert b"replay reads it again" in run.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_map_text_golden():

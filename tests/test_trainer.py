@@ -714,15 +714,29 @@ class TestClassifySupplementary:
             classify_supplementary(cb, small_incomplete)
 
 
+@st.composite
+def _forgy_tables(draw):
+    """Small tables with scattered holes, possibly whole-row ones; every
+    column keeps an observed value."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 3))
+    cell = st.floats(-100, 100, allow_nan=False)
+    values = np.array(draw(st.lists(cell, min_size=n * p, max_size=n * p))).reshape(n, p)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))).reshape(n, p)
+    mask[0, ~mask.any(axis=0)] = True
+    return DataMatrix(values, mask, tuple(f"r{i}" for i in range(n)),
+                      tuple(f"c{j}" for j in range(p)))
+
+
 class TestForgy:
     def test_complete_data_matches_classical_lloyd(self):
         rng = np.random.default_rng(6)
         values = np.vstack([rng.normal(0, 1, (20, 3)), rng.normal(8, 1, (20, 3))])
         data = DataMatrix.from_nan(values)
-        init = values[[0, 20]].copy()
-        res = forgy_train(data, 2, max_iters=50, seed=0, initial_codes=init)
+        res = forgy_train(data, 2, max_iters=50, seed=0)
 
-        # plain Lloyd reference
+        # plain Lloyd reference, started from the rows forgy_train draws
+        init = values[np.random.default_rng(0).choice(np.arange(40), 2, replace=False)]
         cents = init.copy()
         for _ in range(50):
             d = ((values[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
@@ -735,14 +749,31 @@ class TestForgy:
         d = ((values[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(res.assignment.units, d.argmin(axis=1))
 
-    def test_unobserved_component_keeps_previous_value(self):
-        values = np.array([[0.0, np.nan], [10.0, 5.0]])
-        data = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
-        init = np.array([[0.0, 7.0], [10.0, 7.0]])
-        res = forgy_train(data, 2, max_iters=5, seed=0, initial_codes=init)
-        assert res.converged
-        assert res.centroids.codes[0, 1] == 7.0  # no observer for component y in class 0
-        assert res.centroids.codes[1, 1] == 5.0
+    @settings(max_examples=150, deadline=None)
+    @given(data=_forgy_tables(), n_classes=st.integers(1, 4), k=st.integers(0, 4),
+           seed=st.integers(0, 2**16))
+    @example(data=DataMatrix(np.array([[0.0, np.nan], [10.0, 5.0]]),
+                             np.array([[True, False], [True, True]]), ("a", "b"), ("x", "y")),
+             n_classes=2, k=0, seed=0)
+    def test_unobserved_component_keeps_previous_value(self, data, n_classes, k, seed):
+        # one more round from the k-round result: each (class, component) that
+        # no member of the class observes keeps its value bit for bit, every
+        # other one becomes the mean of its members' observed values, summed
+        # in row order
+        assume(n_classes <= int(data.mask.any(axis=1).sum()))
+        before = forgy_train(data, n_classes, max_iters=k, seed=seed)
+        after = forgy_train(data, n_classes, max_iters=k + 1, seed=seed)
+        for c in range(n_classes):
+            members = before.assignment.units == c
+            for j in range(data.n_cols):
+                observed = data.values[members & data.mask[:, j], j]
+                if observed.size == 0:
+                    assert after.centroids.codes[c, j] == before.centroids.codes[c, j]
+                    continue
+                total = 0.0
+                for v in observed:
+                    total += v
+                assert after.centroids.codes[c, j] == total / observed.size
 
     def test_two_point_clusters_recover_exact_means(self):
         a, b = np.array([1.0, 2.0]), np.array([10.0, 20.0])
