@@ -157,16 +157,14 @@ def _outdir(args) -> Path:
     return out
 
 
-# the flags that name files a run reads; the manifest records a digest of each
+# the flags that name files a run reads; main digests each into args before
+# the run, and the manifest records the digests
 _INPUT_FLAGS = ("input", "model")
 
 
 def _write_run_manifest(outdir: Path, args) -> None:
     entries = {k: v for k, v in vars(args).items() if k != "func"}
     entries["tool_version"] = __version__
-    for name in _INPUT_FLAGS:
-        if getattr(args, name, None) is not None:
-            entries[f"{name}_sha256"] = sha256_file(getattr(args, name))
     write_manifest(outdir / "manifest.txt", entries)
 
 
@@ -396,9 +394,13 @@ def main(argv=None) -> int:
     try:
         for name in _INPUT_FLAGS:
             path = getattr(args, name, None)
-            if path is not None and os.path.exists(path) and not os.path.isfile(path):
+            if path is None or not os.path.exists(path):
+                continue  # the run's own read names a missing file
+            if not os.path.isfile(path):
                 raise ValueError(f"--{name} {path!r} is not a regular file: the manifest "
                                  "records its digest, and replay reads it again")
+            # digested before the run, whose outputs may overwrite an input
+            setattr(args, f"{name}_sha256", sha256_file(path))
         return args.func(args)
     except (ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,11 @@ class Fills:
     def source(self) -> np.ndarray:
         """How each cell was filled: ``"codebook"`` where a map has a winner
         for its row, else ``"column-mean"``."""
-        from_map = (self.winners >= 0).any(axis=1)[self.rows]
+        return self.source_of(slice(None))
+
+    def source_of(self, cells: slice) -> np.ndarray:
+        """:attr:`source` of the cells that ``cells`` selects only."""
+        from_map = (self.winners[self.rows[cells]] >= 0).any(axis=1)
         return np.where(from_map, "codebook", "column-mean")
 
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,21 +33,26 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _records(path: Path):
-    """Yield each non-blank CSV record with the physical line it starts on;
-    a UTF-8 byte order mark is dropped."""
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        line = 1
-        for row in reader:
-            if row:
-                yield line, row
-            line = reader.line_num + 1
+# rows per block: the reader parses, and the table writers format, one block
+# of records at a time, so that at most one block of CSV text is alive
+_BLOCK_ROWS = 4096
+
+
+def _records(fh):
+    """Yield each non-blank CSV record of the open file ``fh`` with the
+    physical line it starts on."""
+    reader = csv.reader(fh)
+    line = 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
 
 
 def _first_bad_cell(path, records, header, numeric_idx, markers) -> ValueError:
     """The error for the first bad record or cell in row-major order, from
-    the ``(line, row)`` data records already read (a pipe cannot be re-read)."""
+    one block of ``(line, row)`` data records already read (a pipe cannot be
+    re-read).  Every earlier block has passed, so it is the file's first."""
     for line, row in records:
         if len(row) != len(header):
             return ValueError(
@@ -93,55 +98,70 @@ def read_csv(
     is refused) are masked, everything else must parse as a finite decimal.
     Blank lines are skipped (messages keep physical line numbers) and a
     UTF-8 byte order mark is ignored.  Numeric column names must be unique.
+    Records are parsed ``_BLOCK_ROWS`` at a time, so that beyond the table
+    itself only one block of text is held.
     """
     markers = set(_checked_markers(missing_markers))
     path = Path(path)
-    records = list(_records(path))
-    if len(records) < 2:
-        raise ValueError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in records.pop(0)[1]]
-    rows = [row for _, row in records]
-    if label_col is None:
-        label_idx = 0
-    else:
-        if label_col not in header:
-            raise ValueError(f"{path}: label column {label_col!r} not in header")
-        label_idx = header.index(label_col)
-    cat_idx = None
-    if categorical_col is not None:
-        if categorical_col not in header:
-            raise ValueError(f"{path}: categorical column {categorical_col!r} not in header")
-        cat_idx = header.index(categorical_col)
-        if cat_idx == label_idx:
-            raise ValueError(f"{path}: categorical column cannot be the label column")
-    numeric_idx = [j for j in range(len(header)) if j != label_idx and j != cat_idx]
-    if not numeric_idx:
-        raise ValueError(f"{path}: no numeric columns")
-    names = [header[j] for j in numeric_idx]
-    for k, name in enumerate(names):
-        if name in names[:k]:
-            raise ValueError(f"{path}: duplicate column name {name!r}")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        records = _records(fh)
+        first = next(records, None)
+        block = list(islice(records, _BLOCK_ROWS))
+        if not block:
+            raise ValueError(f"{path}: need a header row and at least one data row")
+        header = [h.strip() for h in first[1]]
+        if label_col is None:
+            label_idx = 0
+        else:
+            if label_col not in header:
+                raise ValueError(f"{path}: label column {label_col!r} not in header")
+            label_idx = header.index(label_col)
+        cat_idx = None
+        if categorical_col is not None:
+            if categorical_col not in header:
+                raise ValueError(f"{path}: categorical column {categorical_col!r} not in header")
+            cat_idx = header.index(categorical_col)
+            if cat_idx == label_idx:
+                raise ValueError(f"{path}: categorical column cannot be the label column")
+        numeric_idx = [j for j in range(len(header)) if j != label_idx and j != cat_idx]
+        if not numeric_idx:
+            raise ValueError(f"{path}: no numeric columns")
+        names = [header[j] for j in numeric_idx]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"{path}: duplicate column name {name!r}")
 
-    if any(len(row) != len(header) for row in rows):
-        raise _first_bad_cell(path, records, header, numeric_idx, markers)
-    values = np.full((len(rows), len(numeric_idx)), np.nan)
-    mask = np.empty(values.shape, dtype=bool)
-    for out_k, j in enumerate(numeric_idx):
-        cells = list(map(str.strip, map(itemgetter(j), rows)))
-        observed = ~np.fromiter(map(markers.__contains__, cells), dtype=bool, count=len(cells))
-        mask[:, out_k] = observed
-        try:
-            col = np.fromiter(map(float, compress(cells, observed.tolist())), dtype=float)
-        except ValueError:
-            raise _first_bad_cell(path, records, header, numeric_idx, markers) from None
-        if not np.isfinite(col).all():
-            raise _first_bad_cell(path, records, header, numeric_idx, markers)
-        values[mask[:, out_k], out_k] = col
-    labels = tuple(row[label_idx].strip() for row in rows)
-    cats = None
-    if cat_idx is not None:
-        cats = tuple(None if c in markers else c for c in (row[cat_idx].strip() for row in rows))
-    return DataMatrix(values, mask, labels, tuple(names), cats, categorical_col)
+        values, mask, labels, cats = [], [], [], []
+        while block:
+            rows = [row for _, row in block]
+            if any(len(row) != len(header) for row in rows):
+                raise _first_bad_cell(path, block, header, numeric_idx, markers)
+            block_values = np.full((len(rows), len(numeric_idx)), np.nan)
+            block_mask = np.empty(block_values.shape, dtype=bool)
+            for out_k, j in enumerate(numeric_idx):
+                cells = list(map(str.strip, map(itemgetter(j), rows)))
+                observed = ~np.fromiter(map(markers.__contains__, cells), dtype=bool,
+                                        count=len(cells))
+                block_mask[:, out_k] = observed
+                try:
+                    col = np.fromiter(map(float, compress(cells, observed.tolist())),
+                                      dtype=float)
+                except ValueError:
+                    raise _first_bad_cell(path, block, header, numeric_idx, markers) from None
+                if not np.isfinite(col).all():
+                    raise _first_bad_cell(path, block, header, numeric_idx, markers)
+                block_values[observed, out_k] = col
+            values.append(block_values)
+            mask.append(block_mask)
+            labels.extend(row[label_idx].strip() for row in rows)
+            if cat_idx is not None:
+                cats.extend(None if c in markers else c
+                            for c in (row[cat_idx].strip() for row in rows))
+            block = list(islice(records, _BLOCK_ROWS))
+    # rebound, so that the blocks are freed before DataMatrix copies the arrays
+    values, mask = np.concatenate(values), np.concatenate(mask)
+    return DataMatrix(values, mask, tuple(labels), tuple(names),
+                      None if cat_idx is None else tuple(cats), categorical_col)
 
 
 def _write_rows(path, header, rows) -> None:
@@ -150,6 +170,14 @@ def _write_rows(path, header, rows) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+def _blocks(n_rows: int, rows_of):
+    """The rows ``rows_of(block)`` gives for each slice ``block`` of at most
+    ``_BLOCK_ROWS`` of ``range(n_rows)``, in order, so that a table writer
+    formats one block of lines at a time."""
+    return chain.from_iterable(
+        rows_of(slice(lo, lo + _BLOCK_ROWS)) for lo in range(0, n_rows, _BLOCK_ROWS))
 
 
 def _refuse_changed_text(header, labels, categories, markers) -> None:
@@ -182,18 +210,24 @@ def write_csv(data: DataMatrix, path, markers=DEFAULT_MISSING_MARKERS) -> None:
     row and column, raised before the file is opened.
     """
     header = ["label"]
-    columns: list = [data.row_labels]
     if data.categorical is not None:
         header.append(data.categorical_name or "category")
-        columns.append([markers[0] if c is None else c for c in data.categorical])
     header.extend(data.col_names)
     _refuse_changed_text(header, data.row_labels, data.categorical, set(markers))
-    for k in range(data.n_cols):
-        columns.append([
-            fmt17(v) if m else markers[0]
-            for v, m in zip(data.values[:, k].tolist(), data.mask[:, k].tolist())
-        ])
-    _write_rows(path, header, zip(*columns))
+
+    def rows_of(block):
+        columns: list = [data.row_labels[block]]
+        if data.categorical is not None:
+            columns.append([markers[0] if c is None else c for c in data.categorical[block]])
+        # column by column, so that one column's floats are boxed at a time
+        for k in range(data.n_cols):
+            columns.append([
+                fmt17(v) if m else markers[0]
+                for v, m in zip(data.values[block, k].tolist(), data.mask[block, k].tolist())
+            ])
+        return zip(*columns)
+
+    _write_rows(path, header, _blocks(data.n_rows, rows_of))
 
 
 @dataclass(frozen=True)
@@ -323,29 +357,37 @@ def write_assignment_csv(
     superclass_labels=None,
     supplementary=None,
 ) -> None:
-    units = assignment.units
-    ok = (units != UNCLASSIFIABLE).tolist()
-
-    def classified_only(cells):
-        return [c if o else "" for c, o in zip(cells, ok)]
-
     header = ["label", "unit", "grid_row", "grid_col", "sq_distance", "status"]
-    columns = [
-        list(row_labels),
-        classified_only(map(str, units.tolist())),
-        classified_only(map(str, (units // topology.cols).tolist())),
-        classified_only(map(str, (units % topology.cols).tolist())),
-        classified_only(map(fmt17, assignment.sq_distances.tolist())),
-        ["ok" if o else "unclassifiable" for o in ok],
-    ]
     if superclass_labels is not None:
         header.append("superclass")
-        labels = np.asarray(superclass_labels).tolist()
-        columns.append(["" if s < 0 else str(int(s)) for s in labels])
+        superclass_labels = np.asarray(superclass_labels)
     if supplementary is not None:
         header.append("supplementary")
-        columns.append(["yes" if s else "no" for s in np.asarray(supplementary).tolist()])
-    _write_rows(path, header, zip(*columns))
+        supplementary = np.asarray(supplementary)
+
+    def rows_of(block):
+        units = assignment.units[block]
+        ok = (units != UNCLASSIFIABLE).tolist()
+
+        def classified_only(cells):
+            return [c if o else "" for c, o in zip(cells, ok)]
+
+        columns = [
+            row_labels[block],
+            classified_only(map(str, units.tolist())),
+            classified_only(map(str, (units // topology.cols).tolist())),
+            classified_only(map(str, (units % topology.cols).tolist())),
+            classified_only(map(fmt17, assignment.sq_distances[block].tolist())),
+            ["ok" if o else "unclassifiable" for o in ok],
+        ]
+        if superclass_labels is not None:
+            columns.append(["" if s < 0 else str(int(s))
+                            for s in superclass_labels[block].tolist()])
+        if supplementary is not None:
+            columns.append(["yes" if s else "no" for s in supplementary[block].tolist()])
+        return zip(*columns)
+
+    _write_rows(path, header, _blocks(assignment.n_rows, rows_of))
 
 
 def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) -> None:
@@ -355,23 +397,29 @@ def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) 
     cells a fallback filled.
     """
     f = report.fills
-    rows, source = f.rows.tolist(), f.source.tolist()
-    from_map = [s == "codebook" for s in source]
     seeds = ";".join(str(s) for s in f.seeds)
-    # each row's winners joined once, for all of its cells
-    units = [";".join(map(str, w)) for w in f.winners.tolist()]
-    filled = zip(
-        [row_labels[i] for i in rows],
-        [col_names[k] for k in f.cols.tolist()],
-        map(fmt17, report.filled.values[f.rows, f.cols].tolist()),
-        [units[i] if m else "" for i, m in zip(rows, from_map)],
-        [seeds if m else "" for m in from_map],
-        source,
-    )
+
+    def rows_of(block):
+        rows, cols = f.rows[block], f.cols[block]
+        source = f.source_of(block).tolist()
+        from_map = [s == "codebook" for s in source]
+        # each row's winners joined once, for all of its cells in the block
+        held = np.unique(rows)
+        joined = (";".join(map(str, w)) for w in f.winners[held].tolist())
+        units = dict(zip(held.tolist(), joined))
+        return zip(
+            [row_labels[i] for i in rows.tolist()],
+            [col_names[k] for k in cols.tolist()],
+            map(fmt17, report.filled.values[rows, cols].tolist()),
+            [units[i] if m else "" for i, m in zip(rows.tolist(), from_map)],
+            [seeds if m else "" for m in from_map],
+            source,
+        )
+
     unresolved = ([row_labels[i], col_names[k], "", "", "", "unresolved"]
                   for i, k in report.unresolved)
     _write_rows(path, ["label", "column", "estimate", "units", "seeds", "source"],
-                chain(filled, unresolved))
+                chain(_blocks(len(f), rows_of), unresolved))
 
 
 def write_eval_csv(path, report: EvalReport) -> None:
@@ -400,7 +448,12 @@ def write_superclass_csv(path, sc: SuperClassing) -> None:
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex sha256 of the file's bytes, read in chunks of 64 KiB."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(path, entries: dict) -> None:

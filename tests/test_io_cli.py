@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,14 @@ from somimpute import (
     Assignment,
     CodeBook,
     DataMatrix,
+    Fills,
     GridTopology,
+    ImputationReport,
     StandardizationParams,
     TrainingMode,
     TrainingSchedule,
     classify_supplementary,
+    model_io,
 )
 from somimpute.cli import main
 from somimpute.model_io import (
@@ -28,8 +33,10 @@ from somimpute.model_io import (
     read_csv,
     read_manifest,
     save_model,
+    write_assignment_csv,
     write_csv,
     write_manifest,
+    write_provenance_csv,
 )
 from somimpute.render import render_map_svg, render_map_text
 from conftest import random_incomplete
@@ -162,8 +169,85 @@ class TestReadCsv:
             os.close(r)
 
 
+class TestReadCsvInBlocks:
+    """Blocks of 3 records: every message equals the one a single block gives."""
+
+    @pytest.fixture(autouse=True)
+    def _blocks_of_three(self, monkeypatch):
+        monkeypatch.setattr(model_io, "_BLOCK_ROWS", 3)
+
+    @staticmethod
+    def _error(path) -> str:
+        with pytest.raises(ValueError) as info:
+            read_csv(path)
+        return str(info.value)
+
+    @staticmethod
+    def _table(tmp_path, cells: dict[int, str], n=9) -> Path:
+        """Header ``id,x,y`` and ``n`` rows ``r<i>,<i>,1``, the ``x`` field of
+        row ``i`` replaced by ``cells[i]``; row ``i`` is on line ``i + 2``."""
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,y\n" + "".join(
+            f"r{i},{cells.get(i, i)},1\n" for i in range(n)))
+        return path
+
+    @pytest.mark.parametrize("row", [0, 4, 8], ids=["first", "middle", "last"])
+    def test_bad_cell_in_any_block(self, tmp_path, row):
+        path = self._table(tmp_path, {row: "abc"})
+        assert self._error(path) == f"{path}: line {row + 2}, column 'x': cannot parse 'abc'"
+
+    def test_non_finite_cell_in_a_middle_block(self, tmp_path):
+        path = self._table(tmp_path, {4: "inf"})
+        assert self._error(path) == f"{path}: line 6, column 'x': value 'inf' is not finite"
+
+    @pytest.mark.parametrize("row", [3, 5], ids=["first-of-block", "last-of-block"])
+    def test_ragged_row_at_a_block_edge(self, tmp_path, row):
+        path = self._table(tmp_path, {row: "1,2"})
+        assert self._error(path) == f"{path}: line {row + 2} has 4 fields, header has 3"
+
+    def test_bad_cell_in_an_earlier_block_than_a_ragged_row(self, tmp_path):
+        path = self._table(tmp_path, {1: "abc", 4: "1,2"})
+        assert self._error(path) == f"{path}: line 3, column 'x': cannot parse 'abc'"
+        path = self._table(tmp_path, {1: "1,2", 4: "abc"})
+        assert self._error(path) == f"{path}: line 3 has 4 fields, header has 3"
+
+    def test_blank_lines_across_a_block_edge_keep_physical_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x\nr0,0\nr1,1\nr2,2\n\n\nr3,3\nr4,4\n")
+        data = read_csv(path)
+        assert data.row_labels == ("r0", "r1", "r2", "r3", "r4")
+        assert data.values[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        path.write_text("id,x\nr0,0\nr1,1\nr2,2\n\n\nr3,3\nr4,abc\n")
+        assert self._error(path) == f"{path}: line 8, column 'x': cannot parse 'abc'"
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("name,x\nr0,0\nr1,1\nr2,2\nr3,3\n".encode("utf-8-sig"))
+        data = read_csv(path, label_col="name")
+        assert data.row_labels == ("r0", "r1", "r2", "r3")
+        assert data.col_names == ("x",)
+        path.write_bytes("name,x\nr0,0\nr1,1\nr2,2\nr3,abc\n".encode("utf-8-sig"))
+        assert self._error(path) == f"{path}: line 5, column 'x': cannot parse 'abc'"
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,y\n\n")
+        assert self._error(path) == f"{path}: need a header row and at least one data row"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    def test_bad_cell_in_a_pipe(self):
+        r, w = os.pipe()
+        os.write(w, b"id,x\nr0,0\nr1,1\nr2,2\nr3,3\nr4,abc\n")
+        os.close(w)
+        try:
+            assert self._error(f"/dev/fd/{r}") == (
+                f"/dev/fd/{r}: line 6, column 'x': cannot parse 'abc'")
+        finally:
+            os.close(r)
+
+
 @st.composite
-def _holed_tables(draw):
+def _holed_tables(draw, categorical=False):
     n = draw(st.integers(1, 6))
     p = draw(st.integers(1, 4))
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -171,8 +255,16 @@ def _holed_tables(draw):
     mask = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)))
     mask = mask.reshape(n, p)
     mask[0, ~mask.any(axis=0)] = True  # every column keeps an observed value
+    cats = None
+    if categorical:
+        # text write_csv accepts under the default markers: no surrounding
+        # whitespace and no marker
+        text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+        cats = tuple(draw(st.lists(
+            st.none() | text.filter(lambda c: c == c.strip() and c != "NA"),
+            min_size=n, max_size=n)))
     return DataMatrix(values, mask, tuple(f"r{i}" for i in range(n)),
-                      tuple(f"c{k}" for k in range(p)))
+                      tuple(f"c{k}" for k in range(p)), cats, "level" if categorical else None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -186,6 +278,93 @@ def test_csv_write_read_roundtrip_is_bit_exact(data, marker):
     assert back.col_names == data.col_names
     assert np.array_equal(back.mask, data.mask)
     assert back.values[back.mask].tobytes() == data.values[data.mask].tobytes()
+
+
+@st.composite
+def _table_outputs(draw):
+    """A table with a categorical column, plus an assignment of its rows
+    and an imputation report over its holes, for the table writers."""
+    data = draw(_holed_tables(categorical=True))
+    n = data.n_rows
+    topo = GridTopology(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    units = np.array(draw(st.lists(st.integers(-1, topo.n_units - 1), min_size=n, max_size=n)))
+    dists = np.array(draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n)))
+    dists[units < 0] = np.nan
+    assignment = Assignment(units, dists, topo.n_units)
+    superclasses = np.where(units < 0, -1, units % 2)
+    supplementary = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    # some holes filled, the rest unresolved; rows without winners are
+    # column-mean fills
+    rows, cols = np.nonzero(~data.mask)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size)),
+                    dtype=bool)
+    n_maps = draw(st.integers(1, 3))
+    winners = np.array(draw(st.lists(st.integers(-1, topo.n_units - 1),
+                                     min_size=n * n_maps, max_size=n * n_maps)))
+    fills = Fills(rows[keep], cols[keep], winners.reshape(n, n_maps),
+                  draw(st.sampled_from([(), tuple(range(7, 7 + n_maps))])))
+    values, mask = data.values.copy(), data.mask.copy()
+    values[fills.rows, fills.cols] = draw(st.floats(-1e9, 1e9))
+    mask[fills.rows, fills.cols] = True
+    report = ImputationReport(data.with_cells(values, mask), fills)
+    return data, assignment, topo, superclasses, supplementary, report
+
+
+def _read_or_error(path):
+    """What :func:`read_csv` makes of ``path``: the table's parts, or its error."""
+    try:
+        d = read_csv(path, categorical_col="level")
+    except ValueError as exc:
+        return str(exc)
+    return d.values.tobytes(), d.mask.tobytes(), d.row_labels, d.col_names, d.categorical
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_outputs())
+def test_block_size_changes_no_byte(outputs):
+    data, assignment, topo, superclasses, supplementary, report = outputs
+    seen = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        for block_rows in (1, 3, model_io._BLOCK_ROWS):
+            mp.setattr(model_io, "_BLOCK_ROWS", block_rows)
+            write_csv(data, tmp / "t.csv")
+            write_assignment_csv(tmp / "a.csv", data.row_labels, assignment, topo)
+            write_assignment_csv(tmp / "a_sc.csv", data.row_labels, assignment, topo,
+                                 superclass_labels=superclasses, supplementary=supplementary)
+            write_provenance_csv(tmp / "p.csv", report, data.row_labels, data.col_names)
+            files = {name: (tmp / name).read_bytes()
+                     for name in ("t.csv", "a.csv", "a_sc.csv", "p.csv")}
+            seen.append((files, _read_or_error(tmp / "t.csv")))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0]["p.csv"].count(b",unresolved\n") == len(report.unresolved)
+
+
+def test_csv_io_holds_about_one_block_of_text(tmp_path, monkeypatch):
+    # peak traced bytes less what the call keeps, per row of a 20 000 x 20
+    # table; holding every row's text at once costs about 1 300 B (write)
+    # and 1 800 B (read) per row
+    monkeypatch.setattr(model_io, "_BLOCK_ROWS", 256)
+    n = 20_000
+    rng = np.random.default_rng(4)
+    data = DataMatrix(rng.normal(size=(n, 20)), rng.random((n, 20)) > 0.2,
+                      tuple(f"r{i}" for i in range(n)), tuple(f"c{k}" for k in range(20)))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        write_csv(data, path)
+        kept, peak = tracemalloc.get_traced_memory()
+        write_per_row = (peak - kept) / n
+        tracemalloc.reset_peak()
+        back = read_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+        read_per_row = (peak - kept) / n
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.mask, data.mask)
+    assert read_per_row < 900, read_per_row
+    assert write_per_row < 600, write_per_row
 
 
 def test_csv_roundtrip_preserves_values_and_mask(tmp_path):
@@ -1020,6 +1199,23 @@ class TestReplay:
         assert "original run's directory cannot be recovered" in err
         assert "replay from the directory that run started in" in err
         assert not (tmp_path / "redo").exists()
+
+    def test_manifest_digests_an_input_the_run_overwrites(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # impute --output-dir . writes imputed.csv over its own input: the
+        # manifest records the file that was read, so replay refuses
+        monkeypatch.chdir(tmp_path)
+        given = b"id,x,y\nr0,1.0,2.0\nr1,2.5,\nr2,0.5,1.5\nr3,3.0,4.0\n"
+        Path("imputed.csv").write_bytes(given)
+        assert main(["impute", "--input", "imputed.csv", "--output-dir", ".",
+                     "--grid-rows", "1", "--grid-cols", "2", "--iters", "50"]) == 0
+        assert Path("imputed.csv").read_bytes() != given
+        manifest = read_manifest("manifest.txt")
+        assert manifest["input_sha256"] == hashlib.sha256(given).hexdigest()
+        capsys.readouterr()
+        assert main(["replay", "--manifest", "manifest.txt", "--output-dir", "redo"]) == 2
+        assert ("replay input 'imputed.csv' changed since the original run"
+                in capsys.readouterr().err)
 
     def test_replay_detects_changed_input(self, tmp_path):
         csv_path = tmp_path / "data.csv"
