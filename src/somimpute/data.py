@@ -19,6 +19,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _handed_over(a, dtype) -> np.ndarray:
+    """``a`` itself if it is a writeable ``dtype`` array that owns its data,
+    else a copy: a borrowed or read-only array is never written into."""
+    if type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata and a.flags.writeable:
+        return a
+    return np.array(a, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x p matrix of real values where any cell may be missing.
@@ -28,7 +36,12 @@ class DataMatrix:
     Construction fails for columns with no observed value at all.
 
     Instances are immutable after construction and safe to share across
-    workers; the backing arrays are marked read-only.
+    workers; the backing arrays are marked read-only.  The constructor
+    copies ``values`` and ``mask``, so the caller's arrays stay its own.
+    :meth:`with_cells` (and :func:`somimpute.model_io.read_csv`, through
+    :meth:`_of`) keeps an array it is handed when that array is a writeable
+    float (bool) array that owns its data, writing NaN into its masked slots
+    and marking it read-only, and copies anything else.
     """
 
     values: np.ndarray
@@ -39,8 +52,23 @@ class DataMatrix:
     categorical_name: str | None = None
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        mask = np.array(self.mask, dtype=bool)
+        self._take(np.array(self.values, dtype=float), np.array(self.mask, dtype=bool))
+
+    @classmethod
+    def _of(cls, values, mask, row_labels, col_names, categorical, categorical_name):
+        """The matrix the constructor builds from these fields, except that
+        ``values`` and ``mask`` are kept, not copied, when they are handed
+        over (see the class docstring)."""
+        out = cls.__new__(cls)
+        vars(out).update(row_labels=row_labels, col_names=col_names,
+                         categorical=categorical, categorical_name=categorical_name)
+        out._take(_handed_over(values, float), _handed_over(mask, bool))
+        return out
+
+    def _take(self, values: np.ndarray, mask: np.ndarray) -> None:
+        """Check ``values`` and ``mask`` against the other fields, then make
+        them this matrix's arrays: NaN goes into the masked slots of
+        ``values``, and both are marked read-only."""
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         if mask.shape != values.shape:
@@ -54,18 +82,18 @@ class DataMatrix:
             raise ValueError(f"expected {n} row labels, got {len(labels)}")
         if len(names) != p:
             raise ValueError(f"expected {p} column names, got {len(names)}")
-        if not np.all(np.isfinite(values[mask])):
+        if not np.isfinite(values, where=mask, out=np.ones(mask.shape, bool)).all():
             raise ValueError("observed cells must be finite numbers")
         observed_per_col = mask.sum(axis=0)
         empty = np.flatnonzero(observed_per_col == 0)
         if empty.size:
             raise ValueError(f"column {names[int(empty[0])]!r} has no observed values")
-        values[~mask] = np.nan
         cat = self.categorical
         if cat is not None:
             cat = tuple(None if c is None else str(c) for c in cat)
             if len(cat) != n:
                 raise ValueError(f"expected {n} categorical entries, got {len(cat)}")
+        values[~mask] = np.nan
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "mask", _readonly(mask))
         object.__setattr__(self, "row_labels", labels)
@@ -104,15 +132,11 @@ class DataMatrix:
         return np.nanmin(self.values, axis=0), np.nanmax(self.values, axis=0)
 
     def with_cells(self, values: np.ndarray, mask: np.ndarray) -> "DataMatrix":
-        """Same labels and metadata, new cell values and mask."""
-        return DataMatrix(
-            values,
-            mask,
-            self.row_labels,
-            self.col_names,
-            self.categorical,
-            self.categorical_name,
-        )
+        """Same labels and metadata, new cell values and mask; ``values`` and
+        ``mask`` are kept, not copied, when they are handed over (see the
+        class docstring)."""
+        return DataMatrix._of(values, mask, self.row_labels, self.col_names,
+                              self.categorical, self.categorical_name)
 
 
 @dataclass(frozen=True)
@@ -167,7 +191,9 @@ def standardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:
         raise ValueError(
             f"params cover {params.n_cols} columns, data has {data.n_cols}"
         )
-    return data.with_cells((data.values - params.means) / params.stds, data.mask)
+    values = data.values - params.means
+    values /= params.stds
+    return data.with_cells(values, data.mask)
 
 
 def destandardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:
@@ -176,4 +202,6 @@ def destandardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix
         raise ValueError(
             f"params cover {params.n_cols} columns, data has {data.n_cols}"
         )
-    return data.with_cells(data.values * params.stds + params.means, data.mask)
+    values = data.values * params.stds
+    values += params.means
+    return data.with_cells(values, data.mask)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,18 +36,22 @@ def fmt17(x: float) -> str:
 
 # rows per block: the reader parses, and the table writers format, one block
 # of records at a time, so that at most one block of CSV text is alive
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 1024
 
 
 def _records(fh):
     """Yield each non-blank CSV record of the open file ``fh`` with the
-    physical line it starts on."""
+    physical line it starts on; a record the csv module cannot parse is a
+    ``ValueError`` naming the file and the line it reached."""
     reader = csv.reader(fh)
     line = 1
-    for row in reader:
-        if row:
-            yield line, row
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{fh.name}: line {reader.line_num}: {exc}") from None
 
 
 def _first_bad_cell(path, records, header, numeric_idx, markers) -> ValueError:
@@ -158,18 +163,31 @@ def read_csv(
                 cats.extend(None if c in markers else c
                             for c in (row[cat_idx].strip() for row in rows))
             block = list(islice(records, _BLOCK_ROWS))
-    # rebound, so that the blocks are freed before DataMatrix copies the arrays
-    values, mask = np.concatenate(values), np.concatenate(mask)
-    return DataMatrix(values, mask, tuple(labels), tuple(names),
-                      None if cat_idx is None else tuple(cats), categorical_col)
+    return DataMatrix._of(np.concatenate(values), np.concatenate(mask), tuple(labels),
+                          tuple(names), None if cat_idx is None else tuple(cats), categorical_col)
+
+
+# a formatted line less its "\r\n" ending
+_without_ending = itemgetter(slice(None, -2))
 
 
 def _write_rows(path, header, rows) -> None:
-    """Write ``header`` then ``rows`` as CSV with ``\\n`` line endings."""
+    """Write ``header`` then ``rows`` as CSV with ``\\n`` line endings.
+
+    csv.writer quotes a field only for the characters of its line ending,
+    but a CSV reader also ends a line at a lone ``\\r``; so lines are
+    formatted with ``\\r\\n`` endings, which quotes a field holding either,
+    and each block of lines is written with those endings cut back to ``\\n``.
+    """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        lines = []
+        w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
         w.writerow(header)
-        w.writerows(rows)
+        rows = iter(rows)
+        while lines:  # the header, then each block of rows until none is left
+            fh.write("\n".join(map(_without_ending, lines)) + "\n")
+            lines.clear()
+            w.writerows(islice(rows, _BLOCK_ROWS))
 
 
 def _blocks(n_rows: int, rows_of):

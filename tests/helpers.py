@@ -69,6 +69,23 @@ def radius_at(schedule, t: int) -> int:
     return (num + d - 1) // d
 
 
+def reference_standardized(values, means, stds):
+    """Standardized cells as one expression, ``(x - m) / s``."""
+    return (values - means) / stds
+
+
+def reference_destandardized(values, means, stds):
+    """Destandardized cells as one expression, ``x * s + m``."""
+    return values * stds + means
+
+
+def reference_destandardized_report(values, mask, filled, means, stds):
+    """The filled table in the units of the input: its observed cells
+    ``values[mask]`` verbatim, every other cell of ``filled`` (standardized)
+    destandardized."""
+    return np.where(mask, values, filled * stds + means)
+
+
 def reference_train_codes(data, topology, schedule, complete_only=False):
     """Final codes of online training, one plain step at a time.
 

@@ -5,13 +5,21 @@ from hypothesis import strategies as st
 
 from somimpute import (
     DataMatrix,
+    Fills,
+    ImputationReport,
     StandardizationParams,
     destandardize,
     fit_standardizer,
     standardize,
 )
+from somimpute.cli import _destandardized_report
 from somimpute.trainer import TrainingMode, pool_mask
 from conftest import random_incomplete
+from helpers import (
+    reference_destandardized,
+    reference_destandardized_report,
+    reference_standardized,
+)
 
 
 class TestDataMatrix:
@@ -63,6 +71,54 @@ class TestDataMatrix:
             small_incomplete.values[0, 0] = 99.0
         with pytest.raises(ValueError):
             small_incomplete.mask[0, 0] = False
+
+    def test_constructor_copies_the_callers_arrays(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mask = np.array([[True, False], [True, True]])
+        data = DataMatrix(values, mask, ("a", "b"), ("x", "y"))
+        assert values.flags.writeable and mask.flags.writeable
+        assert values[0, 1] == 2.0  # the tripwire NaN went into the matrix's copy
+        values[0, 0] = 9.0
+        mask[0, 1] = True
+        assert data.values[0, 0] == 1.0
+        assert not data.mask[0, 1]
+
+    def test_with_cells_keeps_arrays_handed_over(self, small_incomplete):
+        values = np.ones((4, 3))
+        mask = np.ones((4, 3), dtype=bool)
+        mask[0, 0] = False
+        out = small_incomplete.with_cells(values, mask)
+        assert out.values is values and out.mask is mask
+        assert np.isnan(values[0, 0])
+        assert not values.flags.writeable and not mask.flags.writeable
+        assert out.row_labels == small_incomplete.row_labels
+
+    def test_with_cells_copies_borrowed_or_readonly_arrays(self, small_incomplete):
+        hide = np.array(small_incomplete.mask)
+        hide[0, 0] = False
+        # another matrix's read-only values and mask
+        out = small_incomplete.with_cells(small_incomplete.values, hide)
+        assert np.isnan(out.values[0, 0]) and small_incomplete.values[0, 0] == 1.0
+        out = small_incomplete.with_cells(np.ones((4, 3)), small_incomplete.mask)
+        assert out.mask is not small_incomplete.mask
+        # a writeable view that does not own its data
+        base = np.arange(24.0).reshape(4, 6)
+        out = small_incomplete.with_cells(base[:, :3], hide)
+        assert np.isnan(out.values[0, 0])
+        assert base[0, 0] == 0.0 and base.flags.writeable
+        # another dtype
+        ints = np.ones((4, 3), dtype=int)
+        out = small_incomplete.with_cells(ints, hide.astype(int))
+        assert out.values.dtype == float and out.mask.dtype == bool
+        assert ints.flags.writeable and ints[0, 0] == 1
+
+    def test_with_cells_runs_the_constructors_checks(self, small_incomplete):
+        with pytest.raises(ValueError, match="finite"):
+            small_incomplete.with_cells(np.full((4, 3), np.inf), np.ones((4, 3), dtype=bool))
+        with pytest.raises(ValueError, match="no observed values"):
+            small_incomplete.with_cells(np.ones((4, 3)), np.zeros((4, 3), dtype=bool))
+        with pytest.raises(ValueError, match="expected 3 row labels, got 4"):
+            small_incomplete.with_cells(np.ones((3, 3)), np.ones((3, 3), dtype=bool))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_from_nan_rejects_infinity(self, bad):
@@ -145,3 +201,44 @@ class TestStandardizer:
         obs = data.mask
         assert np.allclose(back.values[obs], data.values[obs], rtol=1e-10, atol=1e-12)
         assert np.array_equal(back.mask, data.mask)
+
+
+@st.composite
+def _scaled_tables(draw):
+    """A holed table, standardization parameters, and estimates for some of
+    its holes (standardized)."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 4))
+
+    def floats(size, elements=st.floats(-1e6, 1e6)):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))).reshape(n, p)
+    mask[0, ~mask.any(axis=0)] = True
+    data = DataMatrix(floats(n * p).reshape(n, p), mask, tuple(f"r{i}" for i in range(n)),
+                      tuple(f"c{k}" for k in range(p)))
+    params = StandardizationParams(floats(p), floats(p, st.floats(1e-3, 1e3)))
+    fill = ~mask & np.array(draw(st.lists(st.booleans(), min_size=n * p,
+                                          max_size=n * p))).reshape(n, p)
+    return data, params, fill, floats(n * p, st.floats(-1e3, 1e3)).reshape(n, p)
+
+
+def _same_bits(got: DataMatrix, expected: np.ndarray, mask: np.ndarray) -> None:
+    assert np.array_equal(got.mask, mask)
+    assert got.values[mask].tobytes() == expected[mask].tobytes()
+    assert np.isnan(got.values[~mask]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_tables())
+def test_in_place_scaling_equals_the_one_expression_bit_for_bit(table):
+    data, params, fill, estimates = table
+    m, s = params.means, params.stds
+    std = standardize(data, params)
+    _same_bits(std, reference_standardized(data.values, m, s), data.mask)
+    _same_bits(destandardize(std, params), reference_destandardized(std.values, m, s), data.mask)
+    filled = std.with_cells(np.where(fill, estimates, std.values), data.mask | fill)
+    report = ImputationReport(filled, Fills(*np.nonzero(fill), np.zeros((data.n_rows, 1))))
+    out = _destandardized_report(report, data, params)
+    expected = reference_destandardized_report(data.values, data.mask, filled.values, m, s)
+    _same_bits(out.filled, expected, filled.mask)

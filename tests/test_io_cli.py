@@ -24,9 +24,12 @@ from somimpute import (
     TrainingMode,
     TrainingSchedule,
     classify_supplementary,
+    fit_standardizer,
+    impute,
     model_io,
+    standardize,
 )
-from somimpute.cli import main
+from somimpute.cli import _destandardized_report, main
 from somimpute.model_io import (
     SomModel,
     load_model,
@@ -167,6 +170,19 @@ class TestReadCsv:
                 read_csv(f"/dev/fd/{r}")
         finally:
             os.close(r)
+
+    def test_oversized_field_names_the_file_and_line(self, tmp_path, capsys):
+        # csv.reader refuses a field longer than its limit (131 072 characters)
+        path = tmp_path / "d.csv"
+        path.write_text("id,x\nr1,1\n\nr2," + "1" * 200_000 + "\nr3,2\n")
+        message = f"{path}: line 4: field larger than field limit"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_csv(path)
+        rc = main(["impute", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+                   "--grid-rows", "1", "--grid-cols", "2", "--iters", "10"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
 
 
 class TestReadCsvInBlocks:
@@ -367,6 +383,36 @@ def test_csv_io_holds_about_one_block_of_text(tmp_path, monkeypatch):
     assert write_per_row < 600, write_per_row
 
 
+def test_impute_path_holds_each_table_about_once(tmp_path):
+    # peak traced bytes less what the run keeps, per cell of a 20 000 x 20
+    # table taken from CSV through standardize and impute back to its own
+    # units; one more float copy of the table costs 8 B per cell, and
+    # building one at every stage cost 26.4 B where handing each over costs
+    # 10.4 B
+    n, p = 20_000, 20
+    rng = np.random.default_rng(5)
+    data = DataMatrix(rng.normal(size=(n, p)), rng.random((n, p)) > 0.2,
+                      tuple(f"r{i}" for i in range(n)), tuple(f"c{k}" for k in range(p)))
+    codebook = CodeBook(rng.normal(size=(16, p)), GridTopology(4, 4), data.col_names)
+    path = tmp_path / "t.csv"
+    write_csv(data, path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = read_csv(path)
+        params = fit_standardizer(table)
+        std = standardize(table, params)
+        report = impute(codebook, std)
+        del std
+        out = _destandardized_report(report, table, params)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.filled.values[data.mask], data.values[data.mask])
+    per_cell = (peak - kept) / (n * p)
+    assert per_cell < 16, per_cell
+
+
 def test_csv_roundtrip_preserves_values_and_mask(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(8, 3)) * 10.0 ** rng.integers(-12, 12, size=(8, 3))
@@ -436,6 +482,38 @@ def test_write_csv_refuses_a_category_equal_to_its_own_marker(tmp_path):
     with pytest.raises(ValueError, match=r"^row 0, column 'level': category '\?' is a missing"):
         write_csv(data, path, ("?",))
     assert not path.exists()
+
+
+def test_a_carriage_return_in_text_is_written_so_that_it_reads_back(tmp_path):
+    # csv.writer quotes a field for the characters of its "\n" line ending
+    # only, but a CSV reader also ends a line at a lone "\r"
+    values = np.array([[1.0], [np.nan]])
+    data = DataMatrix(values, ~np.isnan(values), ("a\rb", "c"), ("x\ry",),
+                      ("l\ro", "hi"), "le\rvel")
+    path = tmp_path / "t.csv"
+    write_csv(data, path, ("m\rm",))
+    back = read_csv(path, missing_markers=("m\rm",), categorical_col="le\rvel")
+    assert (back.row_labels, back.col_names, back.categorical, back.categorical_name) == (
+        data.row_labels, data.col_names, data.categorical, data.categorical_name)
+    assert np.array_equal(back.mask, data.mask)
+    assert path.read_bytes() == b'label,"le\rvel","x\ry"\n"a\rb","l\ro",1\nc,hi,"m\rm"\n'
+
+    assignment = Assignment(np.array([0, -1]), np.array([0.5, np.nan]), 1)
+    write_assignment_csv(tmp_path / "a.csv", data.row_labels, assignment, GridTopology(1, 1))
+    report = ImputationReport(data.with_cells(np.array([[1.0], [2.0]]), np.ones((2, 1), bool)),
+                              Fills([1], [0], [[0], [0]]))
+    write_provenance_csv(tmp_path / "p.csv", report, ("a", "c\rd"), data.col_names)
+    for name, cells in (("a.csv", ["a\rb", "0", "0", "0", "0.5", "ok"]),
+                        ("p.csv", ["c\rd", "x\ry", "2", "0", "", "codebook"])):
+        with (tmp_path / name).open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == cells, name
+        assert len({len(row) for row in rows}) == 1, name
+
+    # text without one keeps its bytes
+    clean = DataMatrix(values, ~np.isnan(values), ("ab", "c"), ("x\ny",))
+    write_csv(clean, path)
+    assert path.read_bytes() == b'label,"x\ny"\nab,1\nc,\n'
 
 
 @settings(max_examples=80, deadline=None)
