@@ -25,6 +25,7 @@ from .model_io import (
     DEFAULT_MISSING_MARKERS,
     SomModel,
     _checked_markers,
+    check_model_col_names,
     load_model,
     read_csv,
     read_manifest,
@@ -213,6 +214,7 @@ def cmd_train(args) -> int:
     if args.superclasses is not None and not 1 <= args.superclasses <= topo.n_units:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
     data, params, std = _read_input(args, markers)
+    check_model_col_names(data.col_names)  # before the map is trained
     result = train(std, topo, schedule, mode)
     outdir = _outdir(args)
     save_model(SomModel(result.codebook, params, schedule, mode), outdir / "model.txt")

@@ -2,7 +2,10 @@
 
 All numeric output uses 17 significant digits, which round-trips float64
 exactly; every writer is deterministic byte for byte so runs can be replayed
-and compared.
+and compared.  The table writers format each CSV line from one ``%``
+template applied to one tuple of the line's values; ``csv.writer`` only
+quotes the text fields (row labels, column names, categories and the missing
+marker), each once.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -167,35 +170,43 @@ def read_csv(
                           tuple(names), None if cat_idx is None else tuple(cats), categorical_col)
 
 
-# a formatted line less its "\r\n" ending
-_without_ending = itemgetter(slice(None, -2))
+# a formatted one-field record ``field,\r\n`` less its empty second field and
+# its ending
+_field_of_record = itemgetter(slice(None, -3))
 
 
-def _write_rows(path, header, rows) -> None:
-    """Write ``header`` then ``rows`` as CSV with ``\\n`` line endings.
+def _quoted(fields) -> list[str]:
+    """Each of the text ``fields`` as csv.writer writes it within a line.
 
     csv.writer quotes a field only for the characters of its line ending,
-    but a CSV reader also ends a line at a lone ``\\r``; so lines are
-    formatted with ``\\r\\n`` endings, which quotes a field holding either,
-    and each block of lines is written with those endings cut back to ``\\n``.
+    but a CSV reader also ends a line at a lone ``\\r``; so each field is
+    written in a record ending in ``\\r\\n``, which quotes a field holding
+    either.  The record gets a second, empty field, because a record of one
+    empty field is written as ``""``.
     """
+    records = []
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(
+        zip(fields, repeat("")))
+    return list(map(_field_of_record, records))
+
+
+def _write_rows(path, header, lines) -> None:
+    """Write the text fields of ``header`` quoted, then ``lines`` (each a
+    formatted CSV line without its ending), with ``\\n`` line endings, one
+    block of ``_BLOCK_ROWS`` lines at a time."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        lines = []
-        w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-        w.writerow(header)
-        rows = iter(rows)
-        while lines:  # the header, then each block of rows until none is left
-            fh.write("\n".join(map(_without_ending, lines)) + "\n")
-            lines.clear()
-            w.writerows(islice(rows, _BLOCK_ROWS))
+        fh.write(",".join(_quoted(header)) + "\n")
+        lines = iter(lines)
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
 
 
-def _blocks(n_rows: int, rows_of):
-    """The rows ``rows_of(block)`` gives for each slice ``block`` of at most
-    ``_BLOCK_ROWS`` of ``range(n_rows)``, in order, so that a table writer
-    formats one block of lines at a time."""
+def _blocks(n_rows: int, lines_of):
+    """The lines ``lines_of(block)`` gives for each slice ``block`` of at
+    most ``_BLOCK_ROWS`` of ``range(n_rows)``, in order, so that a table
+    writer formats one block of lines at a time."""
     return chain.from_iterable(
-        rows_of(slice(lo, lo + _BLOCK_ROWS)) for lo in range(0, n_rows, _BLOCK_ROWS))
+        lines_of(slice(lo, lo + _BLOCK_ROWS)) for lo in range(0, n_rows, _BLOCK_ROWS))
 
 
 def _refuse_changed_text(header, labels, categories, markers) -> None:
@@ -233,19 +244,23 @@ def write_csv(data: DataMatrix, path, markers=DEFAULT_MISSING_MARKERS) -> None:
     header.extend(data.col_names)
     _refuse_changed_text(header, data.row_labels, data.categorical, set(markers))
 
-    def rows_of(block):
-        columns: list = [data.row_labels[block]]
-        if data.categorical is not None:
-            columns.append([markers[0] if c is None else c for c in data.categorical[block]])
-        # column by column, so that one column's floats are boxed at a time
-        for k in range(data.n_cols):
-            columns.append([
-                fmt17(v) if m else markers[0]
-                for v, m in zip(data.values[block, k].tolist(), data.mask[block, k].tolist())
-            ])
-        return zip(*columns)
+    # each line is one template, built from the row's mask, applied to the
+    # row's quoted text and observed values
+    cell = {True: "%.17g", False: _quoted(markers[:1])[0].replace("%", "%%")}
 
-    _write_rows(path, header, _blocks(data.n_rows, rows_of))
+    def lines_of(block):
+        fields = [_quoted(data.row_labels[block])]
+        if data.categorical is not None:
+            fields.append(_quoted([markers[0] if c is None else c
+                                   for c in data.categorical[block]]))
+        text = "%s," * len(fields)
+        return [
+            (text + ",".join([cell[o] for o in m])) % (*t, *compress(v, m))
+            for t, v, m in zip(zip(*fields), data.values[block].tolist(),
+                               data.mask[block].tolist())
+        ]
+
+    _write_rows(path, header, _blocks(data.n_rows, lines_of))
 
 
 @dataclass(frozen=True)
@@ -266,16 +281,22 @@ class SomModel:
             )
 
 
+def check_model_col_names(col_names) -> None:
+    """Raise for the first column name a model file cannot hold: one with a
+    tab or a line break (:func:`load_model` splits the file with
+    ``str.splitlines``, its header on tabs)."""
+    for name in col_names:
+        if "\t" in name or name.splitlines() not in ([], [name]):
+            raise ValueError(f"column name {name!r} contains a tab or a line break")
+
+
 def save_model(model: SomModel, path) -> None:
     """Flat text format: one header line (rows, cols, p, column names), one
     line of 17-significant-digit components per unit, then keyed provenance
     lines (standardization, schedule, mode)."""
     cb = model.codebook
     topo = cb.topology
-    for name in cb.col_names:
-        # load_model splits the file with str.splitlines, the header on tabs
-        if "\t" in name or name.splitlines() not in ([], [name]):
-            raise ValueError(f"column name {name!r} contains a tab or a line break")
+    check_model_col_names(cb.col_names)
     lines = ["\t".join([str(topo.rows), str(topo.cols), str(cb.n_features), *cb.col_names])]
     for u in range(cb.n_units):
         lines.append("\t".join(fmt17(v) for v in cb.codes[u]))
@@ -383,29 +404,25 @@ def write_assignment_csv(
         header.append("supplementary")
         supplementary = np.asarray(supplementary)
 
-    def rows_of(block):
+    # an unclassifiable row's "%.0s" fields take its unit and distance and
+    # write nothing
+    status = {True: "%s,%d,%d,%d,%.17g,ok", False: "%s,%.0s,%.0s,%.0s,%.0s,unclassifiable"}
+
+    def lines_of(block):
         units = assignment.units[block]
-        ok = (units != UNCLASSIFIABLE).tolist()
-
-        def classified_only(cells):
-            return [c if o else "" for c, o in zip(cells, ok)]
-
-        columns = [
-            row_labels[block],
-            classified_only(map(str, units.tolist())),
-            classified_only(map(str, (units // topology.cols).tolist())),
-            classified_only(map(str, (units % topology.cols).tolist())),
-            classified_only(map(fmt17, assignment.sq_distances[block].tolist())),
-            ["ok" if o else "unclassifiable" for o in ok],
-        ]
+        columns = [_quoted(row_labels[block]), units.tolist(),
+                   (units // topology.cols).tolist(), (units % topology.cols).tolist(),
+                   assignment.sq_distances[block].tolist()]
+        templates = [status[u != UNCLASSIFIABLE] for u in columns[1]]
         if superclass_labels is not None:
-            columns.append(["" if s < 0 else str(int(s))
-                            for s in superclass_labels[block].tolist()])
+            columns.append(superclass_labels[block].tolist())
+            templates = [t + (",%.0s" if s < 0 else ",%d") for t, s in zip(templates, columns[-1])]
         if supplementary is not None:
             columns.append(["yes" if s else "no" for s in supplementary[block].tolist()])
-        return zip(*columns)
+            templates = [t + ",%s" for t in templates]
+        return [t % row for t, row in zip(templates, zip(*columns))]
 
-    _write_rows(path, header, _blocks(assignment.n_rows, rows_of))
+    _write_rows(path, header, _blocks(assignment.n_rows, lines_of))
 
 
 def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) -> None:
@@ -415,54 +432,57 @@ def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) 
     cells a fallback filled.
     """
     f = report.fills
-    seeds = ";".join(str(s) for s in f.seeds)
+    names = _quoted(col_names)
+    # a fallback's "%.0s" field takes the row's units and writes nothing
+    source = {"codebook": "%s,%s,%.17g,%s," + ";".join(map(str, f.seeds)) + ",codebook",
+              "column-mean": "%s,%s,%.17g,%.0s,,column-mean"}
 
-    def rows_of(block):
+    def lines_of(block):
         rows, cols = f.rows[block], f.cols[block]
-        source = f.source_of(block).tolist()
-        from_map = [s == "codebook" for s in source]
-        # each row's winners joined once, for all of its cells in the block
+        # each row's label quoted and its winners joined once, for all of
+        # its cells in the block
         held = np.unique(rows)
         joined = (";".join(map(str, w)) for w in f.winners[held].tolist())
-        units = dict(zip(held.tolist(), joined))
-        return zip(
-            [row_labels[i] for i in rows.tolist()],
-            [col_names[k] for k in cols.tolist()],
-            map(fmt17, report.filled.values[rows, cols].tolist()),
-            [units[i] if m else "" for i, m in zip(rows.tolist(), from_map)],
-            [seeds if m else "" for m in from_map],
-            source,
-        )
+        text = dict(zip(held.tolist(), zip(_quoted([row_labels[i] for i in held.tolist()]),
+                                           joined)))
+        return [
+            source[s] % (text[i][0], names[k], v, text[i][1])
+            for i, k, v, s in zip(rows.tolist(), cols.tolist(),
+                                  report.filled.values[rows, cols].tolist(),
+                                  f.source_of(block).tolist())
+        ]
 
-    unresolved = ([row_labels[i], col_names[k], "", "", "", "unresolved"]
-                  for i, k in report.unresolved)
+    unresolved = report.unresolved
+
+    def unresolved_of(block):
+        cells = unresolved[block]
+        return [
+            "%s,%s,,,,unresolved" % (label, names[k])
+            for label, (_, k) in zip(_quoted([row_labels[i] for i, _ in cells]), cells)
+        ]
+
     _write_rows(path, ["label", "column", "estimate", "units", "seeds", "source"],
-                chain(_blocks(len(f), rows_of), unresolved))
+                chain(_blocks(len(f), lines_of), _blocks(len(unresolved), unresolved_of)))
 
 
 def write_eval_csv(path, report: EvalReport) -> None:
     _write_rows(path, ["d", "n_cells", "rmse_som", "rmse_mean", "n_unresolved"], (
-        [
-            str(d),
-            str(report.n_cells[d]),
-            fmt17(report.rmse_som[d]),
-            fmt17(report.rmse_mean_baseline[d]),
-            str(report.n_unresolved[d]),
-        ]
+        "%s,%s,%.17g,%.17g,%s" % (d, report.n_cells[d], report.rmse_som[d],
+                                  report.rmse_mean_baseline[d], report.n_unresolved[d])
         for d in report.d_values
     ))
 
 
 def write_dendrogram_csv(path, sc: SuperClassing) -> None:
     _write_rows(path, ["step", "left", "right", "height"], (
-        [str(step), str(left), str(right), fmt17(height)]
+        "%s,%s,%s,%.17g" % (step, left, right, height)
         for step, (left, right, height) in enumerate(sc.dendrogram)
     ))
 
 
 def write_superclass_csv(path, sc: SuperClassing) -> None:
     _write_rows(path, ["unit", "superclass"],
-                ([str(u), str(int(sc.labels[u]))] for u in range(sc.n_units)))
+                ("%d,%d" % (u, sc.labels[u]) for u in range(sc.n_units)))
 
 
 def sha256_file(path) -> str:

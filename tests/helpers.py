@@ -6,7 +6,14 @@ share a bug with the vectorized implementations it checks.
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
+
+from somimpute.metric import UNCLASSIFIABLE
+from somimpute.model_io import DEFAULT_MISSING_MARKERS, _refuse_changed_text
 
 
 def estimate(report, row: int, col: int) -> float:
@@ -226,3 +233,82 @@ def naive_pearson(x, y) -> float:
     dx = sum((a - mx) ** 2 for a in x)
     dy = sum((b - my) ** 2 for b in y)
     return num / (dx * dy) ** 0.5
+
+
+def _reference_csv(path, header, rows) -> None:
+    """``header`` then ``rows`` through one ``csv.writer`` whose lines end in
+    ``\\r\\n`` (so a field holding ``\\r`` or ``\\n`` is quoted), each ending then
+    cut back to ``\\n``."""
+    lines = []
+    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    w.writerow(header)
+    w.writerows(rows)
+    Path(path).write_text("".join(line[:-2] + "\n" for line in lines), encoding="utf-8",
+                          newline="")
+
+
+def _fmt17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_write_csv(data, path, markers=DEFAULT_MISSING_MARKERS) -> None:
+    """``model_io.write_csv``, one ``csv.writer`` row of str fields per table row."""
+    header = ["label"]
+    if data.categorical is not None:
+        header.append(data.categorical_name or "category")
+    header.extend(data.col_names)
+    _refuse_changed_text(header, data.row_labels, data.categorical, set(markers))
+    rows = []
+    for i in range(data.n_rows):
+        row = [data.row_labels[i]]
+        if data.categorical is not None:
+            cat = data.categorical[i]
+            row.append(markers[0] if cat is None else cat)
+        for k in range(data.n_cols):
+            row.append(_fmt17(data.values[i, k]) if data.mask[i, k] else markers[0])
+        rows.append(row)
+    _reference_csv(path, header, rows)
+
+
+def reference_write_assignment_csv(path, row_labels, assignment, topology,
+                                   superclass_labels=None, supplementary=None) -> None:
+    """``model_io.write_assignment_csv``, one ``csv.writer`` row per table row."""
+    header = ["label", "unit", "grid_row", "grid_col", "sq_distance", "status"]
+    if superclass_labels is not None:
+        header.append("superclass")
+    if supplementary is not None:
+        header.append("supplementary")
+    rows = []
+    for i in range(assignment.n_rows):
+        u = int(assignment.units[i])
+        if u == UNCLASSIFIABLE:
+            row = [row_labels[i], "", "", "", "", "unclassifiable"]
+        else:
+            row = [row_labels[i], str(u), str(u // topology.cols), str(u % topology.cols),
+                   _fmt17(assignment.sq_distances[i]), "ok"]
+        if superclass_labels is not None:
+            s = int(superclass_labels[i])
+            row.append("" if s < 0 else str(s))
+        if supplementary is not None:
+            row.append("yes" if supplementary[i] else "no")
+        rows.append(row)
+    _reference_csv(path, header, rows)
+
+
+def reference_write_provenance_csv(path, report, row_labels, col_names) -> None:
+    """``model_io.write_provenance_csv``, one ``csv.writer`` row per filled
+    cell, then one per unresolved cell."""
+    f = report.fills
+    rows = []
+    for i, k in zip(f.rows.tolist(), f.cols.tolist()):
+        winners = f.winners[i].tolist()
+        from_map = any(w >= 0 for w in winners)
+        rows.append([
+            row_labels[i], col_names[k], _fmt17(report.filled.values[i, k]),
+            ";".join(map(str, winners)) if from_map else "",
+            ";".join(map(str, f.seeds)) if from_map else "",
+            "codebook" if from_map else "column-mean",
+        ])
+    for i, k in report.unresolved:
+        rows.append([row_labels[i], col_names[k], "", "", "", "unresolved"])
+    _reference_csv(path, ["label", "column", "estimate", "units", "seeds", "source"], rows)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from somimpute import (
     TrainingMode,
     TrainingSchedule,
     classify_supplementary,
+    cli,
     fit_standardizer,
     impute,
     model_io,
@@ -43,6 +45,8 @@ from somimpute.model_io import (
 )
 from somimpute.render import render_map_svg, render_map_text
 from conftest import random_incomplete
+from helpers import (reference_write_assignment_csv, reference_write_csv,
+                     reference_write_provenance_csv)
 
 
 class TestReadCsv:
@@ -354,6 +358,72 @@ def test_block_size_changes_no_byte(outputs):
             seen.append((files, _read_or_error(tmp / "t.csv")))
     assert seen[0] == seen[1] == seen[2]
     assert seen[0][0]["p.csv"].count(b",unresolved\n") == len(report.unresolved)
+
+
+# text the writers must quote or pass through as it is: a separator, a quote,
+# line breaks, printf's "%", empty text and non-ASCII text
+_clean_text = st.text(st.sampled_from(list(',"\r\n%aé€ ')), max_size=4).filter(
+    lambda t: t == t.strip())
+
+
+@st.composite
+def _awkward_outputs(draw):
+    """:func:`_table_outputs` with awkward labels, names and categories, and
+    one or two missing markers, the first not always a default one.  Now and
+    then the first label or column name is padded, which write_csv refuses."""
+    data, assignment, topo, superclasses, supplementary, report = draw(_table_outputs())
+    n, p = data.n_rows, data.n_cols
+    labels = draw(st.lists(_clean_text, min_size=n, max_size=n))
+    names = draw(st.lists(_clean_text, min_size=p, max_size=p))
+    padded = draw(st.sampled_from([None, None, None, labels, names]))
+    if padded is not None:
+        padded[0] = f" {padded[0]}"
+    data = replace(
+        data, row_labels=tuple(labels), col_names=tuple(names),
+        categorical=tuple(draw(st.lists(st.none() | _clean_text.filter(bool),
+                                        min_size=n, max_size=n))),
+        categorical_name=draw(_clean_text),
+    )
+    markers = tuple(draw(st.lists(
+        st.sampled_from(["", "NA", "?", "%", "%s", "%%d", "a,b", 'q"', "m\rm", "né"]),
+        min_size=1, max_size=2)))
+    return data, markers, assignment, topo, superclasses, supplementary, report
+
+
+def _written(tmp, write_table, write_assignments, write_provenance, outputs):
+    """The bytes each writer writes for ``outputs``, or the error it raises."""
+    data, markers, assignment, topo, superclasses, supplementary, report = outputs
+    calls = {
+        "t.csv": lambda path: write_table(data, path, markers),
+        "a.csv": lambda path: write_assignments(path, data.row_labels, assignment, topo),
+        "a_sc.csv": lambda path: write_assignments(
+            path, data.row_labels, assignment, topo,
+            superclass_labels=superclasses, supplementary=supplementary),
+        "p.csv": lambda path: write_provenance(path, report, data.row_labels, data.col_names),
+    }
+    out = {}
+    for name, call in calls.items():
+        path = tmp / name
+        try:
+            call(path)
+            out[name] = path.read_bytes()
+        except Exception as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+        path.unlink(missing_ok=True)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_awkward_outputs())
+def test_table_writers_write_the_reference_writers_bytes(outputs):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        want = _written(tmp, reference_write_csv, reference_write_assignment_csv,
+                        reference_write_provenance_csv, outputs)
+        for block_rows in (1, 3, model_io._BLOCK_ROWS):
+            mp.setattr(model_io, "_BLOCK_ROWS", block_rows)
+            got = _written(tmp, write_csv, write_assignment_csv, write_provenance_csv, outputs)
+            assert got == want, block_rows
 
 
 def test_csv_io_holds_about_one_block_of_text(tmp_path, monkeypatch):
@@ -1018,6 +1088,25 @@ class TestCli:
         ])
         assert rc == 2
         assert "missing marker ' ?' has surrounding whitespace" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_column_name_model_file_cannot_hold_rejected_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        # model.txt is split into lines and its header on tabs, so such a
+        # name is refused before any map is trained or output written
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the column names were checked")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text('id,"x\ry",z\nr0,1.0,2.0\nr1,2.5,3.0\nr2,0.5,1.5\nr3,3.0,4.0\n',
+                            newline="")
+        out = tmp_path / "run"
+        rc = main(["train", "--input", str(csv_path), "--output-dir", str(out),
+                   "--grid-rows", "1", "--grid-cols", "2", "--iters", "50"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: column name 'x\\ry' contains a tab or a line break\n")
         assert not out.exists()
 
     def test_model_with_n_maps_rejected(self, tmp_path):
