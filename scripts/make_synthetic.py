@@ -21,7 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from somimpute import MaskingPlan, mask_random
+from somimpute import mask_random
 from somimpute.model_io import write_csv
 from somimpute.synthetic import correlated_clusters, gaussian_blobs, iid_gaussian
 
@@ -52,9 +52,7 @@ def main() -> int:
         data = iid_gaussian(args.rows, args.cols, args.seed)
 
     if args.deletions_per_row:
-        data, ledger = mask_random(
-            data, MaskingPlan(args.deletions_per_row, seed=args.seed + 1)
-        )
+        data, ledger = mask_random(data, args.deletions_per_row, seed=args.seed + 1)
         print(f"masked {len(ledger)} cells")
 
     write_csv(data, args.out)

@@ -17,7 +17,6 @@ from .data import (
 from .evaluation import (
     EvalReport,
     MaskingLedger,
-    MaskingPlan,
     deletion_curve,
     mask_random,
     mean_impute_baseline,
@@ -68,7 +67,6 @@ __all__ = [
     "GridTopology",
     "ImputationReport",
     "MaskingLedger",
-    "MaskingPlan",
     "StandardizationParams",
     "SuperClassing",
     "TrainResult",

@@ -138,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_markers(args) -> tuple[str, ...]:
+def _effective_markers(args) -> None:
+    """Decode and check ``args.missing_markers`` in place (the defaults when
+    none is given)."""
     if args.missing_markers is None:
         args.missing_markers = list(DEFAULT_MISSING_MARKERS)
     # argv is decoded by the locale (undecodable bytes surrogate-escaped), the CSV as UTF-8
@@ -149,7 +151,7 @@ def _effective_markers(args) -> tuple[str, ...]:
         except UnicodeError:
             raise ValueError(f"missing marker {m!r} is not valid UTF-8") from None
     args.missing_markers = decoded
-    return _checked_markers(decoded)
+    _checked_markers(decoded)
 
 
 def _outdir(args) -> Path:
@@ -161,12 +163,6 @@ def _outdir(args) -> Path:
 # the flags that name files a run reads; main digests each into args before
 # the run, and the manifest records the digests
 _INPUT_FLAGS = ("input", "model")
-
-
-def _write_run_manifest(outdir: Path, args) -> None:
-    entries = {k: v for k, v in vars(args).items() if k != "func"}
-    entries["tool_version"] = __version__
-    write_manifest(outdir / "manifest.txt", entries)
 
 
 def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
@@ -184,12 +180,12 @@ def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
     return topo, schedule, TrainingMode(args.mode)
 
 
-def _read_input(args, markers, model: SomModel | None = None):
+def _read_input(args, model: SomModel | None = None):
     """``(data, params, std)``: the input CSV, standardized once with the
     model's parameters, after its numeric columns are checked to be the
     model's by name and in order (the error names the first position that
     differs), or with parameters fitted on the table when there is no model."""
-    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+    data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
     if model is None:
         params = fit_standardizer(data)
     else:
@@ -208,12 +204,11 @@ def _read_input(args, markers, model: SomModel | None = None):
     return data, params, standardize(data, params)
 
 
-def cmd_train(args) -> int:
-    markers = _effective_markers(args)
+def cmd_train(args) -> None:
     topo, schedule, mode = _training_args(args)
     if args.superclasses is not None and not 1 <= args.superclasses <= topo.n_units:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
-    data, params, std = _read_input(args, markers)
+    data, params, std = _read_input(args)
     check_model_col_names(data.col_names)  # before the map is trained
     result = train(std, topo, schedule, mode)
     outdir = _outdir(args)
@@ -236,21 +231,16 @@ def cmd_train(args) -> int:
             "training and flagged unclassifiable",
             file=sys.stderr,
         )
-    _write_run_manifest(outdir, args)
-    return 0
 
 
-def cmd_classify(args) -> int:
-    markers = _effective_markers(args)
+def cmd_classify(args) -> None:
     model = load_model(args.model)
-    data, _, std = _read_input(args, markers, model)
+    data, _, std = _read_input(args, model)
     assignment = classify_supplementary(model.codebook, std)
     outdir = _outdir(args)
     write_assignment_csv(
         outdir / "assignments.csv", data.row_labels, assignment, model.codebook.topology
     )
-    _write_run_manifest(outdir, args)
-    return 0
 
 
 def _destandardized_report(report: ImputationReport, data, params) -> ImputationReport:
@@ -262,8 +252,7 @@ def _destandardized_report(report: ImputationReport, data, params) -> Imputation
         np.where(data.mask, data.values, back.values), back.mask))
 
 
-def cmd_impute(args) -> int:
-    markers = _effective_markers(args)
+def cmd_impute(args) -> None:
     model = None
     if args.model is not None:
         if args.n_maps != 1:
@@ -275,7 +264,7 @@ def cmd_impute(args) -> int:
         topo, schedule, mode = _training_args(args)
         if args.n_maps < 1:
             raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
-    data, params, std = _read_input(args, markers, model)
+    data, params, std = _read_input(args, model)
     if model is not None:
         report = impute(model.codebook, std)
     else:
@@ -286,20 +275,17 @@ def cmd_impute(args) -> int:
     out_report = _destandardized_report(report, data, params)
     outdir = _outdir(args)
     # missing cells as the first marker, so that the file reads back under --missing-marker
-    write_csv(out_report.filled, outdir / "imputed.csv", markers)
+    write_csv(out_report.filled, outdir / "imputed.csv", args.missing_markers)
     write_provenance_csv(
         outdir / "provenance.csv", out_report, data.row_labels, data.col_names
     )
-    _write_run_manifest(outdir, args)
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    markers = _effective_markers(args)
+def cmd_evaluate(args) -> None:
     topo, schedule, mode = _training_args(args)
     if args.d_min < 1 or args.d_max < args.d_min:
         raise ValueError(f"invalid deletion range [{args.d_min}, {args.d_max}]")
-    data = read_csv(args.input, markers, args.label_col, args.categorical_col)
+    data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
     if data.n_missing_cells:
         raise ValueError("evaluate requires a complete input dataset")
     report = deletion_curve(
@@ -310,14 +296,11 @@ def cmd_evaluate(args) -> int:
     outdir = _outdir(args)
     write_eval_csv(outdir / "eval.csv", report)
     (outdir / "curve.svg").write_text(render_curve_svg(report), encoding="utf-8")
-    _write_run_manifest(outdir, args)
-    return 0
 
 
-def cmd_render(args) -> int:
-    markers = _effective_markers(args)
+def cmd_render(args) -> None:
     model = load_model(args.model)
-    data, _, std = _read_input(args, markers, model)
+    data, _, std = _read_input(args, model)
     assignment = classify_supplementary(model.codebook, std)
     supplementary = ~pool_mask(std, model.mode) & (assignment.units >= 0)
     sc = None
@@ -337,8 +320,6 @@ def cmd_render(args) -> int:
         ),
         encoding="utf-8",
     )
-    _write_run_manifest(outdir, args)
-    return 0
 
 
 _REPLAY_SKIP = {"subcommand", "tool_version", "output_dir"}
@@ -403,7 +384,14 @@ def main(argv=None) -> int:
                                  "records its digest, and replay reads it again")
             # digested before the run, whose outputs may overwrite an input
             setattr(args, f"{name}_sha256", sha256_file(path))
-        return args.func(args)
+        if args.func is cmd_replay:
+            return cmd_replay(args)  # the replayed run writes its own manifest
+        _effective_markers(args)  # before the input is read or an output is made
+        args.func(args)
+        entries = {k: v for k, v in vars(args).items() if k != "func"}
+        entries["tool_version"] = __version__
+        write_manifest(Path(args.output_dir) / "manifest.txt", entries)
+        return 0
     except (ValueError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

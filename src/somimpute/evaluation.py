@@ -23,64 +23,55 @@ from .trainer import train  # unused here; perfbench/tracing.py wraps it
 
 
 @dataclass(frozen=True)
-class MaskingPlan:
-    """Delete ``per_row_deletions`` cells from every row, seeded.
-
-    ``global_mcar`` is an extension: the same total budget
-    (``per_row_deletions * n_rows`` cells) drawn uniformly over the whole
-    table instead of row by row.  Unlike the per-row protocol it may leave
-    some rows entirely missing; those flow through the unresolved-cell
-    machinery downstream.
-    """
-
-    per_row_deletions: int
-    seed: int
-    global_mcar: bool = False
-
-    def __post_init__(self) -> None:
-        if self.per_row_deletions < 0:
-            raise ValueError(f"per_row_deletions must be >= 0, got {self.per_row_deletions}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class MaskingLedger:
-    """Deleted cells and their true values, in deterministic order."""
+    """Deleted cells and their true values, in deterministic order: cell
+    ``j`` is ``(rows[j], cols[j])`` and held ``true_values[j]``."""
 
-    cells: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
     true_values: np.ndarray
 
     def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=int)
+        cols = np.array(self.cols, dtype=int)
         vals = np.array(self.true_values, dtype=float)
-        if vals.shape != (len(self.cells),):
-            raise ValueError("true_values must align with cells")
-        vals.setflags(write=False)
-        object.__setattr__(self, "true_values", vals)
+        if rows.ndim != 1 or cols.shape != rows.shape or vals.shape != rows.shape:
+            raise ValueError("rows, cols and true_values must be 1-D arrays of equal length")
+        for name, a in (("rows", rows), ("cols", cols), ("true_values", vals)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.rows.size
 
 
-def mask_random(data: DataMatrix, plan: MaskingPlan) -> tuple[DataMatrix, MaskingLedger]:
-    """Mask exactly ``d`` cells per row, uniform without replacement, seeded.
+def mask_random(
+    data: DataMatrix, d: int, seed: int, global_mcar: bool = False
+) -> tuple[DataMatrix, MaskingLedger]:
+    """Mask exactly ``d`` cells per row, uniform without replacement, drawn
+    from ``default_rng(seed)``.
 
     The input must be complete.  Every row keeps at least one observed
     value because ``d < p`` is enforced.
 
-    Under ``plan.global_mcar`` the same cell budget is drawn uniformly over
-    the whole table instead; rows may then end up entirely missing, and a
-    draw that empties a whole column fails loudly at construction.
+    ``global_mcar`` is an extension: the same budget of ``d * n_rows`` cells
+    is drawn uniformly over the whole table instead of row by row.  Rows may
+    then end up entirely missing, and flow through the unresolved-cell
+    machinery downstream; a draw that empties a whole column fails loudly
+    at construction.
     """
+    if d < 0:
+        raise ValueError(f"per_row_deletions must be >= 0, got {d}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if data.n_missing_cells:
         raise ValueError("mask_random requires a complete input matrix")
-    d = plan.per_row_deletions
     p = data.n_cols
     if d >= p:
         raise ValueError(f"per_row_deletions={d} must be < number of columns ({p})")
     n = data.n_rows
-    rng = np.random.default_rng(plan.seed)
-    if plan.global_mcar:
+    rng = np.random.default_rng(seed)
+    if global_mcar:
         rows, cols = divmod(np.sort(rng.choice(n * p, size=d * n, replace=False)), p)
     else:
         rows = np.repeat(np.arange(n), d)
@@ -89,13 +80,8 @@ def mask_random(data: DataMatrix, plan: MaskingPlan) -> tuple[DataMatrix, Maskin
         )
     new_mask = np.ones_like(data.mask)
     new_mask[rows, cols] = False
-    cells = tuple(zip(rows.tolist(), cols.tolist()))
-    return data.with_cells(data.values, new_mask), MaskingLedger(cells, data.values[rows, cols])
-
-
-def _ledger_index(ledger: MaskingLedger) -> tuple[np.ndarray, np.ndarray]:
-    """The ledger's cells as a (rows, cols) index pair."""
-    return tuple(np.array(ledger.cells, dtype=int).reshape(-1, 2).T)
+    ledger = MaskingLedger(rows, cols, data.values[rows, cols])
+    return data.with_cells(data.values, new_mask), ledger
 
 
 def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
@@ -109,12 +95,12 @@ def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
     filled = report.filled
     in_fills = np.zeros(filled.values.shape, dtype=bool)
     in_fills[report.fills.rows, report.fills.cols] = True
-    rows, cols = _ledger_index(ledger)
+    rows, cols = ledger.rows, ledger.cols
     used = filled.mask[rows, cols]
     stray = used & ~in_fills[rows, cols]
     if stray.any():
         i = int(np.flatnonzero(stray)[0])
-        raise ValueError(f"deleted cell {ledger.cells[i]} is neither filled nor unresolved")
+        raise ValueError(f"deleted cell ({rows[i]}, {cols[i]}) is neither filled nor unresolved")
     if not used.any():
         raise ValueError("every deleted cell is unresolved; RMSE undefined")
     err = filled.values[rows[used], cols[used]] - ledger.true_values[used]
@@ -124,7 +110,7 @@ def rmse_deleted(ledger: MaskingLedger, report: ImputationReport) -> float:
 
 def count_unresolved_deleted(ledger: MaskingLedger, report: ImputationReport) -> int:
     """How many of the ledger's cells the report left unresolved."""
-    return int((~report.filled.mask[_ledger_index(ledger)]).sum())
+    return int((~report.filled.mask[ledger.rows, ledger.cols]).sum())
 
 
 def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
@@ -161,12 +147,10 @@ def _masked_arm(
     """Arm ``(d, rep)`` of the deletion study up to training: the table
     masked and standardized, and the ledger of deleted cells with their
     truths standardized alike."""
-    masked, ledger = mask_random(
-        data, MaskingPlan(d, _derive_seed(seed, d, rep, 0), global_mcar=global_mcar)
-    )
+    masked, ledger = mask_random(data, d, _derive_seed(seed, d, rep, 0), global_mcar)
     std = standardize(data, fit_standardizer(masked))
-    truths = std.values[_ledger_index(ledger)]
-    return std.with_cells(std.values, masked.mask), MaskingLedger(ledger.cells, truths)
+    return (std.with_cells(std.values, masked.mask),
+            replace(ledger, true_values=std.values[ledger.rows, ledger.cols]))
 
 
 def deletion_curve(
@@ -280,8 +264,9 @@ def pairwise_correlation(data: DataMatrix) -> np.ndarray:
 def modality_proportions(assignment: Assignment, data: DataMatrix) -> dict[int, dict[str, float]]:
     """Frequency of each modality among the rows assigned to each unit.
 
-    Rows with a missing modality are excluded from their unit's denominator;
-    empty units map to an empty table, never a division error.
+    Rows with a missing modality (``None``) are excluded from their unit's
+    denominator, while ``""`` counts like any other modality; empty units map
+    to an empty table, never a division error.
     """
     if data.categorical is None:
         raise ValueError("data has no categorical column")
@@ -291,7 +276,7 @@ def modality_proportions(assignment: Assignment, data: DataMatrix) -> dict[int, 
         )
     counts: list[Counter[str]] = [Counter() for _ in range(assignment.n_units)]
     for u, modality in zip(assignment.units.tolist(), data.categorical):
-        if u >= 0 and modality:  # neither unclassified rows nor missing modalities count
+        if u >= 0 and modality is not None:  # skip unclassified rows, missing modalities
             counts[u][modality] += 1
     return {u: {m: c / table.total() for m, c in sorted(table.items())}
             for u, table in enumerate(counts)}

@@ -44,7 +44,8 @@ def render_map_text(
     superclassing=None,
 ) -> str:
     """Fixed-width grid of member labels; supplementary rows carry a ``*``
-    suffix and super-classes show as a ``[k]`` tag line.  Output is a pure
+    suffix, a label's ``\\r`` and ``\\n`` are written as those two-character
+    escapes, and super-classes show as a ``[k]`` tag line.  Output is a pure
     function of the inputs (golden-file stable)."""
     topo = codebook.topology
     cells = _cell_members(assignment, row_labels, supplementary)
@@ -53,7 +54,8 @@ def render_map_text(
         lines = []
         if superclassing is not None:
             lines.append(f"[{int(superclassing.labels[u])}]")
-        lines.extend(label + ("*" if supp else "") for label, supp in cells[u])
+        lines.extend(label.replace("\r", "\\r").replace("\n", "\\n") + ("*" if supp else "")
+                     for label, supp in cells[u])
         content.append(lines)
     widths = [3] * topo.cols
     for u, lines in enumerate(content):

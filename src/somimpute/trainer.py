@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -210,17 +209,6 @@ def pool_mask(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
     return data.mask.any(axis=1)
 
 
-class _Start(NamedTuple):
-    """A map's state before its first step, as :func:`train` documents it."""
-
-    codes: np.ndarray  # initial (n_units, p) codes
-    rng: np.random.Generator  # the seeded stream, positioned after the codes
-    pool: np.ndarray  # rows that may be drawn
-
-    def draws(self, n: int) -> np.ndarray:
-        return self.pool[self.rng.integers(self.pool.size, size=n)]
-
-
 def _pool(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
     """The row numbers of :func:`pool_mask`; an empty pool is a ``ValueError``."""
     pool = np.flatnonzero(pool_mask(data, mode))
@@ -229,14 +217,6 @@ def _pool(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
                          if mode is TrainingMode.COMPLETE_ONLY
                          else "no trainable rows: every row is entirely missing")
     return pool
-
-
-def _start(data: DataMatrix, topology: GridTopology, schedule: TrainingSchedule,
-           mode: TrainingMode) -> _Start:
-    """A map's training pool and initial codes."""
-    pool = _pool(data, mode)
-    rng = np.random.default_rng(schedule.rng_seed)
-    return _Start(_draw_initial_codes(rng, data, topology), rng, pool)
 
 
 def _lockstep_updates(C, values, mask, rows, alphas, radii, cheb) -> None:
@@ -344,26 +324,30 @@ def train_maps(
         raise ValueError("train_maps needs at least one map")
     if len(schedules) != len(datas):
         raise ValueError(f"{len(datas)} tables but {len(schedules)} schedules")
-    starts = [_start(d, topology, s, mode) for d, s in zip(datas, schedules)]
+    # each map's pool, then its one seeded stream: the initial codes, later its draws
+    pools = [_pool(d, mode) for d in datas]
+    rngs = [np.random.default_rng(s.rng_seed) for s in schedules]
+    codes = [_draw_initial_codes(rng, d, topology) for rng, d in zip(rngs, datas)]
     p = datas[0].n_cols
     base = replace(schedules[0], rng_seed=0)
     if (len(datas) > 1 and p * topology.n_units <= _LOCKSTEP_MAX_CELLS
             and all(d.n_cols == p and replace(s, rng_seed=0) == base
                     for d, s in zip(datas, schedules))):
-        C = np.ascontiguousarray(np.stack([st.codes for st in starts]).transpose(0, 2, 1))
+        C = np.ascontiguousarray(np.stack(codes).transpose(0, 2, 1))
         values, mask, offsets = _shared_table(datas)
         # one row table for all maps, each column drawn straight into place
         rows = np.empty((schedules[0].total_iters, len(datas)), dtype=np.intp)
-        for k, (st, off) in enumerate(zip(starts, offsets)):
-            rows[:, k] = st.draws(rows.shape[0]) + off
+        for k, (pool, rng, off) in enumerate(zip(pools, rngs, offsets)):
+            rows[:, k] = pool[rng.integers(pool.size, size=rows.shape[0])] + off
         _lockstep_updates(C, values, mask, rows, *_schedule_arrays(schedules[0]),
                           topology.distance_matrix())
         finals = [c.T for c in C]
     else:
         finals = []
-        for d, s, st in zip(datas, schedules, starts):
-            c3 = _transposed(st.codes, topology)
-            _online_updates(c3, d.values, d.mask, st.draws(s.total_iters), *_schedule_arrays(s))
+        for d, s, pool, rng, c in zip(datas, schedules, pools, rngs, codes):
+            c3 = _transposed(c, topology)
+            draws = pool[rng.integers(pool.size, size=s.total_iters)]
+            _online_updates(c3, d.values, d.mask, draws, *_schedule_arrays(s))
             finals.append(c3.reshape(d.n_cols, -1).T)
     return [CodeBook(codes, topology, d.col_names) for d, codes in zip(datas, finals)]
 

@@ -16,7 +16,6 @@ from somimpute import (
     DataMatrix,
     GridTopology,
     MaskingLedger,
-    MaskingPlan,
     TrainingMode,
     TrainingSchedule,
     assign,
@@ -176,15 +175,16 @@ def test_criterion_4_deletion_curve_trend():
 
 def test_criterion_5_mean_baseline_anchor_near_one():
     data = iid_gaussian(200, 10, seed=99)
-    masked, ledger = mask_random(data, MaskingPlan(3, seed=123))
+    masked, ledger = mask_random(data, 3, seed=123)
     assert len(ledger) >= 500
     params = fit_standardizer(masked)
     std = standardize(masked, params)
     std_truth = np.array(
         [(t - params.means[k]) / params.stds[k]
-         for (_, k), t in zip(ledger.cells, ledger.true_values)]
+         for k, t in zip(ledger.cols, ledger.true_values)]
     )
-    rmse = rmse_deleted(MaskingLedger(ledger.cells, std_truth), mean_impute_baseline(std))
+    rmse = rmse_deleted(MaskingLedger(ledger.rows, ledger.cols, std_truth),
+                        mean_impute_baseline(std))
     assert abs(rmse - 1.0) <= 0.15, f"baseline rmse {rmse:.3f}"
     _ok(5, f"column-mean baseline RMSE {rmse:.3f} within 1.0 +/- 0.15 on {len(ledger)} cells")
 
@@ -318,7 +318,7 @@ def test_criterion_9_manifest_replay_reproduces_csv_bytes(tmp_path):
 
 def test_criterion_10_multi_map_averaging_halves_estimate_variance():
     data, _ = _curve_dataset()
-    masked, _ = mask_random(data, MaskingPlan(3, seed=777))
+    masked, _ = mask_random(data, 3, seed=777)
     params = fit_standardizer(masked)
     std = standardize(masked, params)
     topo = GridTopology(3, 3)

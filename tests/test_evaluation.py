@@ -10,7 +10,6 @@ from somimpute import (
     GridTopology,
     ImputationReport,
     MaskingLedger,
-    MaskingPlan,
     TrainingMode,
     TrainingSchedule,
     deletion_curve,
@@ -34,74 +33,100 @@ def _complete(seed=0, n=10, p=5):
     return DataMatrix.from_nan(rng.normal(size=(n, p)))
 
 
+def _cells(ledger):
+    """The ledger's cells as ``(row, col)`` pairs, in ledger order."""
+    return tuple(zip(ledger.rows.tolist(), ledger.cols.tolist()))
+
+
+def _ledger(cells, true_values):
+    return MaskingLedger([i for i, _ in cells], [k for _, k in cells], true_values)
+
+
 class TestMaskRandom:
     def test_zero_deletions_is_a_noop(self):
         data = _complete()
-        masked, ledger = mask_random(data, MaskingPlan(0, seed=1))
+        masked, ledger = mask_random(data, 0, seed=1)
         assert np.array_equal(masked.values, data.values)
         assert masked.mask.all()
         assert len(ledger) == 0
 
     def test_boundary_leaves_one_observed_cell_per_row(self):
         data = _complete(p=4)
-        masked, _ = mask_random(data, MaskingPlan(3, seed=2))
+        masked, _ = mask_random(data, 3, seed=2)
         assert np.all(masked.mask.sum(axis=1) == 1)
 
     def test_same_seed_same_mask(self):
         data = _complete()
-        a, la = mask_random(data, MaskingPlan(2, seed=3))
-        b, lb = mask_random(data, MaskingPlan(2, seed=3))
+        a, la = mask_random(data, 2, seed=3)
+        b, lb = mask_random(data, 2, seed=3)
         assert np.array_equal(a.mask, b.mask)
-        assert la.cells == lb.cells
+        assert _cells(la) == _cells(lb)
 
     def test_ledger_records_true_values(self):
         data = _complete()
-        _, ledger = mask_random(data, MaskingPlan(2, seed=4))
-        for (i, k), v in zip(ledger.cells, ledger.true_values):
+        _, ledger = mask_random(data, 2, seed=4)
+        for (i, k), v in zip(_cells(ledger), ledger.true_values):
             assert v == data.values[i, k]
 
     def test_exactly_d_cells_per_row(self):
         data = _complete(p=5)
-        masked, ledger = mask_random(data, MaskingPlan(2, seed=5))
+        masked, ledger = mask_random(data, 2, seed=5)
         assert np.all((~masked.mask).sum(axis=1) == 2)
         assert len(ledger) == 2 * data.n_rows
 
     def test_d_too_large_rejected(self):
         data = _complete(p=3)
         with pytest.raises(ValueError):
-            mask_random(data, MaskingPlan(3, seed=0))
+            mask_random(data, 3, seed=0)
+
+    def test_negative_d_rejected(self):
+        with pytest.raises(ValueError, match="^per_row_deletions must be >= 0, got -1$"):
+            mask_random(_complete(), -1, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+            mask_random(_complete(), 1, seed=-3)
+
+    def test_ledger_holds_read_only_aligned_arrays(self):
+        _, ledger = mask_random(_complete(), 2, seed=6)
+        for a in (ledger.rows, ledger.cols, ledger.true_values):
+            assert a.shape == (20,) and not a.flags.writeable
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            MaskingLedger([0, 1], [0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            MaskingLedger([0], [0], [1.0, 2.0])
 
     def test_incomplete_input_rejected(self, small_incomplete):
         with pytest.raises(ValueError):
-            mask_random(small_incomplete, MaskingPlan(1, seed=0))
+            mask_random(small_incomplete, 1, seed=0)
 
     def test_per_row_draws_are_sorted_choices_from_one_generator(self):
         data = _complete(seed=3, n=9, p=6)
-        masked, ledger = mask_random(data, MaskingPlan(4, seed=12))
+        masked, ledger = mask_random(data, 4, seed=12)
         rng = np.random.default_rng(12)
         cells = tuple((i, int(k)) for i in range(9)
                       for k in np.sort(rng.choice(6, size=4, replace=False)))
-        assert ledger.cells == cells
+        assert _cells(ledger) == cells
         assert ledger.true_values.tolist() == [data.values[c] for c in cells]
         assert sorted(map(tuple, np.argwhere(~masked.mask).tolist())) == list(cells)
 
     def test_global_mcar_draw_is_one_choice_over_the_flat_table(self):
         data = _complete(seed=3, n=9, p=6)
-        masked, ledger = mask_random(data, MaskingPlan(2, seed=13, global_mcar=True))
+        masked, ledger = mask_random(data, 2, seed=13, global_mcar=True)
         flat = np.sort(np.random.default_rng(13).choice(54, size=18, replace=False))
-        assert ledger.cells == tuple((int(j) // 6, int(j) % 6) for j in flat)
-        assert sorted(map(tuple, np.argwhere(~masked.mask).tolist())) == list(ledger.cells)
+        assert _cells(ledger) == tuple((int(j) // 6, int(j) % 6) for j in flat)
+        assert sorted(map(tuple, np.argwhere(~masked.mask).tolist())) == list(_cells(ledger))
 
     def test_global_mcar_spreads_the_same_budget(self):
         data = _complete(n=20, p=6)
-        masked, ledger = mask_random(data, MaskingPlan(2, seed=9, global_mcar=True))
+        masked, ledger = mask_random(data, 2, seed=9, global_mcar=True)
         assert len(ledger) == 2 * 20
         per_row = (~masked.mask).sum(axis=1)
         assert per_row.sum() == 40
         assert per_row.max() > 2 or per_row.min() < 2  # not the per-row pattern
-        again, ledger2 = mask_random(data, MaskingPlan(2, seed=9, global_mcar=True))
+        again, ledger2 = mask_random(data, 2, seed=9, global_mcar=True)
         assert np.array_equal(masked.mask, again.mask)
-        assert ledger.cells == ledger2.cells
+        assert _cells(ledger) == _cells(ledger2)
 
 
 def _report_for(data, estimates):
@@ -121,19 +146,19 @@ def _report_for(data, estimates):
 class TestRmseDeleted:
     def test_perfect_recovery_is_zero(self):
         data = _complete(n=3, p=3)
-        masked, ledger = mask_random(data, MaskingPlan(1, seed=8))
-        estimates = {c: float(v) for c, v in zip(ledger.cells, ledger.true_values)}
+        masked, ledger = mask_random(data, 1, seed=8)
+        estimates = {c: float(v) for c, v in zip(_cells(ledger), ledger.true_values)}
         assert rmse_deleted(ledger, _report_for(masked, estimates)) == 0.0
 
     def test_single_cell_hand_case(self):
-        ledger = MaskingLedger(((0, 0),), np.array([1.0]))
+        ledger = _ledger(((0, 0),), np.array([1.0]))
         values = np.array([[np.nan, 2.0], [4.0, 5.0]])
         masked = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
         report = _report_for(masked, {(0, 0): 0.5})
         assert rmse_deleted(ledger, report) == 0.5
 
     def test_two_cell_hand_case(self):
-        ledger = MaskingLedger(((0, 0), (0, 1)), np.array([1.0, 1.0]))
+        ledger = _ledger(((0, 0), (0, 1)), np.array([1.0, 1.0]))
         values = np.array([[np.nan, np.nan, 3.0], [4.0, 5.0, 6.0]])
         masked = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y", "z"))
         report = _report_for(masked, {(0, 0): 1.0, (0, 1): 0.0})
@@ -143,10 +168,10 @@ class TestRmseDeleted:
         data = _complete(n=2, p=2)
         report = _report_for(data, {})
         with pytest.raises(ValueError):
-            rmse_deleted(MaskingLedger((), np.array([])), report)
+            rmse_deleted(_ledger((), np.array([])), report)
 
     def test_unresolved_cells_excluded(self):
-        ledger = MaskingLedger(((0, 0), (1, 0)), np.array([1.0, 5.0]))
+        ledger = _ledger(((0, 0), (1, 0)), np.array([1.0, 5.0]))
         values = np.array([[np.nan, 2.0], [np.nan, np.nan], [7.0, 8.0]])
         masked = DataMatrix(values, np.isfinite(values), ("a", "b", "c"), ("x", "y"))
         report = _report_for(masked, {(0, 0): 0.5})
@@ -157,7 +182,7 @@ class TestRmseDeleted:
     def test_ledger_cell_that_was_never_missing_rejected(self):
         # (0, 1) is observed and not filled: the ledger does not belong to
         # this report
-        ledger = MaskingLedger(((0, 0), (0, 1)), np.array([1.0, 2.0]))
+        ledger = _ledger(((0, 0), (0, 1)), np.array([1.0, 2.0]))
         values = np.array([[np.nan, 2.0], [4.0, 5.0]])
         masked = DataMatrix(values, np.isfinite(values), ("a", "b"), ("x", "y"))
         report = _report_for(masked, {(0, 0): 0.5})
@@ -165,7 +190,7 @@ class TestRmseDeleted:
             rmse_deleted(ledger, report)
 
     def test_unresolved_deleted_cells_counted(self):
-        ledger = MaskingLedger(((0, 0), (1, 0), (1, 1), (2, 1)), np.zeros(4))
+        ledger = _ledger(((0, 0), (1, 0), (1, 1), (2, 1)), np.zeros(4))
         values = np.array([[np.nan, 2.0], [np.nan, np.nan], [7.0, np.nan]])
         masked = DataMatrix(values, np.isfinite(values), ("a", "b", "c"), ("x", "y"))
         report = _report_for(masked, {(0, 0): 0.5, (2, 1): 1.0})
@@ -261,6 +286,12 @@ class TestModalityProportions:
         table = modality_proportions(asg, data)
         assert table[0] == {"a": 0.5, "b": 0.5}
 
+    def test_empty_string_is_a_modality(self):
+        # under a missing marker other than "", an empty cell is the category ""
+        data = self._data_with_modalities(["", "a", "", "a"])
+        asg = Assignment(np.array([0, 0, 0, 0]), np.zeros(4), 1)
+        assert modality_proportions(asg, data)[0] == {"": 0.5, "a": 0.5}
+
     def test_distributions_sum_to_one_or_empty(self):
         rng = np.random.default_rng(9)
         cats = [str(rng.integers(3)) if rng.random() < 0.8 else None for _ in range(30)]
@@ -355,17 +386,17 @@ class TestDeletionCurve:
             for rep in range(n_repeats):
                 seeds = [int(np.random.SeedSequence([sched.rng_seed, d, rep, part])
                              .generate_state(1)[0]) for part in (0, 1)]
-                masked, ledger = mask_random(data, MaskingPlan(d, seeds[0]))
+                masked, ledger = mask_random(data, d, seeds[0])
                 params = fit_standardizer(masked)
                 std = standardize(masked, params)
-                cols = [k for _, k in ledger.cells]
+                cols = ledger.cols
                 truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
-                std_ledger = MaskingLedger(ledger.cells, truth)
+                std_ledger = replace(ledger, true_values=truth)
                 arm = impute_multi(std, topo, sched, n_maps, base_seed=seeds[1])
                 som.append(rmse_deleted(std_ledger, arm))
                 base.append(rmse_deleted(std_ledger, mean_impute_baseline(std)))
                 cells += len(ledger)
-                unresolved += sum(c in set(arm.unresolved) for c in ledger.cells)
+                unresolved += sum(c in set(arm.unresolved) for c in _cells(ledger))
             assert report.rmse_by_repeat[d] == tuple(som)
             assert report.baseline_by_repeat[d] == tuple(base)
             assert report.n_cells[d] == cells
@@ -385,11 +416,11 @@ class TestDeletionCurve:
             for rep in range(n_repeats):
                 mask_seed, map_seed = (int(np.random.SeedSequence([sched.rng_seed, d, rep, part])
                                            .generate_state(1)[0]) for part in (0, 1))
-                masked, ledger = mask_random(data, MaskingPlan(d, mask_seed))
+                masked, ledger = mask_random(data, d, mask_seed)
                 params = fit_standardizer(masked)
-                cols = [k for _, k in ledger.cells]
+                cols = ledger.cols
                 truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
-                arms.append((standardize(masked, params), MaskingLedger(ledger.cells, truth)))
+                arms.append((standardize(masked, params), replace(ledger, true_values=truth)))
                 seeds.append(tuple(range(map_seed, map_seed + n_maps)))
             codebooks = train_maps([std for std, _ in arms for _ in range(n_maps)], topo,
                                    [replace(sched, rng_seed=s) for arm in seeds for s in arm])
@@ -417,7 +448,7 @@ class TestDeletionCurve:
         sched = TrainingSchedule(total_iters=40, radius0=1, rng_seed=3)
         for rep in range(3):
             seed = int(np.random.SeedSequence([3, 1, rep, 0]).generate_state(1)[0])
-            masked, _ = mask_random(data, MaskingPlan(1, seed, global_mcar=True))
+            masked, _ = mask_random(data, 1, seed, global_mcar=True)
             assert masked.mask.all(axis=1).any() == (rep < 2)
         with pytest.raises(ValueError, match=r"^deletion arm d=1, repeat=2: complete-only mode"):
             deletion_curve(data, [1], GridTopology(1, 2), sched, n_maps=2, n_repeats=4,
@@ -432,7 +463,7 @@ class TestDeletionCurve:
         sched = TrainingSchedule(total_iters=40, radius0=1, rng_seed=5)
         for d, rep, keeps in ((1, 0, True), (1, 1, True), (2, 0, False), (2, 1, True)):
             seed = int(np.random.SeedSequence([5, d, rep, 0]).generate_state(1)[0])
-            masked, _ = mask_random(data, MaskingPlan(d, seed, global_mcar=True))
+            masked, _ = mask_random(data, d, seed, global_mcar=True)
             assert masked.mask.all(axis=1).any() == keeps
         with pytest.raises(ValueError, match=r"^deletion arm d=2, repeat=0: complete-only mode"):
             deletion_curve(data, [1, 2], GridTopology(1, 2), sched, n_maps=2, n_repeats=2,

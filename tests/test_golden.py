@@ -46,6 +46,15 @@ RUNS = [
                 "--categorical-col", "level", "--model", "train/model.txt",
                 "--superclasses", "2"]),
     ("replay", ["replay", "--manifest", "impute_maps/manifest.txt", "--output-dir", "replay"]),
+    ("train_complete", ["train", "--input", "table.csv", "--output-dir", "train_complete",
+                        "--categorical-col", "level",
+                        *_MAP, "--seed", "3", "--mode", "complete-only"]),
+    # on this 10 x 4 table d = 3 leaves a column with fewer than two observed
+    # values, and at most seeds d = 2 leaves no complete row to train on
+    ("evaluate_mcar", ["evaluate", "--input", "complete.csv", "--output-dir", "evaluate_mcar",
+                       *_MAP, "--deletion-mode", "global-mcar", "--mode", "complete-only",
+                       "--n-maps", "2", "--d-min", "1", "--d-max", "2", "--repeats", "2",
+                       "--seed", "5"]),
 ]
 
 

@@ -857,6 +857,20 @@ def test_render_map_text_golden():
     assert text == expected
 
 
+def test_render_map_text_escapes_line_breaks_in_labels():
+    cb = CodeBook(np.array([[0.0], [1.0]]), GridTopology(1, 2), ("x",))
+    asg = Assignment(np.array([0, 1, 1]), np.zeros(3), 2)
+    text = render_map_text(cb, asg, ("e\nf", "g\rh", "i\r\nj"),
+                           supplementary=[False, True, False])
+    expected = (
+        "+------+--------+\n"
+        "| e\\nf | g\\rh*  |\n"
+        "|      | i\\r\\nj |\n"
+        "+------+--------+\n"
+    )
+    assert text == expected
+
+
 def test_render_map_svg_markers():
     cb = CodeBook(np.array([[0.0], [1.0], [2.0], [3.0]]), GridTopology(2, 2),
                   ("x",))

@@ -653,13 +653,17 @@ class TestKernelSegments:
         alphas, radii = _schedule_arrays(sched)
         bounds = sorted({0, total_iters, *(c % (total_iters + 1) for c in cuts)})
         segments = list(zip(bounds, bounds[1:]))
-        starts = [trainer._start(d, topo, replace(sched, rng_seed=sched.rng_seed + k),
-                                 TrainingMode.INCLUDE_INCOMPLETE)
-                  for k, d in enumerate(datas)]
-        draws = [st_.draws(total_iters) for st_ in starts]
+        # each map's start as train documents it: one seeded stream draws
+        # the initial codes, then the rows
+        codes, draws = [], []
+        for k, d in enumerate(datas):
+            rng = np.random.default_rng(sched.rng_seed + k)
+            pool = trainer._pool(d, TrainingMode.INCLUDE_INCOMPLETE)
+            codes.append(trainer._draw_initial_codes(rng, d, topo))
+            draws.append(pool[rng.integers(pool.size, size=total_iters)])
 
-        for data, st_, drawn in zip(datas, starts, draws):
-            parts, whole = _transposed(st_.codes, topo), _transposed(st_.codes, topo)
+        for data, code, drawn in zip(datas, codes, draws):
+            parts, whole = _transposed(code, topo), _transposed(code, topo)
             for a, b in segments:
                 _online_updates(parts, data.values, data.mask, drawn[a:b], alphas[a:b],
                                 radii[a:b])
@@ -668,7 +672,7 @@ class TestKernelSegments:
 
         values, mask, offsets = trainer._shared_table(datas)
         table = np.stack([d + off for d, off in zip(draws, offsets)], axis=1)
-        start = np.ascontiguousarray(np.stack([st_.codes for st_ in starts]).transpose(0, 2, 1))
+        start = np.ascontiguousarray(np.stack(codes).transpose(0, 2, 1))
         parts, whole = start.copy(), start.copy()
         cheb = topo.distance_matrix()
         for a, b in segments:
