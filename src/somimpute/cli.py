@@ -15,12 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .data import destandardize, fit_standardizer, standardize
+from .data import destandardize  # unused here; perfbench/tracing.py wraps it
+from .data import fit_standardizer, standardize
 from .evaluation import deletion_curve, modality_proportions
-from .imputation import ImputationReport, apply_column_mean_fallback, impute, impute_multi
+from .imputation import ImputationReport, _with_fills, apply_column_mean_fallback, impute, impute_multi
 from .model_io import (
     DEFAULT_MISSING_MARKERS,
     SomModel,
@@ -244,15 +243,17 @@ def cmd_classify(args) -> None:
 
 
 def _destandardized_report(report: ImputationReport, data, params) -> ImputationReport:
-    """The report in the units of ``data``: filled cells are destandardized,
-    observed cells are taken verbatim from ``data`` (a standardize and
-    destandardize round trip may move them in their last bits)."""
-    back = destandardize(report.filled, params)
-    return replace(report, filled=data.with_cells(
-        np.where(data.mask, data.values, back.values), back.mask))
+    """The report in the units of ``data``: each filled cell's estimate,
+    destandardized, written into a copy of ``data``, whose observed cells
+    are never touched."""
+    f = report.fills
+    est = report.filled.values[f.rows, f.cols] * params.stds[f.cols] + params.means[f.cols]
+    return replace(report, filled=_with_fills(data, f.rows, f.cols, est))
 
 
 def cmd_impute(args) -> None:
+    if args.n_maps < 1:
+        raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
     model = None
     if args.model is not None:
         if args.n_maps != 1:
@@ -262,8 +263,6 @@ def cmd_impute(args) -> None:
         if args.grid_rows is None or args.grid_cols is None:
             raise ValueError("impute without --model needs --grid-rows and --grid-cols")
         topo, schedule, mode = _training_args(args)
-        if args.n_maps < 1:
-            raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
     data, params, std = _read_input(args, model)
     if model is not None:
         report = impute(model.codebook, std)
@@ -285,6 +284,10 @@ def cmd_evaluate(args) -> None:
     topo, schedule, mode = _training_args(args)
     if args.d_min < 1 or args.d_max < args.d_min:
         raise ValueError(f"invalid deletion range [{args.d_min}, {args.d_max}]")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.n_maps < 1:
+        raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
     data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
     if data.n_missing_cells:
         raise ValueError("evaluate requires a complete input dataset")
@@ -300,6 +303,9 @@ def cmd_evaluate(args) -> None:
 
 def cmd_render(args) -> None:
     model = load_model(args.model)
+    n_units = model.codebook.topology.n_units
+    if args.superclasses is not None and not 1 <= args.superclasses <= n_units:
+        raise ValueError(f"--superclasses must lie in [1, {n_units}]")
     data, _, std = _read_input(args, model)
     assignment = classify_supplementary(model.codebook, std)
     supplementary = ~pool_mask(std, model.mode) & (assignment.units >= 0)
@@ -330,11 +336,14 @@ _REPLAY_FLAGS = {"missing_markers": "--missing-marker"}
 
 def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
-    if "subcommand" not in manifest:
+    if not isinstance(manifest.get("subcommand"), str):
         raise ValueError(f"{args.manifest}: not a run manifest (no subcommand)")
+    for key in ("input", "model", "output_dir"):
+        if manifest.get(key) is not None and not isinstance(manifest[key], str):
+            raise ValueError(f"{args.manifest}: {key} must be a string, got {manifest[key]!r}")
     # relative inputs start from the original run's directory: the manifest's
     # directory less the relative output_dir it was written into, else "."
-    out = Path(manifest.get("output_dir", ".")).parts
+    out = Path(manifest.get("output_dir") or ".").parts
     here = Path(os.path.abspath(args.manifest)).parent.parts
     keep = len(here) - len(out)
     run_dir = os.path.relpath(Path(*here[:keep])) if here[keep:] == out else "."

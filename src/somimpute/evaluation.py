@@ -148,9 +148,9 @@ def _masked_arm(
     masked and standardized, and the ledger of deleted cells with their
     truths standardized alike."""
     masked, ledger = mask_random(data, d, _derive_seed(seed, d, rep, 0), global_mcar)
-    std = standardize(data, fit_standardizer(masked))
-    return (std.with_cells(std.values, masked.mask),
-            replace(ledger, true_values=std.values[ledger.rows, ledger.cols]))
+    params = fit_standardizer(masked)
+    m, s = params.means[ledger.cols], params.stds[ledger.cols]
+    return standardize(masked, params), replace(ledger, true_values=(ledger.true_values - m) / s)
 
 
 def deletion_curve(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataMatrix, _readonly
+from .data import DataMatrix, _handed_over, _readonly
 from .metric import UNCLASSIFIABLE, CodeBook, assign
 from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule, train_maps
@@ -28,7 +28,9 @@ class Fills:
     row's winning unit on each map (shape ``(n_rows, n_maps)``;
     ``UNCLASSIFIABLE`` where a map has none), and ``seeds`` the maps'
     training seeds when known (else empty).  A cell's units and source
-    follow from its row's winners.
+    follow from its row's winners.  Like :class:`~somimpute.data.DataMatrix`,
+    it keeps an int array it is handed that owns its data and is writeable,
+    marking it read-only, and copies anything else.
     """
 
     rows: np.ndarray
@@ -37,9 +39,9 @@ class Fills:
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=int)
-        cols = np.array(self.cols, dtype=int)
-        winners = np.array(self.winners, dtype=int)
+        rows = _handed_over(self.rows, int)
+        cols = _handed_over(self.cols, int)
+        winners = _handed_over(self.winners, int)
         if rows.ndim != 1 or cols.shape != rows.shape:
             raise ValueError("rows and cols must be 1-D arrays of equal length")
         if winners.ndim != 2:
@@ -53,14 +55,10 @@ class Fills:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def source(self) -> np.ndarray:
-        """How each cell was filled: ``"codebook"`` where a map has a winner
-        for its row, else ``"column-mean"``."""
-        return self.source_of(slice(None))
-
-    def source_of(self, cells: slice) -> np.ndarray:
-        """:attr:`source` of the cells that ``cells`` selects only."""
+    def source_of(self, cells) -> np.ndarray:
+        """How each cell that ``cells`` (a slice or index of ``rows``)
+        selects was filled: ``"codebook"`` where a map has a winner for its
+        row, else ``"column-mean"``."""
         from_map = (self.winners[self.rows[cells]] >= 0).any(axis=1)
         return np.where(from_map, "codebook", "column-mean")
 
@@ -131,7 +129,8 @@ def impute_ensemble(
     if not codebooks:
         raise ValueError("need at least one codebook")
     winners = np.stack([_winners(cb, data) for cb in codebooks], axis=1)
-    rows, cols = np.nonzero(~data.mask & (winners[:, 0] >= 0)[:, None])
+    # divmod gives two arrays that Fills can keep; np.nonzero's are views
+    rows, cols = divmod(np.flatnonzero(~data.mask & (winners[:, 0] >= 0)[:, None]), data.n_cols)
     estimates = np.stack([cb.codes[winners[rows, k], cols] for k, cb in enumerate(codebooks)],
                          axis=1).mean(axis=1)
     return ImputationReport(_with_fills(data, rows, cols, estimates),

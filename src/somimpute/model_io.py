@@ -501,10 +501,20 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
+    """The entries :func:`write_manifest` wrote; a line that is not UTF-8
+    ``key=<json>`` is an error naming the file and the line."""
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line:
             continue
-        key, _, raw = line.partition("=")
-        out[key] = json.loads(raw)
+        try:
+            key, eq, raw = line.decode("utf-8").partition("=")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        if not eq:
+            raise ValueError(f"{path}: line {number}: not key=value: {key!r}")
+        try:
+            out[key] = json.loads(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {key}: {exc}") from None
     return out

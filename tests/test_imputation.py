@@ -15,6 +15,7 @@ from somimpute import (
     impute,
     impute_ensemble,
     impute_multi,
+    imputation,
     train,
 )
 from helpers import brute_winner, estimate
@@ -200,7 +201,7 @@ def test_column_mean_fallback_is_explicit(small_incomplete):
     col_means = np.nanmean(small_incomplete.values, axis=0)
     for k in range(3):
         assert estimate(fb, 2, k) == col_means[k]
-    sources = set(fb.fills.source[fb.fills.rows == 2].tolist())
+    sources = set(fb.fills.source_of(fb.fills.rows == 2).tolist())
     assert sources == {"column-mean"}
 
 
@@ -216,9 +217,31 @@ def test_fills_keep_one_winner_row_per_table_row(small_incomplete):
     assert f.winners[f.rows, 0].tolist() == [0] * len(f)
     fb = apply_column_mean_fallback(report, small_incomplete)
     assert fb.fills.winners.tobytes() == f.winners.tobytes()
-    assert fb.fills.source.tolist() == ["codebook"] * len(f) + ["column-mean"] * 3
+    assert fb.fills.source_of(slice(None)).tolist() == ["codebook"] * len(f) + ["column-mean"] * 3
     with pytest.raises(ValueError, match="outside the 4 rows"):
         Fills([4], [0], f.winners)
+
+
+def test_impute_hands_its_cell_indices_to_fills(monkeypatch, small_incomplete):
+    # Fills keeps the fresh int arrays impute_ensemble builds, not copies
+    handed = []
+
+    class Spy(Fills):
+        def __post_init__(self):
+            handed.append((self.rows, self.cols, self.winners))
+            super().__post_init__()
+
+    monkeypatch.setattr(imputation, "Fills", Spy)
+    report = impute(_codebook(np.ones((2, 3))), small_incomplete)
+    fills = report.fills
+    assert all(a is b for a, b in zip((fills.rows, fills.cols, fills.winners), handed[0]))
+    assert not fills.rows.flags.writeable
+    # a borrowed array is copied and left as it was
+    rows = np.array([1, 1])
+    view = rows[::-1]
+    borrowed = Fills(view, [0, 1], fills.winners)
+    assert borrowed.rows is not view and view.flags.writeable
+    assert borrowed.winners is not fills.winners
 
 
 def test_dimension_mismatch_rejected(small_incomplete):

@@ -483,6 +483,31 @@ def test_impute_path_holds_each_table_about_once(tmp_path):
     assert per_cell < 16, per_cell
 
 
+def test_output_step_allocates_one_table():
+    # the filled table back in the input's units costs one table's values
+    # and mask, one mask-sized scratch for the finiteness check, and the
+    # estimates' temporaries (24 B per filled cell); destandardizing the
+    # whole table and merging the observed cells back cost two tables more
+    n, p = 20_000, 20
+    rng = np.random.default_rng(6)
+    table = DataMatrix(rng.normal(size=(n, p)), rng.random((n, p)) > 0.2,
+                       tuple(f"r{i}" for i in range(n)), tuple(f"c{k}" for k in range(p)))
+    params = fit_standardizer(table)
+    codebook = CodeBook(rng.normal(size=(16, p)), GridTopology(4, 4), table.col_names)
+    report = impute(codebook, standardize(table, params))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = _destandardized_report(report, table, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.filled.values[table.mask].tobytes() == table.values[table.mask].tobytes()
+    allowed = table.values.nbytes + 2 * table.mask.nbytes + 24 * len(report.fills)
+    assert peak <= allowed, (peak, allowed)
+
+
 def test_csv_roundtrip_preserves_values_and_mask(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(8, 3)) * 10.0 ** rng.integers(-12, 12, size=(8, 3))
@@ -1171,6 +1196,42 @@ class TestCli:
         assert rc == 2
         assert "invalid deletion range [0, 2]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--repeats", "--n-maps"])
+    def test_evaluate_rejects_zero_counts_before_reading_input(self, tmp_path, capsys, flag):
+        rc = main([
+            "evaluate", "--input", str(tmp_path / "absent.csv"),
+            "--output-dir", str(tmp_path / "e"), "--grid-rows", "2", "--grid-cols", "2",
+            "--d-max", "2", flag, "0",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("source", [["--model", "m.txt"],
+                                        ["--grid-rows", "1", "--grid-cols", "2"]],
+                             ids=["model", "maps"])
+    def test_impute_rejects_zero_maps_before_reading_input(self, tmp_path, capsys, source):
+        rc = main([
+            "impute", "--input", str(tmp_path / "absent.csv"),
+            "--output-dir", str(tmp_path / "i"), "--n-maps", "0", *source,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --n-maps must be >= 1, got 0\n"
+        assert not (tmp_path / "i").exists()
+
+    def test_render_rejects_superclasses_beyond_the_map_before_reading_input(
+            self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        assert main(_train_args(csv_path, tmp_path / "run")) == 0
+        capsys.readouterr()
+        rc = main(["render", "--input", str(tmp_path / "absent.csv"),
+                   "--output-dir", str(tmp_path / "r"),
+                   "--model", str(tmp_path / "run" / "model.txt"), "--superclasses", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --superclasses must lie in [1, 4]\n"
+        assert not (tmp_path / "r").exists()
+
     def test_evaluate_complete_only_per_row_fails_before_any_arm(self, tmp_path, capsys):
         csv_path = tmp_path / "complete.csv"
         write_csv(DataMatrix.from_nan(np.random.default_rng(5).normal(size=(10, 4))), csv_path)
@@ -1292,6 +1353,108 @@ def test_cli_impute_outputs_agree_with_input_and_each_other(data, seed):
                     assert not unresolved
 
 
+def _stripped_text(min_size):
+    """Text that write_csv writes and read_csv reads back unchanged."""
+    return st.text(st.characters(blacklist_categories=("Cs",)), min_size=min_size,
+                   max_size=4).filter(lambda t: t == t.strip())
+
+
+@st.composite
+def _command_runs(draw):
+    """A small table, one of the five run commands and its flags, without
+    ``--input`` or ``--output-dir``: ``(data, argv, training)``.
+    ``training`` is ``None``, or the ``train`` command line whose model
+    ``argv`` reads where it says ``MODEL``."""
+    command = draw(st.sampled_from(["train", "classify", "impute", "evaluate", "render"]))
+    n = draw(st.integers(2, 8))
+    p = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(st.integers(-8, 8), min_size=n * p, max_size=n * p)))
+    values = values.reshape(n, p) / 4.0
+    mask = np.ones((n, p), bool)
+    if command != "evaluate":  # evaluate needs a complete table
+        holes = draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
+        mask = ~np.array(holes).reshape(n, p)
+        if draw(st.booleans()):
+            mask[-1] = False
+    if draw(st.booleans()):  # two rows that every column can be scaled by
+        mask[:2] = True
+        values[1] = values[0] + 0.25
+    mask[0, ~mask.any(axis=0)] = True
+    io = []
+    cats = None
+    if draw(st.booleans()):
+        cats = tuple(draw(st.lists(st.none() | _stripped_text(1).filter(lambda c: c != "NA"),
+                                   min_size=n, max_size=n)))
+        io = ["--categorical-col", "level"]
+    labels = tuple(draw(st.lists(_stripped_text(0), min_size=n, max_size=n)))
+    data = DataMatrix(values, mask, labels, tuple(f"c{k}" for k in range(p)), cats,
+                      None if cats is None else "level")
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    training = [
+        *io, "--grid-rows", str(rows), "--grid-cols", str(cols),
+        "--iters", str(draw(st.integers(1, 60))), "--seed", str(draw(st.integers(0, 3))),
+        "--alpha0", str(draw(st.sampled_from([0.5, 0.9]))),
+        "--zero-radius-fraction", str(draw(st.sampled_from([0.0, 0.4, 1.0]))),
+        "--mode", draw(st.sampled_from([m.value for m in TrainingMode])),
+        *draw(st.sampled_from([[], ["--radius0", "0"], ["--radius0", "1"]])),
+    ]
+    superclasses = draw(st.sampled_from([[], ["--superclasses", "1"],
+                                         ["--superclasses", str(rows * cols + 1)]]))
+    fallback = ["--fallback", draw(st.sampled_from(["none", "column-mean"]))]
+    if command == "train":
+        return data, ["train", *training, *superclasses], None
+    if command == "evaluate":
+        return data, ["evaluate", *training,
+                      "--d-max", str(draw(st.integers(1, max(1, p - 1)))),
+                      "--repeats", str(draw(st.integers(1, 2))),
+                      "--n-maps", str(draw(st.integers(1, 2))),
+                      "--deletion-mode", draw(st.sampled_from(["per-row", "global-mcar"]))], None
+    if command == "impute" and draw(st.booleans()):
+        return data, ["impute", *training, "--n-maps", str(draw(st.integers(1, 3))),
+                      *fallback], None
+    extra = {"classify": [], "impute": fallback, "render": superclasses}[command]
+    return data, [command, *io, "--model", "MODEL", *extra], ["train", *training]
+
+
+def _outputs(outdir: Path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sorted(outdir.iterdir()) if f.name != "manifest.txt"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_command_runs())
+def test_every_command_exits_cleanly_repeats_and_replays_its_bytes(run):
+    # exit 0, or 2 with no output directory; observed cells pass through
+    # impute; the same flags write the same bytes, and so does replay
+    data, argv, training = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        csv_path = tmp / "in.csv"
+        write_csv(data, csv_path)
+
+        def run_into(out, argv):
+            rc = main([*argv, "--input", str(csv_path), "--output-dir", str(out)])
+            assert rc in (0, 2)
+            assert rc == 0 or not out.exists()
+            return rc
+
+        if training is not None:
+            if run_into(tmp / "model", training):
+                return
+            argv = [str(tmp / "model" / "model.txt") if a == "MODEL" else a for a in argv]
+        if run_into(tmp / "a", argv):
+            return
+        first = _outputs(tmp / "a")
+        assert first
+        if "imputed.csv" in first:
+            imputed = read_csv(tmp / "a" / "imputed.csv", categorical_col=data.categorical_name)
+            assert imputed.values[data.mask].tobytes() == data.values[data.mask].tobytes()
+        assert run_into(tmp / "b", argv) == 0
+        assert _outputs(tmp / "b") == first
+        assert main(["replay", "--manifest", str(tmp / "a" / "manifest.txt"),
+                     "--output-dir", str(tmp / "c")]) == 0
+        assert _outputs(tmp / "c") == first
+
+
 class TestReplay:
     def _csvs(self, outdir):
         return sorted(p.name for p in outdir.glob("*.csv"))
@@ -1397,6 +1560,49 @@ class TestReplay:
         assert main(["replay", "--manifest", "manifest.txt", "--output-dir", "redo"]) == 2
         assert ("replay input 'imputed.csv' changed since the original run"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("line, fault", [
+        (b"bogus line", "not key=value: 'bogus line'"),
+        (b"seed=seven", "seed: Expecting value"),
+        (b'input="\xff.csv"', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["no-equals", "not-json", "not-utf8"])
+    def test_malformed_manifest_line_names_file_and_line(self, tmp_path, capsys, line, fault):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b'subcommand="train"\n\n' + line + b"\n")
+        with pytest.raises(ValueError) as err:
+            read_manifest(manifest)
+        assert str(err.value).startswith(f"{manifest}: line 3: {fault}")
+        assert main(["replay", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: line 3: {fault}")
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("key", ["input", "model", "output_dir"])
+    def test_manifest_path_that_is_not_text_is_an_error(self, tmp_path, capsys, key):
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        run = tmp_path / "run"
+        assert main(_train_args(csv_path, run)) == 0
+        assert main(["classify", "--input", str(csv_path), "--output-dir", str(run),
+                     "--model", str(run / "model.txt"), "--categorical-col", "level"]) == 0
+        entries = read_manifest(run / "manifest.txt")
+        entries[key] = 5
+        write_manifest(run / "manifest.txt", entries)
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(run / "manifest.txt"),
+                     "--output-dir", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run / 'manifest.txt'}: {key} must be a string, got 5\n")
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("value", ["null", '["train"]'])
+    def test_manifest_whose_subcommand_is_not_text_is_refused(self, tmp_path, capsys, value):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"subcommand={value}\n", encoding="utf-8")
+        assert main(["replay", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: not a run manifest (no subcommand)\n")
 
     def test_replay_detects_changed_input(self, tmp_path):
         csv_path = tmp_path / "data.csv"
