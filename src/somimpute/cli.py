@@ -268,16 +268,15 @@ def cmd_impute(args) -> None:
         report = impute(model.codebook, std)
     else:
         report = impute_multi(std, topo, schedule, args.n_maps, base_seed=args.seed, mode=mode)
+    del std  # the report holds its own copy of the table
     if args.fallback == "column-mean":
-        report = apply_column_mean_fallback(report, std)
-    del std  # one standardized copy of the table fewer while the outputs are written
-    out_report = _destandardized_report(report, data, params)
+        report = apply_column_mean_fallback(report)
+    report = _destandardized_report(report, data, params)
+    del data  # only the table in the input's units is alive while the outputs are written
     outdir = _outdir(args)
     # missing cells as the first marker, so that the file reads back under --missing-marker
-    write_csv(out_report.filled, outdir / "imputed.csv", args.missing_markers)
-    write_provenance_csv(
-        outdir / "provenance.csv", out_report, data.row_labels, data.col_names
-    )
+    write_csv(report.filled, outdir / "imputed.csv", args.missing_markers)
+    write_provenance_csv(outdir / "provenance.csv", report)
 
 
 def cmd_evaluate(args) -> None:
@@ -401,7 +400,7 @@ def main(argv=None) -> int:
         entries["tool_version"] = __version__
         write_manifest(Path(args.output_dir) / "manifest.txt", entries)
         return 0
-    except (ValueError, OSError, KeyError, IndexError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

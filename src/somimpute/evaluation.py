@@ -121,7 +121,7 @@ def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
     cell's source is ``"column-mean"``.
     """
     nothing = ImputationReport(data, Fills((), (), np.empty((data.n_rows, 0))))
-    return apply_column_mean_fallback(nothing, data)
+    return apply_column_mean_fallback(nothing)
 
 
 @dataclass(frozen=True)

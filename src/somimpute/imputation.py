@@ -156,19 +156,21 @@ def impute_multi(
     return impute_ensemble(codebooks, data, seeds)
 
 
-def apply_column_mean_fallback(report: ImputationReport, data: DataMatrix) -> ImputationReport:
+def apply_column_mean_fallback(report: ImputationReport) -> ImputationReport:
     """Fill the report's unresolved cells with per-column observed means.
 
     Deliberately a separate, explicit step: the codebook method gives those
-    cells no winner, and falling back silently would hide that.  The new
-    cells follow the report's own; their rows have no winner, so their
-    source is ``"column-mean"``.
+    cells no winner, and falling back silently would hide that.  The means
+    skip the report's fills.  The new cells follow the report's own; their
+    rows have no winner, so their source is ``"column-mean"``.
     """
     rows, cols = np.nonzero(~report.filled.mask)
     if not rows.size:
         return report
     old = report.fills
+    observed = report.filled.values.copy()
+    observed[old.rows, old.cols] = np.nan
     fills = Fills(np.concatenate([old.rows, rows]), np.concatenate([old.cols, cols]),
                   old.winners, old.seeds)
-    means = np.nanmean(data.values, axis=0)[cols]
+    means = np.nanmean(observed, axis=0)[cols]
     return ImputationReport(_with_fills(report.filled, rows, cols, means), fills)

@@ -42,11 +42,23 @@ def fmt17(x: float) -> str:
 _BLOCK_ROWS = 1024
 
 
+def _utf8_lines(path, lines):
+    """``lines``, read from ``path`` with ``errors="surrogateescape"``; the
+    first holding a byte that is not UTF-8 is a ``ValueError`` naming it."""
+    for number, line in enumerate(lines, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+        yield line
+
+
 def _records(fh):
     """Yield each non-blank CSV record of the open file ``fh`` with the
-    physical line it starts on; a record the csv module cannot parse is a
-    ``ValueError`` naming the file and the line it reached."""
-    reader = csv.reader(fh)
+    physical line it starts on; a line that is not UTF-8 or a record the csv
+    module cannot parse is a ``ValueError`` naming the file and the line."""
+    reader = csv.reader(_utf8_lines(fh.name, fh))
     line = 1
     try:
         for row in reader:
@@ -111,7 +123,7 @@ def read_csv(
     """
     markers = set(_checked_markers(missing_markers))
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         records = _records(fh)
         first = next(records, None)
         block = list(islice(records, _BLOCK_ROWS))
@@ -321,7 +333,8 @@ def load_model(path) -> SomModel:
     the path and the line (or lines) at fault.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    lines = list(_utf8_lines(path, text.splitlines()))
     where = "line 1"
     try:
         if not lines:
@@ -425,14 +438,15 @@ def write_assignment_csv(
     _write_rows(path, header, _blocks(assignment.n_rows, lines_of))
 
 
-def write_provenance_csv(path, report: ImputationReport, row_labels, col_names) -> None:
+def write_provenance_csv(path, report: ImputationReport) -> None:
     """Sidecar of the filled matrix: one line per originally-missing cell.
 
-    Units and seeds are listed for cells a map filled and left empty for
-    cells a fallback filled.
+    Cells are named from ``report.filled``; units and seeds are listed for
+    cells a map filled and left empty for cells a fallback filled.
     """
     f = report.fills
-    names = _quoted(col_names)
+    row_labels = report.filled.row_labels
+    names = _quoted(report.filled.col_names)
     # a fallback's "%.0s" field takes the row's units and writes nothing
     source = {"codebook": "%s,%s,%.17g,%s," + ";".join(map(str, f.seeds)) + ",codebook",
               "column-mean": "%s,%s,%.17g,%.0s,,column-mean"}
@@ -504,13 +518,11 @@ def read_manifest(path) -> dict:
     """The entries :func:`write_manifest` wrote; a line that is not UTF-8
     ``key=<json>`` is an error naming the file and the line."""
     out = {}
-    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    for number, line in enumerate(_utf8_lines(path, text.splitlines()), 1):
         if not line:
             continue
-        try:
-            key, eq, raw = line.decode("utf-8").partition("=")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
+        key, eq, raw = line.partition("=")
         if not eq:
             raise ValueError(f"{path}: line {number}: not key=value: {key!r}")
         try:

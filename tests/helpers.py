@@ -295,10 +295,11 @@ def reference_write_assignment_csv(path, row_labels, assignment, topology,
     _reference_csv(path, header, rows)
 
 
-def reference_write_provenance_csv(path, report, row_labels, col_names) -> None:
+def reference_write_provenance_csv(path, report) -> None:
     """``model_io.write_provenance_csv``, one ``csv.writer`` row per filled
     cell, then one per unresolved cell."""
     f = report.fills
+    row_labels, col_names = report.filled.row_labels, report.filled.col_names
     rows = []
     for i, k in zip(f.rows.tolist(), f.cols.tolist()):
         winners = f.winners[i].tolist()

@@ -189,14 +189,14 @@ def test_unresolved_is_read_from_the_filled_matrix(small_incomplete):
     cb = _codebook(np.ones((2, 3)))
     report = impute(cb, small_incomplete)
     assert report.unresolved == tuple(map(tuple, np.argwhere(~report.filled.mask).tolist()))
-    fb = apply_column_mean_fallback(report, small_incomplete)
+    fb = apply_column_mean_fallback(report)
     assert replace(report, filled=fb.filled).unresolved == ()
 
 
 def test_column_mean_fallback_is_explicit(small_incomplete):
     cb = _codebook(np.ones((2, 3)))
     report = impute(cb, small_incomplete)
-    fb = apply_column_mean_fallback(report, small_incomplete)
+    fb = apply_column_mean_fallback(report)
     assert fb.unresolved == ()
     col_means = np.nanmean(small_incomplete.values, axis=0)
     for k in range(3):
@@ -215,7 +215,7 @@ def test_fills_keep_one_winner_row_per_table_row(small_incomplete):
     assert f.winners.shape == (small_incomplete.n_rows, 1)
     assert f.winners[:, 0].tolist() == [UNCLASSIFIABLE, 0, UNCLASSIFIABLE, 0]
     assert f.winners[f.rows, 0].tolist() == [0] * len(f)
-    fb = apply_column_mean_fallback(report, small_incomplete)
+    fb = apply_column_mean_fallback(report)
     assert fb.fills.winners.tobytes() == f.winners.tobytes()
     assert fb.fills.source_of(slice(None)).tolist() == ["codebook"] * len(f) + ["column-mean"] * 3
     with pytest.raises(ValueError, match="outside the 4 rows"):

@@ -163,11 +163,13 @@ class TestReadCsv:
     @pytest.mark.parametrize("text, message", [
         ("id,x\nr1,1\nr2,abc\n", "line 3, column 'x': cannot parse 'abc'"),
         ("id,x\nr1,1\nr2,1,2\n", "line 3 has 3 fields, header has 2"),
-    ], ids=["unparseable", "ragged"])
+        ("id,x\nr1,1\nr\udcff2,1\n",
+         "line 3: 'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"),
+    ], ids=["unparseable", "ragged", "undecodable"])
     def test_bad_cell_in_a_pipe_is_located(self, text, message):
         # a pipe can be read only once: the error must come from that one read
         r, w = os.pipe()
-        os.write(w, text.encode())
+        os.write(w, text.encode("utf-8", "surrogateescape"))
         os.close(w)
         try:
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -230,6 +232,14 @@ class TestReadCsvInBlocks:
         assert self._error(path) == f"{path}: line 3, column 'x': cannot parse 'abc'"
         path = self._table(tmp_path, {1: "1,2", 4: "abc"})
         assert self._error(path) == f"{path}: line 3 has 4 fields, header has 3"
+
+    def test_undecodable_byte_in_a_later_block(self, tmp_path):
+        # a row holding "é" decodes; one holding a stray 0xff byte does not
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,x,y\n" + b"".join(
+            b"r%d,%d,1\n" % (i, i) for i in range(5)) + b"caf\xc3\xa9,5,1\nr\xff6,6,1\n")
+        assert self._error(path) == (f"{path}: line 8: 'utf-8' codec can't decode byte 0xff "
+                                     "in position 1: invalid start byte")
 
     def test_blank_lines_across_a_block_edge_keep_physical_lines(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -352,7 +362,7 @@ def test_block_size_changes_no_byte(outputs):
             write_assignment_csv(tmp / "a.csv", data.row_labels, assignment, topo)
             write_assignment_csv(tmp / "a_sc.csv", data.row_labels, assignment, topo,
                                  superclass_labels=superclasses, supplementary=supplementary)
-            write_provenance_csv(tmp / "p.csv", report, data.row_labels, data.col_names)
+            write_provenance_csv(tmp / "p.csv", report)
             files = {name: (tmp / name).read_bytes()
                      for name in ("t.csv", "a.csv", "a_sc.csv", "p.csv")}
             seen.append((files, _read_or_error(tmp / "t.csv")))
@@ -384,6 +394,8 @@ def _awkward_outputs(draw):
                                         min_size=n, max_size=n))),
         categorical_name=draw(_clean_text),
     )
+    report = replace(report, filled=replace(report.filled, row_labels=data.row_labels,
+                                            col_names=data.col_names))
     markers = tuple(draw(st.lists(
         st.sampled_from(["", "NA", "?", "%", "%s", "%%d", "a,b", 'q"', "m\rm", "né"]),
         min_size=1, max_size=2)))
@@ -399,7 +411,7 @@ def _written(tmp, write_table, write_assignments, write_provenance, outputs):
         "a_sc.csv": lambda path: write_assignments(
             path, data.row_labels, assignment, topo,
             superclass_labels=superclasses, supplementary=supplementary),
-        "p.csv": lambda path: write_provenance(path, report, data.row_labels, data.col_names),
+        "p.csv": lambda path: write_provenance(path, report),
     }
     out = {}
     for name, call in calls.items():
@@ -508,6 +520,39 @@ def test_output_step_allocates_one_table():
     assert peak <= allowed, (peak, allowed)
 
 
+def test_impute_writes_its_outputs_holding_one_table(tmp_path, monkeypatch):
+    # traced memory at the entry of write_csv in impute --model, on a
+    # 20 000 x 20 table and a 10 x 10 model: the output table, its labels
+    # and the fills (about 1.9 tables' values and mask); keeping the
+    # standardized report and the raw input alive beside it held about 4
+    n, p = 20_000, 20
+    rng = np.random.default_rng(7)
+    data = DataMatrix(rng.normal(size=(n, p)), rng.random((n, p)) > 0.2,
+                      tuple(f"r{i}" for i in range(n)), tuple(f"c{k}" for k in range(p)))
+    path = tmp_path / "t.csv"
+    write_csv(data, path)
+    codebook = CodeBook(rng.normal(size=(100, p)), GridTopology(10, 10), data.col_names)
+    save_model(SomModel(codebook, fit_standardizer(data), TrainingSchedule(),
+                        TrainingMode.INCLUDE_INCOMPLETE), tmp_path / "model.txt")
+    at_write = []
+    write = cli.write_csv
+
+    def traced_write(*args, **kwargs):
+        at_write.append(tracemalloc.get_traced_memory()[0])
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_csv", traced_write)
+    tracemalloc.start()
+    try:
+        rc = main(["impute", "--input", str(path), "--model", str(tmp_path / "model.txt"),
+                   "--output-dir", str(tmp_path / "out")])
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    table = data.values.nbytes + data.mask.nbytes
+    assert at_write[0] < 2.5 * table, at_write[0] / table
+
+
 def test_csv_roundtrip_preserves_values_and_mask(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(8, 3)) * 10.0 ** rng.integers(-12, 12, size=(8, 3))
@@ -568,6 +613,17 @@ def test_write_csv_refuses_text_read_csv_would_change(tmp_path):
     assert back.categorical == ("NA", "lo")
 
 
+@pytest.mark.parametrize("category", [" lo", "lo\t"], ids=["leading", "trailing"])
+def test_write_csv_refuses_a_padded_category(tmp_path, category):
+    data = DataMatrix(np.array([[1.0], [2.0]]), np.ones((2, 1), bool), ("a", "b"), ("x",),
+                      ("hi", category), "level")
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError) as info:
+        write_csv(data, path)
+    assert str(info.value) == f"row 1, column 'level': {category!r} has surrounding whitespace"
+    assert not path.exists()
+
+
 def test_write_csv_refuses_a_category_equal_to_its_own_marker(tmp_path):
     # masked cells are written as markers[0] and read back under the same
     # markers, so a category equal to one of them would come back missing
@@ -595,9 +651,9 @@ def test_a_carriage_return_in_text_is_written_so_that_it_reads_back(tmp_path):
 
     assignment = Assignment(np.array([0, -1]), np.array([0.5, np.nan]), 1)
     write_assignment_csv(tmp_path / "a.csv", data.row_labels, assignment, GridTopology(1, 1))
-    report = ImputationReport(data.with_cells(np.array([[1.0], [2.0]]), np.ones((2, 1), bool)),
-                              Fills([1], [0], [[0], [0]]))
-    write_provenance_csv(tmp_path / "p.csv", report, ("a", "c\rd"), data.col_names)
+    report = ImputationReport(replace(data, row_labels=("a", "c\rd")).with_cells(
+        np.array([[1.0], [2.0]]), np.ones((2, 1), bool)), Fills([1], [0], [[0], [0]]))
+    write_provenance_csv(tmp_path / "p.csv", report)
     for name, cells in (("a.csv", ["a\rb", "0", "0", "0", "0.5", "ok"]),
                         ("p.csv", ["c\rd", "x\ry", "2", "0", "", "codebook"])):
         with (tmp_path / name).open(newline="", encoding="utf-8") as fh:
@@ -690,7 +746,7 @@ def _edited_model(tmp_path, edit):
     path = tmp_path / "model.txt"
     save_model(model, path)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(edit(lines)) + "\n")
+    path.write_text("".join(f"{line}\n" for line in edit(lines)))
     return path
 
 
@@ -704,6 +760,10 @@ def _replace(number, old, new):
 
 
 @pytest.mark.parametrize("edit, where", [
+    (lambda lines: [], "line 1: empty model file"),
+    (_replace(1, "1\t2\t3\ta\tb\tc", "1\t2\t3"), "line 1: malformed header line"),
+    (_replace(1, "\tc", ""), "line 1: header promises 3 column names, found 2"),
+    (_replace(2, "0\t1\t2", "0\t1"), "line 2: unit line 0 has 2 components, expected 3"),
     (_replace(1, "1\t2\t3", "1\tx\t3"), "line 1: invalid literal"),
     (_replace(1, "1\t2\t3", "1\t2\t3.5"), "line 1: invalid literal"),
     (_replace(1, "1\t2\t3", "0\t2\t3"), "line 1: grid must have positive"),
@@ -718,7 +778,7 @@ def _replace(number, old, new):
     (_replace(6, "radius0=2", "radius0"), "line 6: schedule item 'radius0' is not key=value"),
     (_replace(7, "include-incomplete", "sideways"), "line 7: 'sideways' is not a valid"),
     (lambda lines: lines[:6], "end of file: missing 'mode' line"),
-], ids=["grid-text", "grid-float", "grid-zero", "code-text", "code-inf", "units-truncated",
+], ids=["empty", "header-short", "names-short", "unit-short", "grid-text", "grid-float", "grid-zero", "code-text", "code-inf", "units-truncated",
         "mean-text", "std-negative", "schedule-key-missing", "schedule-out-of-range",
         "radius-text", "schedule-item-bare", "mode-unknown", "mode-line-missing"])
 def test_malformed_model_file_names_path_and_line(tmp_path, edit, where):
@@ -736,6 +796,34 @@ def test_cli_reports_malformed_model_with_path_and_line(tmp_path, capsys):
                "--model", str(path)])
     assert rc == 2
     assert f"error: {path}: line 6: schedule has no alpha0=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "classify"])
+def test_undecodable_input_or_model_names_its_file_and_line(tmp_path, capsys, command):
+    # train reads a CSV whose line 3 holds a 0xff byte; classify reads a
+    # model file whose first byte is 0xff
+    csv_path = tmp_path / "data.csv"
+    _write_training_csv(csv_path)
+    assert main(_train_args(csv_path, tmp_path / "run")) == 0
+    capsys.readouterr()
+    model = tmp_path / "run" / "model.txt"
+    out = tmp_path / "out"
+    if command == "train":
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[2] = b"r\xff" + lines[2]
+        csv_path.write_bytes(b"\n".join(lines))
+        bad, line, position = csv_path, 3, 1
+        rc = main(_train_args(csv_path, out))
+    else:
+        model.write_bytes(b"\xff" + model.read_bytes())
+        bad, line, position = model, 1, 0
+        rc = main(["classify", "--input", str(csv_path), "--output-dir", str(out),
+                   "--model", str(model), "--categorical-col", "level"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {line}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{position}: invalid start byte\n")
+    assert not out.exists()
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -1225,12 +1313,54 @@ class TestCli:
         _write_training_csv(csv_path)
         assert main(_train_args(csv_path, tmp_path / "run")) == 0
         capsys.readouterr()
-        rc = main(["render", "--input", str(tmp_path / "absent.csv"),
-                   "--output-dir", str(tmp_path / "r"),
-                   "--model", str(tmp_path / "run" / "model.txt"), "--superclasses", "5"])
+        runs = {"render": ["--model", str(tmp_path / "run" / "model.txt")],
+                "train": ["--grid-rows", "2", "--grid-cols", "2"]}
+        for command, source in runs.items():
+            out = tmp_path / command
+            rc = main([command, "--input", str(tmp_path / "absent.csv"),
+                       "--output-dir", str(out), *source, "--superclasses", "5"])
+            assert rc == 2, command
+            assert capsys.readouterr().err == "error: --superclasses must lie in [1, 4]\n"
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("grid", [[], ["--grid-rows", "2"], ["--grid-cols", "2"]],
+                             ids=["no-grid", "rows-only", "cols-only"])
+    def test_impute_without_a_model_needs_the_grid(self, tmp_path, capsys, grid):
+        out = tmp_path / "i"
+        rc = main(["impute", "--input", str(tmp_path / "absent.csv"),
+                   "--output-dir", str(out), *grid])
         assert rc == 2
-        assert capsys.readouterr().err == "error: --superclasses must lie in [1, 4]\n"
-        assert not (tmp_path / "r").exists()
+        assert capsys.readouterr().err == (
+            "error: impute without --model needs --grid-rows and --grid-cols\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("id,x\nr1,1\nr2,2\n", ["--categorical-col", "id"],
+         "categorical column cannot be the label column"),
+        ("id,level\nr1,lo\nr2,hi\n", ["--categorical-col", "level"], "no numeric columns"),
+        ("id,x,y\nr1,1,2\nr2,NA,abc\n", [], "line 3, column 'y': cannot parse 'abc'"),
+    ], ids=["categorical-is-label", "no-numeric-column", "bad-cell-after-a-marker"])
+    def test_train_refuses_an_input_read_csv_refuses(self, tmp_path, capsys, text, flags,
+                                                      message):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(text)
+        out = tmp_path / "t"
+        rc = main(["train", "--input", str(csv_path), "--output-dir", str(out),
+                   "--grid-rows", "1", "--grid-cols", "2", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {csv_path}: {message}\n"
+        assert not out.exists()
+
+    def test_a_bug_in_a_command_propagates_out_of_main(self, tmp_path, monkeypatch):
+        # only ValueError and OSError are refusals of the user's input; any
+        # other exception is a bug and must not become an "error:" line
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "cmd_train", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["train", "--input", str(tmp_path / "absent.csv"),
+                  "--output-dir", str(tmp_path / "t"), "--grid-rows", "1", "--grid-cols", "2"])
 
     def test_evaluate_complete_only_per_row_fails_before_any_arm(self, tmp_path, capsys):
         csv_path = tmp_path / "complete.csv"
