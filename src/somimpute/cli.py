@@ -23,7 +23,6 @@ from .imputation import ImputationReport, _with_fills, apply_column_mean_fallbac
 from .model_io import (
     DEFAULT_MISSING_MARKERS,
     SomModel,
-    _checked_markers,
     check_model_col_names,
     load_model,
     read_csv,
@@ -138,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_markers(args) -> None:
-    """Decode and check ``args.missing_markers`` in place (the defaults when
-    none is given)."""
+    """Decode ``args.missing_markers`` in place (the defaults when none is
+    given); :func:`~somimpute.model_io.read_csv` checks them."""
     if args.missing_markers is None:
         args.missing_markers = list(DEFAULT_MISSING_MARKERS)
     # argv is decoded by the locale (undecodable bytes surrogate-escaped), the CSV as UTF-8
@@ -150,7 +149,6 @@ def _effective_markers(args) -> None:
         except UnicodeError:
             raise ValueError(f"missing marker {m!r} is not valid UTF-8") from None
     args.missing_markers = decoded
-    _checked_markers(decoded)
 
 
 def _outdir(args) -> Path:
@@ -258,6 +256,9 @@ def cmd_impute(args) -> None:
     if args.model is not None:
         if args.n_maps != 1:
             raise ValueError("--n-maps > 1 trains its own maps; it cannot be combined with --model")
+        if args.grid_rows is not None or args.grid_cols is not None:
+            raise ValueError("--grid-rows and --grid-cols size the maps impute trains; they "
+                             "cannot be combined with --model")
         model = load_model(args.model)
     else:
         if args.grid_rows is None or args.grid_cols is None:
@@ -267,7 +268,7 @@ def cmd_impute(args) -> None:
     if model is not None:
         report = impute(model.codebook, std)
     else:
-        report = impute_multi(std, topo, schedule, args.n_maps, base_seed=args.seed, mode=mode)
+        report = impute_multi(std, topo, schedule, args.n_maps, mode)
     del std  # the report holds its own copy of the table
     if args.fallback == "column-mean":
         report = apply_column_mean_fallback(report)
@@ -288,8 +289,6 @@ def cmd_evaluate(args) -> None:
     if args.n_maps < 1:
         raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
     data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
-    if data.n_missing_cells:
-        raise ValueError("evaluate requires a complete input dataset")
     report = deletion_curve(
         data, range(args.d_min, args.d_max + 1), topo, schedule,
         n_maps=args.n_maps, n_repeats=args.repeats, mode=mode,

@@ -32,8 +32,9 @@ class DataMatrix:
     """An n x p matrix of real values where any cell may be missing.
 
     Rows that are entirely missing are legal here; the consumers that
-    cannot handle them (training, winner selection) reject or flag them.
-    Construction fails for columns with no observed value at all.
+    cannot handle them (training, winner selection) skip and flag them.
+    Construction fails for a table with no column and for columns with no
+    observed value at all, so some row always has an observed cell.
 
     Instances are immutable after construction and safe to share across
     workers; the backing arrays are marked read-only.  The constructor
@@ -76,6 +77,8 @@ class DataMatrix:
                 f"mask shape {mask.shape} does not match values shape {values.shape}"
             )
         n, p = values.shape
+        if p == 0:
+            raise ValueError("a table needs at least one column")
         labels = tuple(str(s) for s in self.row_labels)
         names = tuple(str(s) for s in self.col_names)
         if len(labels) != n:

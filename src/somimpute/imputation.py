@@ -93,18 +93,6 @@ def _with_fills(data: DataMatrix, rows, cols, estimates) -> DataMatrix:
     return data.with_cells(values, mask)
 
 
-def _winners(codebook: CodeBook, data: DataMatrix) -> np.ndarray:
-    """Winning unit of every row with a missing cell; ``UNCLASSIFIABLE``
-    for complete rows, which need none, and for all-missing rows, which
-    have none."""
-    if not data.mask.any():
-        raise ValueError("every row is entirely missing; nothing can be imputed")
-    holed = np.flatnonzero(~data.mask.all(axis=1))
-    units = np.full(data.n_rows, UNCLASSIFIABLE)
-    units[holed] = assign(codebook.codes, data.values[holed], data.mask[holed]).units
-    return units
-
-
 def impute(codebook: CodeBook, data: DataMatrix) -> ImputationReport:
     """Fill each missing cell with the winning unit's code component.
 
@@ -128,7 +116,13 @@ def impute_ensemble(
     """
     if not codebooks:
         raise ValueError("need at least one codebook")
-    winners = np.stack([_winners(cb, data) for cb in codebooks], axis=1)
+    # complete rows need no winner; all-missing rows have none
+    holed = np.flatnonzero(~data.mask.all(axis=1))
+    values, mask = data.values[holed], data.mask[holed]
+    winners = np.full((data.n_rows, len(codebooks)), UNCLASSIFIABLE)
+    for k, cb in enumerate(codebooks):
+        winners[holed, k] = assign(cb.codes, values, mask).units
+    del holed, values, mask  # not alive beside the copy of the table that the fills make
     # divmod gives two arrays that Fills can keep; np.nonzero's are views
     rows, cols = divmod(np.flatnonzero(~data.mask & (winners[:, 0] >= 0)[:, None]), data.n_cols)
     estimates = np.stack([cb.codes[winners[rows, k], cols] for k, cb in enumerate(codebooks)],
@@ -142,15 +136,14 @@ def impute_multi(
     topology: GridTopology,
     schedule: TrainingSchedule,
     n_maps: int,
-    base_seed: int,
     mode: TrainingMode = TrainingMode.INCLUDE_INCOMPLETE,
 ) -> ImputationReport:
-    """Train ``n_maps`` maps with seeds ``base_seed .. base_seed + n_maps - 1``
-    (in one :func:`somimpute.trainer.train_maps` call) and average their
-    estimates for each missing cell."""
+    """Train ``n_maps`` maps with seeds ``schedule.rng_seed + j`` for ``j <
+    n_maps`` (in one :func:`somimpute.trainer.train_maps` call) and average
+    their estimates for each missing cell."""
     if n_maps < 1:
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
-    seeds = tuple(base_seed + j for j in range(n_maps))
+    seeds = tuple(schedule.rng_seed + j for j in range(n_maps))
     codebooks = train_maps([data] * n_maps, topology,
                            [replace(schedule, rng_seed=s) for s in seeds], mode)
     return impute_ensemble(codebooks, data, seeds)

@@ -83,6 +83,8 @@ def _first_bad_cell(path, records, header, numeric_idx, markers) -> ValueError:
             if cell in markers:
                 continue
             try:
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError  # float() alone reads "1_000" and non-ASCII digits
                 v = float(cell)
             except ValueError:
                 return ValueError(
@@ -115,7 +117,8 @@ def read_csv(
 
     The label column defaults to the first one; cells equal to a missing
     marker after stripping surrounding whitespace (so a marker that has any
-    is refused) are masked, everything else must parse as a finite decimal.
+    is refused) are masked, everything else must parse as a finite decimal
+    written in ASCII, without ``_`` digit separators.
     Blank lines are skipped (messages keep physical line numbers) and a
     UTF-8 byte order mark is ignored.  Numeric column names must be unique.
     Records are parsed ``_BLOCK_ROWS`` at a time, so that beyond the table
@@ -163,9 +166,12 @@ def read_csv(
                 observed = ~np.fromiter(map(markers.__contains__, cells), dtype=bool,
                                         count=len(cells))
                 block_mask[:, out_k] = observed
+                numbers = list(compress(cells, observed.tolist()))
+                text = "".join(numbers)
+                if not text.isascii() or "_" in text:
+                    raise _first_bad_cell(path, block, header, numeric_idx, markers)
                 try:
-                    col = np.fromiter(map(float, compress(cells, observed.tolist())),
-                                      dtype=float)
+                    col = np.fromiter(map(float, numbers), dtype=float)
                 except ValueError:
                     raise _first_bad_cell(path, block, header, numeric_idx, markers) from None
                 if not np.isfinite(col).all():

@@ -31,14 +31,11 @@ class SuperClassing:
 
     labels: np.ndarray
     dendrogram: tuple[tuple[int, int, float], ...]
-    k: int
 
     def __post_init__(self) -> None:
         labels = np.array(self.labels, dtype=int)
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
-        if len(set(labels.tolist())) != self.k:
-            raise ValueError(f"expected exactly {self.k} distinct labels")
         object.__setattr__(self, "labels", _readonly(labels))
 
     @property
@@ -112,7 +109,7 @@ def hierarchical_codes(codebook: CodeBook, k: int) -> SuperClassing:
     """Group the code vectors into ``k`` super-classes."""
     merges = ward_dendrogram(codebook.codes)
     labels = cut_dendrogram(merges, codebook.n_units, k)
-    return SuperClassing(labels, tuple(merges), k)
+    return SuperClassing(labels, tuple(merges))
 
 
 def superclass_of_rows(assignment: Assignment, sc: SuperClassing) -> np.ndarray:

@@ -210,12 +210,11 @@ def pool_mask(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
 
 
 def _pool(data: DataMatrix, mode: TrainingMode) -> np.ndarray:
-    """The row numbers of :func:`pool_mask`; an empty pool is a ``ValueError``."""
+    """The row numbers of :func:`pool_mask`; an empty pool, which only
+    complete-only mode can leave, is a ``ValueError``."""
     pool = np.flatnonzero(pool_mask(data, mode))
     if pool.size == 0:
-        raise ValueError("complete-only mode requires at least one complete row"
-                         if mode is TrainingMode.COMPLETE_ONLY
-                         else "no trainable rows: every row is entirely missing")
+        raise ValueError("complete-only mode requires at least one complete row")
     return pool
 
 
@@ -384,8 +383,6 @@ def forgy_train(
     if n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     classifiable = np.flatnonzero(data.mask.any(axis=1))
-    if classifiable.size == 0:
-        raise ValueError("no classifiable rows: every row is entirely missing")
     if n_classes > classifiable.size:
         raise ValueError(
             f"n_classes={n_classes} exceeds the {classifiable.size} classifiable rows"

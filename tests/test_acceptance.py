@@ -6,6 +6,7 @@ lines.  Tolerances are fixed here, not tuned at runtime.
 
 import collections
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,7 +333,7 @@ def test_criterion_10_multi_map_averaging_halves_estimate_variance():
     for r in range(n_replicas):
         one = TrainingSchedule(total_iters=1000, radius0=2, rng_seed=50_000 + r)
         rep1 = impute(train(std, topo, one).codebook, std)
-        repm = impute_multi(std, topo, sched, n_maps=5, base_seed=100_000 + 5 * r)
+        repm = impute_multi(std, topo, replace(sched, rng_seed=100_000 + 5 * r), n_maps=5)
         single[r] = [estimate(rep1, *c) for c in cells]
         multi[r] = [estimate(repm, *c) for c in cells]
     var_single = single.var(axis=0, ddof=1).mean()

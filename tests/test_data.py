@@ -242,3 +242,30 @@ def test_in_place_scaling_equals_the_one_expression_bit_for_bit(table):
     out = _destandardized_report(report, data, params)
     expected = reference_destandardized_report(data.values, data.mask, filled.values, m, s)
     _same_bits(out.filled, expected, filled.mask)
+
+
+_TWO_BY_TWO = np.arange(4.0).reshape(2, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DataMatrix(np.arange(3.0), np.ones(3, bool), ("a", "b", "c"), ("x",)),
+     "values must be 2-D, got shape (3,)"),
+    (lambda: DataMatrix(_TWO_BY_TWO, np.ones((2, 2), bool), ("a", "b"), ("x",)),
+     "expected 2 column names, got 1"),
+    (lambda: DataMatrix(_TWO_BY_TWO, np.ones((2, 2), bool), ("a", "b"), ("x", "y"), ("lo",)),
+     "expected 2 categorical entries, got 1"),
+    (lambda: DataMatrix(np.empty((3, 0)), np.empty((3, 0), bool), ("a", "b", "c"), ()),
+     "a table needs at least one column"),
+    (lambda: StandardizationParams(np.zeros(2), np.ones(3)),
+     "means and stds must be 1-D arrays of equal length"),
+    (lambda: StandardizationParams(np.array([0.0, np.inf]), np.ones(2)),
+     "means and stds must be finite"),
+    (lambda: destandardize(DataMatrix.from_nan(_TWO_BY_TWO),
+                           StandardizationParams(np.zeros(3), np.ones(3))),
+     "params cover 3 columns, data has 2"),
+], ids=["values-not-2d", "column-names", "categorical-length", "no-column",
+        "params-shapes", "params-not-finite", "destandardize-width"])
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

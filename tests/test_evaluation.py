@@ -392,7 +392,7 @@ class TestDeletionCurve:
                 cols = ledger.cols
                 truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
                 std_ledger = replace(ledger, true_values=truth)
-                arm = impute_multi(std, topo, sched, n_maps, base_seed=seeds[1])
+                arm = impute_multi(std, topo, replace(sched, rng_seed=seeds[1]), n_maps)
                 som.append(rmse_deleted(std_ledger, arm))
                 base.append(rmse_deleted(std_ledger, mean_impute_baseline(std)))
                 cells += len(ledger)
@@ -468,3 +468,28 @@ class TestDeletionCurve:
         with pytest.raises(ValueError, match=r"^deletion arm d=2, repeat=0: complete-only mode"):
             deletion_curve(data, [1, 2], GridTopology(1, 2), sched, n_maps=2, n_repeats=2,
                            mode=TrainingMode.COMPLETE_ONLY, global_mcar=True)
+
+
+def _unresolved_arm():
+    """A ledger of one deleted cell that the report leaves unresolved."""
+    data = DataMatrix(np.array([[1.0, 2.0], [3.0, np.nan]]), np.array([[1, 1], [1, 0]], bool),
+                      ("a", "b"), ("x", "y"))
+    ledger = MaskingLedger(np.array([1]), np.array([1]), np.array([4.0]))
+    return ledger, ImputationReport(data, Fills((), (), np.full((2, 1), -1)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: deletion_curve(DataMatrix.from_nan(np.arange(6.0).reshape(3, 2)), [1],
+                            GridTopology(1, 2), TrainingSchedule(total_iters=10), n_repeats=0),
+     "n_repeats must be >= 1, got 0"),
+    (lambda: rmse_deleted(*_unresolved_arm()), "every deleted cell is unresolved; RMSE undefined"),
+    (lambda: modality_proportions(
+        Assignment(np.zeros(3, int), np.zeros(3), 2),
+        DataMatrix(np.arange(4.0).reshape(2, 2), np.ones((2, 2), bool), ("a", "b"),
+                   ("x", "y"), ("lo", "hi"))),
+     "assignment covers 3 rows, data has 2"),
+], ids=["no-repeats", "all-unresolved", "row-count"])
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

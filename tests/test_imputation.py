@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_multi_with_one_map_equals_single_impute():
     data = random_incomplete(5, n=15, p=3)
     topo = GridTopology(2, 2)
     sched = TrainingSchedule(total_iters=200, radius0=1, rng_seed=0)
-    multi = impute_multi(data, topo, sched, n_maps=1, base_seed=42)
+    multi = impute_multi(data, topo, replace(sched, rng_seed=42), n_maps=1)
     single = impute(
         train(data, topo, TrainingSchedule(total_iters=200, radius0=1, rng_seed=42)).codebook,
         data,
@@ -115,7 +116,7 @@ def test_multi_equals_the_ensemble_of_maps_trained_one_by_one():
     data = random_incomplete(6, n=40, p=5, missing=0.25)
     topo = GridTopology(3, 3)
     sched = TrainingSchedule(total_iters=300, radius0=1, rng_seed=0)
-    multi = impute_multi(data, topo, sched, n_maps=4, base_seed=17)
+    multi = impute_multi(data, topo, replace(sched, rng_seed=17), n_maps=4)
     seeds = tuple(range(17, 21))
     one_by_one = impute_ensemble(
         [train(data, topo, TrainingSchedule(total_iters=300, radius0=1, rng_seed=s)).codebook
@@ -133,7 +134,7 @@ def test_agreeing_maps_return_the_common_value():
     data = DataMatrix(values, np.isfinite(values), tuple("abcd"), ("x", "y"))
     topo = GridTopology(1, 2)
     sched = TrainingSchedule(total_iters=100, radius0=1, zero_radius_fraction=0.5, rng_seed=0)
-    report = impute_multi(data, topo, sched, n_maps=4, base_seed=10)
+    report = impute_multi(data, topo, replace(sched, rng_seed=10), n_maps=4)
     assert estimate(report, 2, 1) == 4.0
     j = np.flatnonzero((report.fills.rows == 2) & (report.fills.cols == 1))[0]
     assert report.fills.seeds == (10, 11, 12, 13)
@@ -253,4 +254,36 @@ def test_dimension_mismatch_rejected(small_incomplete):
 def test_n_maps_validation(small_incomplete):
     sched = TrainingSchedule(total_iters=60, radius0=1, zero_radius_fraction=0.5, rng_seed=0)
     with pytest.raises(ValueError):
-        impute_multi(small_incomplete, GridTopology(1, 2), sched, n_maps=0, base_seed=0)
+        impute_multi(small_incomplete, GridTopology(1, 2), replace(sched, rng_seed=0), n_maps=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Fills(np.zeros((1, 1), int), np.zeros((1, 1), int), np.zeros((1, 1), int)),
+     "rows and cols must be 1-D arrays of equal length"),
+    (lambda: Fills(np.zeros(1, int), np.zeros(1, int), np.zeros(1, int)),
+     "winners must be 2-D, one row per table row"),
+    (lambda: impute_ensemble([], random_incomplete(0, n=4, p=2)), "need at least one codebook"),
+], ids=["fills-not-1d", "winners-not-2d", "no-codebook"])
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n_maps", [1, 5])
+def test_imputation_holds_less_than_one_more_table_beside_its_output(n_maps):
+    # nearly every row here has a hole; holding the gathered rows while the
+    # filled table is built costs about one more table's values
+    n, p = 20_000, 20
+    rng = np.random.default_rng(7)
+    data = DataMatrix(rng.normal(size=(n, p)), rng.random((n, p)) > 0.2,
+                      tuple(f"r{i}" for i in range(n)), tuple(f"c{k}" for k in range(p)))
+    codebooks = [_codebook(rng.normal(size=(16, p))) for _ in range(n_maps)]
+    tracemalloc.start()
+    try:
+        report = impute_ensemble(codebooks, data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.fills) == n * p - int(data.mask.sum())
+    assert peak - kept < data.values.nbytes, (peak - kept, data.values.nbytes)

@@ -150,6 +150,17 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="line 2, column 'y'.*not finite"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1_000", "1_0", "1e1_0", "\u0661\u0662", "\uff11\uff12"],
+                             ids=["digit-separator", "separator-typo", "exponent-separator",
+                                  "arabic-indic", "fullwidth"])
+    def test_a_number_is_ascii_without_digit_separators(self, tmp_path, cell):
+        # float() reads PEP 515 separators and any Unicode digit; a cell may hold neither
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,x\nr1,{cell}\nr2,2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: line 2, column 'x': cannot parse {cell!r}"
+
     def test_bad_cell_before_ragged_row_reported_first(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,x\nr1,abc\nr2,1,2\n")
@@ -217,6 +228,14 @@ class TestReadCsvInBlocks:
     def test_bad_cell_in_any_block(self, tmp_path, row):
         path = self._table(tmp_path, {row: "abc"})
         assert self._error(path) == f"{path}: line {row + 2}, column 'x': cannot parse 'abc'"
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"],
+                             ids=["digit-separator", "arabic-indic"])
+    def test_non_ascii_or_separated_number_in_a_middle_block(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text("id,x,y\n" + "".join(
+            f"r{i},{cell if i == 4 else i},1\n" for i in range(9)), encoding="utf-8")
+        assert self._error(path) == f"{path}: line 6, column 'x': cannot parse {cell!r}"
 
     def test_non_finite_cell_in_a_middle_block(self, tmp_path):
         path = self._table(tmp_path, {4: "inf"})
@@ -956,6 +975,23 @@ def test_piped_input_or_model_is_refused_before_any_output(tmp_path, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--input", "{tmp}"], "--input '{tmp}' is not a regular file: the manifest records its "
+                           "digest, and replay reads it again"),
+    (["--input", "{tmp}/data.csv", "--missing-marker", "\udcff"],
+     "missing marker '\\udcff' is not valid UTF-8"),
+], ids=["input-is-a-directory", "marker-not-utf8"])
+def test_train_refuses_its_flags_before_any_output(tmp_path, capsys, flags, message):
+    # a marker arrives surrogate-escaped when argv holds a byte the locale cannot decode
+    _write_training_csv(tmp_path / "data.csv")
+    out = tmp_path / "out"
+    rc = main(["train", *(f.format(tmp=tmp_path) for f in flags), "--output-dir", str(out),
+               "--grid-rows", "1", "--grid-cols", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
 def test_render_map_text_golden():
     cb = CodeBook(np.array([[0.0], [1.0]]), GridTopology(1, 2), ("x",))
     asg = Assignment(np.array([0, 0, -1]), np.array([0.0, 0.1, np.nan]), 2)
@@ -1349,6 +1385,34 @@ class TestCli:
                    "--grid-rows", "1", "--grid-cols", "2", *flags])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {csv_path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"],
+                             ids=["digit-separator", "arabic-indic"])
+    def test_train_refuses_a_number_only_float_would_read(self, tmp_path, capsys, cell):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(f"id,x,y\nr1,{cell},2\nr2,3,4\nr3,5,6\n", encoding="utf-8")
+        out = tmp_path / "t"
+        rc = main(["train", "--input", str(csv_path), "--output-dir", str(out),
+                   "--grid-rows", "1", "--grid-cols", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: line 2, column 'x': cannot parse {cell!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [["--grid-rows", "9"], ["--grid-cols", "9"],
+                                      ["--grid-rows", "9", "--grid-cols", "9"]],
+                             ids=["rows", "cols", "both"])
+    def test_impute_with_a_model_refuses_grid_flags_before_reading_input(
+            self, tmp_path, capsys, grid):
+        # the model fixes the grid; a grid flag would be ignored, yet recorded in the manifest
+        out = tmp_path / "i"
+        rc = main(["impute", "--input", str(tmp_path / "absent.csv"), "--output-dir", str(out),
+                   "--model", str(tmp_path / "m.txt"), *grid])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --grid-rows and --grid-cols size the maps impute trains; they cannot be "
+            "combined with --model\n")
         assert not out.exists()
 
     def test_a_bug_in_a_command_propagates_out_of_main(self, tmp_path, monkeypatch):

@@ -236,3 +236,18 @@ def test_single_code_distance_is_the_ascending_sum_for_long_rows():
             assert _distance(x, obs, c[0]) == brute_masked_sq_distance(x, obs, c[0])
         else:
             assert np.isnan(_distance(x, obs, c[0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CodeBook(np.zeros(2), GridTopology(1, 2), ("x",)),
+     "codes must be 2-D, got shape (2,)"),
+    (lambda: CodeBook(np.zeros((2, 3)), GridTopology(1, 2), ("x", "y")),
+     "expected 3 column names, got 2"),
+    (lambda: metric.Assignment(np.zeros(2, int), np.zeros(3), 4),
+     "units and sq_distances must be 1-D arrays of equal length"),
+    (lambda: metric.Assignment(np.array([0, 4]), np.zeros(2), 4), "unit index out of range"),
+], ids=["codes-not-2d", "column-names", "assignment-shapes", "unit-out-of-range"])
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

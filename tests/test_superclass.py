@@ -8,6 +8,7 @@ from somimpute import (
     Assignment,
     CodeBook,
     GridTopology,
+    SuperClassing,
     hierarchical_codes,
     superclass_of_rows,
     ward_dendrogram,
@@ -165,3 +166,13 @@ class TestSuperclassOfRows:
         asg = Assignment(np.array([0]), np.zeros(1), 5)
         with pytest.raises(ValueError):
             superclass_of_rows(asg, sc)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SuperClassing(np.zeros((2, 2), int), ()), "labels must be a 1-D array"),
+    (lambda: ward_dendrogram(np.empty((0, 2))), "points must be a nonempty 2-D array"),
+], ids=["labels-not-1d", "no-points"])
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -123,3 +123,10 @@ def test_neighbors_always_contain_the_unit(rows, cols, radius):
     for hoods in _neighbourhoods(topo, radius):
         for u in range(topo.n_units):
             assert u in hoods[u]
+
+
+@pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, 1.5)], ids=["rows", "cols"])
+def test_a_non_integer_size_is_refused(rows, cols):
+    with pytest.raises(ValueError) as info:
+        GridTopology(rows, cols)
+    assert str(info.value) == "rows and cols must be integers"
