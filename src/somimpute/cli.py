@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -63,16 +63,17 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=int, default=1000, help="training iterations")
-    p.add_argument("--alpha0", type=float, default=0.5, help="initial learning rate")
-    p.add_argument("--alpha-final", type=float, default=0.01, help="final learning rate")
+    s = TrainingSchedule  # a dataclass field's default is its class attribute
+    p.add_argument("--iters", type=int, default=s.total_iters, help="training iterations")
+    p.add_argument("--alpha0", type=float, default=s.alpha0, help="initial learning rate")
+    p.add_argument("--alpha-final", type=float, default=s.alpha_final, help="final learning rate")
     p.add_argument(
         "--radius0", type=int, default=None,
         help="initial neighborhood radius (default: max(rows, cols) // 2)",
     )
-    p.add_argument("--zero-radius-fraction", type=float, default=0.4,
+    p.add_argument("--zero-radius-fraction", type=float, default=s.zero_radius_fraction,
                    help="final fraction of iterations at radius 0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=s.rng_seed)
     p.add_argument("--mode", choices=[m.value for m in TrainingMode],
                    default=TrainingMode.INCLUDE_INCOMPLETE.value)
 
@@ -166,14 +167,10 @@ def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
     topo = GridTopology(args.grid_rows, args.grid_cols)
     if args.radius0 is None:
         args.radius0 = max(topo.rows, topo.cols) // 2
-    schedule = TrainingSchedule(
-        total_iters=args.iters,
-        alpha0=args.alpha0,
-        alpha_final=args.alpha_final,
-        radius0=args.radius0,
-        zero_radius_fraction=args.zero_radius_fraction,
-        rng_seed=args.seed,
-    )
+    # each schedule field is set by the flag of its name, but for these two
+    dests = {"total_iters": "iters", "rng_seed": "seed"}
+    schedule = TrainingSchedule(**{f.name: getattr(args, dests.get(f.name, f.name))
+                                   for f in fields(TrainingSchedule)})
     return topo, schedule, TrainingMode(args.mode)
 
 
@@ -256,9 +253,14 @@ def cmd_impute(args) -> None:
     if args.model is not None:
         if args.n_maps != 1:
             raise ValueError("--n-maps > 1 trains its own maps; it cannot be combined with --model")
-        if args.grid_rows is not None or args.grid_cols is not None:
-            raise ValueError("--grid-rows and --grid-cols size the maps impute trains; they "
-                             "cannot be combined with --model")
+        # a training flag away from its default would be ignored, yet recorded in the manifest
+        trains = argparse.ArgumentParser(add_help=False)
+        _add_schedule_flags(trains)
+        for dest, default in {"grid_rows": None, "grid_cols": None,
+                              **vars(trains.parse_args([]))}.items():
+            if getattr(args, dest) != default:
+                raise ValueError(f"--{dest.replace('_', '-')} sets how the maps impute trains; "
+                                 "it cannot be combined with --model")
         model = load_model(args.model)
     else:
         if args.grid_rows is None or args.grid_cols is None:

@@ -205,9 +205,8 @@ def deletion_curve(
             raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
     seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
              for d, rep in keys]
-    codebooks = train_maps(
-        [std for std, _ in arms for _ in range(n_maps)], topology,
-        [replace(schedule, rng_seed=s) for arm in seeds for s in arm], mode)
+    codebooks = train_maps([std for std, _ in arms for _ in range(n_maps)], topology, schedule,
+                           [s for arm in seeds for s in arm], mode)
     som: list[float] = []
     base: list[float] = []
     unres: list[int] = []

@@ -8,7 +8,7 @@ averaging the estimates from several independently trained maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,8 +144,7 @@ def impute_multi(
     if n_maps < 1:
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
     seeds = tuple(schedule.rng_seed + j for j in range(n_maps))
-    codebooks = train_maps([data] * n_maps, topology,
-                           [replace(schedule, rng_seed=s) for s in seeds], mode)
+    codebooks = train_maps([data] * n_maps, topology, schedule, seeds, mode)
     return impute_ensemble(codebooks, data, seeds)
 
 

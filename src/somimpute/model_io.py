@@ -33,10 +33,6 @@ from .trainer import TrainingMode, TrainingSchedule
 DEFAULT_MISSING_MARKERS = ("", "NA")
 
 
-def fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # rows per block: the reader parses, and the table writers format, one block
 # of records at a time, so that at most one block of CSV text is alive
 _BLOCK_ROWS = 1024
@@ -317,11 +313,11 @@ def save_model(model: SomModel, path) -> None:
     check_model_col_names(cb.col_names)
     lines = ["\t".join([str(topo.rows), str(topo.cols), str(cb.n_features), *cb.col_names])]
     for u in range(cb.n_units):
-        lines.append("\t".join(fmt17(v) for v in cb.codes[u]))
-    lines.append("mean\t" + "\t".join(fmt17(v) for v in model.standardizer.means))
-    lines.append("std\t" + "\t".join(fmt17(v) for v in model.standardizer.stds))
+        lines.append("\t".join("%.17g" % v for v in cb.codes[u]))
+    lines.append("mean\t" + "\t".join("%.17g" % v for v in model.standardizer.means))
+    lines.append("std\t" + "\t".join("%.17g" % v for v in model.standardizer.stds))
     lines.append("\t".join(["schedule"] + [
-        f"{key}={(fmt17 if parse is float else str)(getattr(model.schedule, key))}"
+        f"{key}={('%.17g' if parse is float else '%s') % getattr(model.schedule, key)}"
         for key, parse in _SCHEDULE_FIELDS.items()
     ]))
     lines.append(f"mode\t{model.mode.value}")

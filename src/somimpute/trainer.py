@@ -197,7 +197,7 @@ def train(
     supplementary observations, and rows with none are flagged
     unclassifiable.
     """
-    codebook = train_maps([data], topology, [schedule], mode)[0]
+    codebook = train_maps([data], topology, schedule, [schedule.rng_seed], mode)[0]
     return TrainResult(codebook, classify_supplementary(codebook, data))
 
 
@@ -301,16 +301,18 @@ _LOCKSTEP_MAX_CELLS = 4096
 def train_maps(
     datas: Sequence[DataMatrix],
     topology: GridTopology,
-    schedules: Sequence[TrainingSchedule],
+    schedule: TrainingSchedule,
+    seeds: Sequence[int],
     mode: TrainingMode = TrainingMode.INCLUDE_INCOMPLETE,
 ) -> list[CodeBook]:
-    """Train one map per ``(data, schedule)`` pair on the same grid and
-    return their codebooks; no row is classified.
+    """Train map ``k`` on ``datas[k]`` under ``replace(schedule,
+    rng_seed=seeds[k])``, every map on the same grid, and return their
+    codebooks; no row is classified.
 
-    Equal, bit for bit, to ``[train(d, topology, s, mode).codebook for d, s
-    in zip(datas, schedules)]``: each map keeps :func:`train`'s pool, seed
-    stream, initial codes and draws.  Two or more maps whose schedules
-    differ at most in ``rng_seed``, on tables of one width and with at most
+    Equal, bit for bit, to ``[train(d, topology, replace(schedule,
+    rng_seed=s), mode).codebook for d, s in zip(datas, seeds)]``: each map
+    keeps :func:`train`'s pool, seed stream, initial codes and draws.  Two
+    or more maps on tables of one width, with at most
     ``_LOCKSTEP_MAX_CELLS`` code cells per map, train together in
     :func:`_lockstep_updates`; otherwise each map runs
     :func:`_online_updates` in turn.  Both kernels take the same winners and
@@ -318,35 +320,34 @@ def train_maps(
 
     A map without trainable rows raises :func:`train`'s ``ValueError``.
     """
-    datas, schedules = list(datas), list(schedules)
+    datas, seeds = list(datas), list(seeds)
     if not datas:
         raise ValueError("train_maps needs at least one map")
-    if len(schedules) != len(datas):
-        raise ValueError(f"{len(datas)} tables but {len(schedules)} schedules")
+    if len(seeds) != len(datas):
+        raise ValueError(f"{len(datas)} tables but {len(seeds)} seeds")
     # each map's pool, then its one seeded stream: the initial codes, later its draws
     pools = [_pool(d, mode) for d in datas]
-    rngs = [np.random.default_rng(s.rng_seed) for s in schedules]
+    # each seed checked as a schedule's own
+    rngs = [np.random.default_rng(replace(schedule, rng_seed=s).rng_seed) for s in seeds]
     codes = [_draw_initial_codes(rng, d, topology) for rng, d in zip(rngs, datas)]
+    steps = _schedule_arrays(schedule)
     p = datas[0].n_cols
-    base = replace(schedules[0], rng_seed=0)
     if (len(datas) > 1 and p * topology.n_units <= _LOCKSTEP_MAX_CELLS
-            and all(d.n_cols == p and replace(s, rng_seed=0) == base
-                    for d, s in zip(datas, schedules))):
+            and all(d.n_cols == p for d in datas)):
         C = np.ascontiguousarray(np.stack(codes).transpose(0, 2, 1))
         values, mask, offsets = _shared_table(datas)
         # one row table for all maps, each column drawn straight into place
-        rows = np.empty((schedules[0].total_iters, len(datas)), dtype=np.intp)
+        rows = np.empty((schedule.total_iters, len(datas)), dtype=np.intp)
         for k, (pool, rng, off) in enumerate(zip(pools, rngs, offsets)):
             rows[:, k] = pool[rng.integers(pool.size, size=rows.shape[0])] + off
-        _lockstep_updates(C, values, mask, rows, *_schedule_arrays(schedules[0]),
-                          topology.distance_matrix())
+        _lockstep_updates(C, values, mask, rows, *steps, topology.distance_matrix())
         finals = [c.T for c in C]
     else:
         finals = []
-        for d, s, pool, rng, c in zip(datas, schedules, pools, rngs, codes):
+        for d, pool, rng, c in zip(datas, pools, rngs, codes):
             c3 = _transposed(c, topology)
-            draws = pool[rng.integers(pool.size, size=s.total_iters)]
-            _online_updates(c3, d.values, d.mask, draws, *_schedule_arrays(s))
+            draws = pool[rng.integers(pool.size, size=schedule.total_iters)]
+            _online_updates(c3, d.values, d.mask, draws, *steps)
             finals.append(c3.reshape(d.n_cols, -1).T)
     return [CodeBook(codes, topology, d.col_names) for d, codes in zip(datas, finals)]
 

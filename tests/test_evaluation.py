@@ -24,6 +24,7 @@ from somimpute import (
 )
 from somimpute.evaluation import EvalReport, count_unresolved_deleted
 from somimpute.imputation import impute_ensemble
+from somimpute.synthetic import correlated_clusters
 from somimpute.trainer import train_maps
 from helpers import estimate, naive_pearson
 
@@ -349,6 +350,17 @@ class TestDeletionCurve:
         with pytest.raises(ValueError, match=r"deletion arm d=\d, repeat=\d+: column 'v\d'"):
             deletion_curve(data, range(1, 4), GridTopology(2, 2), sched, n_repeats=20)
 
+    @pytest.mark.parametrize("seed", [6, 21, 25])
+    def test_arm_with_no_scorable_cell_is_named(self, seed):
+        # a global-MCAR arm on 4 rows deletes whole rows here, and every
+        # deleted cell falls in them: no deleted cell has a winner to score
+        data, _ = correlated_clusters(4, 2, seed=0)
+        sched = TrainingSchedule(total_iters=50, radius0=1, rng_seed=seed)
+        with pytest.raises(ValueError) as err:
+            deletion_curve(data, [1], GridTopology(1, 2), sched, global_mcar=True)
+        assert str(err.value) == ("deletion arm d=1, repeat=0: every deleted cell is "
+                                  "unresolved; RMSE undefined")
+
     def test_zero_deletions_rejected_before_any_arm(self):
         data = _complete(seed=5, n=8, p=4)
         sched = TrainingSchedule(total_iters=50, radius0=1, rng_seed=0)
@@ -422,8 +434,8 @@ class TestDeletionCurve:
                 truth = (ledger.true_values - params.means[cols]) / params.stds[cols]
                 arms.append((standardize(masked, params), replace(ledger, true_values=truth)))
                 seeds.append(tuple(range(map_seed, map_seed + n_maps)))
-            codebooks = train_maps([std for std, _ in arms for _ in range(n_maps)], topo,
-                                   [replace(sched, rng_seed=s) for arm in seeds for s in arm])
+            codebooks = train_maps([std for std, _ in arms for _ in range(n_maps)], topo, sched,
+                                   [s for arm in seeds for s in arm])
             reports = [impute_ensemble(codebooks[a * n_maps:(a + 1) * n_maps], std, seeds[a])
                        for a, (std, _) in enumerate(arms)]
             fields["som"][d] = tuple(rmse_deleted(ledger, r) for (_, ledger), r in zip(arms, reports))

@@ -55,6 +55,10 @@ RUNS = [
                        *_MAP, "--deletion-mode", "global-mcar", "--mode", "complete-only",
                        "--n-maps", "2", "--d-min", "1", "--d-max", "2", "--repeats", "2",
                        "--seed", "5"]),
+    # the manifest impute --model writes records every training flag at its
+    # default, so it replays
+    ("replay_model", ["replay", "--manifest", "impute_model/manifest.txt",
+                      "--output-dir", "replay_model"]),
 ]
 
 

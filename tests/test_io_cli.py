@@ -44,6 +44,7 @@ from somimpute.model_io import (
     write_provenance_csv,
 )
 from somimpute.render import render_map_svg, render_map_text
+from somimpute.synthetic import correlated_clusters
 from conftest import random_incomplete
 from helpers import (reference_write_assignment_csv, reference_write_csv,
                      reference_write_provenance_csv)
@@ -1400,20 +1401,33 @@ class TestCli:
             f"error: {csv_path}: line 2, column 'x': cannot parse {cell!r}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", [["--grid-rows", "9"], ["--grid-cols", "9"],
-                                      ["--grid-rows", "9", "--grid-cols", "9"]],
-                             ids=["rows", "cols", "both"])
-    def test_impute_with_a_model_refuses_grid_flags_before_reading_input(
-            self, tmp_path, capsys, grid):
-        # the model fixes the grid; a grid flag would be ignored, yet recorded in the manifest
+    @staticmethod
+    def _impute_with_model_is_refused(tmp_path, capsys, flags):
+        # the model fixes how its map was trained; a training flag away from
+        # its default would be ignored, yet recorded in the manifest
         out = tmp_path / "i"
         rc = main(["impute", "--input", str(tmp_path / "absent.csv"), "--output-dir", str(out),
-                   "--model", str(tmp_path / "m.txt"), *grid])
+                   "--model", str(tmp_path / "m.txt"), *flags])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: --grid-rows and --grid-cols size the maps impute trains; they cannot be "
-            "combined with --model\n")
+            f"error: {flags[0]} sets how the maps impute trains; it cannot be combined with "
+            "--model\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--grid-rows", "9"], ["--grid-cols", "9"],
+                                       ["--grid-rows", "9", "--grid-cols", "9"]],
+                             ids=["rows", "cols", "both"])
+    def test_impute_with_a_model_refuses_grid_flags_before_reading_input(
+            self, tmp_path, capsys, flags):
+        self._impute_with_model_is_refused(tmp_path, capsys, flags)
+
+    @pytest.mark.parametrize("flags", [
+        ["--radius0", "1"], ["--iters", "5"], ["--alpha0", "0.9"], ["--alpha-final", "0.2"],
+        ["--zero-radius-fraction", "1"], ["--seed", "9"], ["--mode", "complete-only"],
+    ], ids=lambda flags: flags[0][2:])
+    def test_impute_with_a_model_refuses_training_flags_before_reading_input(
+            self, tmp_path, capsys, flags):
+        self._impute_with_model_is_refused(tmp_path, capsys, flags)
 
     def test_a_bug_in_a_command_propagates_out_of_main(self, tmp_path, monkeypatch):
         # only ValueError and OSError are refusals of the user's input; any
@@ -1438,6 +1452,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "mode=complete-only needs global_mcar" in err
         assert "deletion arm" not in err
+
+    def test_evaluate_arm_with_no_scorable_cell_exits_2_naming_it(self, tmp_path, capsys):
+        # global-MCAR deletes whole rows of this 4 x 2 table, and every
+        # deleted cell falls in them
+        csv_path = tmp_path / "clusters.csv"
+        write_csv(correlated_clusters(4, 2, seed=0)[0], csv_path)
+        out = tmp_path / "e"
+        rc = main([
+            "evaluate", "--input", str(csv_path), "--output-dir", str(out),
+            "--grid-rows", "1", "--grid-cols", "2", "--iters", "50", "--radius0", "1",
+            "--seed", "6", "--d-max", "1", "--deletion-mode", "global-mcar",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: deletion arm d=1, repeat=0: every deleted cell is unresolved; "
+            "RMSE undefined\n")
+        assert not out.exists()
 
     def test_render_marks_supplementary_in_mode_b(self, tmp_path):
         csv_path = tmp_path / "data.csv"
@@ -1556,9 +1587,10 @@ def _stripped_text(min_size):
 @st.composite
 def _command_runs(draw):
     """A small table, one of the five run commands and its flags, without
-    ``--input`` or ``--output-dir``: ``(data, argv, training)``.
+    ``--input`` or ``--output-dir``: ``(data, argv, training, refused)``.
     ``training`` is ``None``, or the ``train`` command line whose model
-    ``argv`` reads where it says ``MODEL``."""
+    ``argv`` reads where it says ``MODEL``; ``refused`` says that ``argv``
+    is an ``impute --model`` run with a training flag away from its default."""
     command = draw(st.sampled_from(["train", "classify", "impute", "evaluate", "render"]))
     n = draw(st.integers(2, 8))
     p = draw(st.integers(1, 4))
@@ -1596,18 +1628,25 @@ def _command_runs(draw):
                                          ["--superclasses", str(rows * cols + 1)]]))
     fallback = ["--fallback", draw(st.sampled_from(["none", "column-mean"]))]
     if command == "train":
-        return data, ["train", *training, *superclasses], None
+        return data, ["train", *training, *superclasses], None, False
     if command == "evaluate":
         return data, ["evaluate", *training,
                       "--d-max", str(draw(st.integers(1, max(1, p - 1)))),
                       "--repeats", str(draw(st.integers(1, 2))),
                       "--n-maps", str(draw(st.integers(1, 2))),
-                      "--deletion-mode", draw(st.sampled_from(["per-row", "global-mcar"]))], None
+                      "--deletion-mode",
+                      draw(st.sampled_from(["per-row", "global-mcar"]))], None, False
     if command == "impute" and draw(st.booleans()):
         return data, ["impute", *training, "--n-maps", str(draw(st.integers(1, 3))),
-                      *fallback], None
+                      *fallback], None, False
     extra = {"classify": [], "impute": fallback, "render": superclasses}[command]
-    return data, [command, *io, "--model", "MODEL", *extra], ["train", *training]
+    refused = command == "impute" and draw(st.integers(0, 3)) == 0
+    if refused:
+        extra = [*extra, *draw(st.sampled_from([
+            ["--grid-rows", "2"], ["--grid-cols", "3"], ["--radius0", "0"], ["--iters", "5"],
+            ["--alpha0", "0.9"], ["--alpha-final", "0.2"], ["--zero-radius-fraction", "1.0"],
+            ["--seed", "9"], ["--mode", "complete-only"]]))]
+    return data, [command, *io, "--model", "MODEL", *extra], ["train", *training], refused
 
 
 def _outputs(outdir: Path) -> dict[str, bytes]:
@@ -1618,8 +1657,9 @@ def _outputs(outdir: Path) -> dict[str, bytes]:
 @given(_command_runs())
 def test_every_command_exits_cleanly_repeats_and_replays_its_bytes(run):
     # exit 0, or 2 with no output directory; observed cells pass through
-    # impute; the same flags write the same bytes, and so does replay
-    data, argv, training = run
+    # impute; the same flags write the same bytes, and so does replay; an
+    # impute --model run with a training flag away from its default exits 2
+    data, argv, training, refused = run
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         csv_path = tmp / "in.csv"
@@ -1635,6 +1675,9 @@ def test_every_command_exits_cleanly_repeats_and_replays_its_bytes(run):
             if run_into(tmp / "model", training):
                 return
             argv = [str(tmp / "model" / "model.txt") if a == "MODEL" else a for a in argv]
+        if refused:
+            assert run_into(tmp / "a", argv) == 2
+            return
         if run_into(tmp / "a", argv):
             return
         first = _outputs(tmp / "a")

@@ -488,7 +488,7 @@ class TestTrainMaps:
                                 zero_radius_fraction=0.5, rng_seed=0)
         schedules = [replace(base, rng_seed=seed % 1000 + 7 * k) for k in range(n_maps)]
         mode = TrainingMode.COMPLETE_ONLY if complete_only else TrainingMode.INCLUDE_INCOMPLETE
-        codebooks = train_maps(datas, topo, schedules, mode)
+        codebooks = train_maps(datas, topo, base, [s.rng_seed for s in schedules], mode)
         assert len(codebooks) == n_maps
         for k, (data, sched, cb) in enumerate(zip(datas, schedules, codebooks)):
             ref = reference_train_codes(data, topo, sched, complete_only)
@@ -579,21 +579,20 @@ class TestTrainMaps:
                 assert moved.tolist() == [expected], f"case {case}, map {k}"
 
     def test_selection_rule(self, monkeypatch):
-        # lockstep runs for two maps or more whose schedules differ at most
-        # in the seed, with at most _LOCKSTEP_MAX_CELLS code cells per map
+        # lockstep runs for two maps or more on tables of one width, with at
+        # most _LOCKSTEP_MAX_CELLS code cells per map
         calls = []
         monkeypatch.setattr(trainer, "_lockstep_updates",
                             lambda C, *args: calls.append(C.shape) or _lockstep_updates(C, *args))
         data = random_incomplete(3, n=20, p=4)
         topo = GridTopology(2, 3)
         sched = TrainingSchedule(total_iters=50, radius0=1)
-        seeds = [replace(sched, rng_seed=s) for s in range(3)]
-        train_maps([data] * 3, topo, seeds)
+        train_maps([data] * 3, topo, sched, range(3))
         assert calls == [(3, 4, 6)]
-        train_maps([data], topo, seeds[:1])
-        train_maps([data] * 2, topo, [sched, replace(sched, total_iters=60)])
+        train_maps([data], topo, sched, [0])
+        train_maps([data, random_incomplete(5, n=20, p=3)], topo, sched, [0, 1])
         wide = random_incomplete(4, n=20, p=_LOCKSTEP_MAX_CELLS // 6 + 1)
-        train_maps([wide] * 2, topo, seeds[:2])
+        train_maps([wide] * 2, topo, sched, [0, 1])
         assert calls == [(3, 4, 6)]
 
     def test_returns_codebooks_and_classifies_no_row(self, monkeypatch, small_incomplete):
@@ -601,8 +600,7 @@ class TestTrainMaps:
         monkeypatch.setattr(trainer, "classify_supplementary", lambda *a: calls.append(a))
         monkeypatch.setattr(trainer, "assign", lambda *a: calls.append(a))
         sched = TrainingSchedule(total_iters=20, radius0=1)
-        codebooks = train_maps([small_incomplete] * 3, GridTopology(1, 2),
-                               [replace(sched, rng_seed=s) for s in range(3)])
+        codebooks = train_maps([small_incomplete] * 3, GridTopology(1, 2), sched, range(3))
         assert [type(cb) for cb in codebooks] == [CodeBook] * 3
         assert calls == []
 
@@ -610,11 +608,11 @@ class TestTrainMaps:
         topo = GridTopology(1, 2)
         sched = TrainingSchedule(total_iters=20, radius0=1)
         with pytest.raises(ValueError, match="at least one map"):
-            train_maps([], topo, [])
-        with pytest.raises(ValueError, match="2 tables but 1 schedules"):
-            train_maps([small_incomplete] * 2, topo, [sched])
-        with pytest.raises(ValueError, match="1 tables but 2 schedules"):
-            train_maps([small_incomplete], topo, [sched] * 2)
+            train_maps([], topo, sched, [])
+        with pytest.raises(ValueError, match="2 tables but 1 seeds"):
+            train_maps([small_incomplete] * 2, topo, sched, [0])
+        with pytest.raises(ValueError, match="1 tables but 2 seeds"):
+            train_maps([small_incomplete], topo, sched, [0, 1])
 
     def test_untrainable_map_raises_trains_message(self, small_incomplete):
         complete = DataMatrix.from_nan(np.random.default_rng(0).normal(size=(6, 3)))
@@ -626,7 +624,7 @@ class TestTrainMaps:
         with pytest.raises(ValueError) as single:
             train(holed, topo, sched, mode)
         with pytest.raises(ValueError) as batch:
-            train_maps([complete, holed, complete], topo, [sched] * 3, mode)
+            train_maps([complete, holed, complete], topo, sched, [0] * 3, mode)
         assert str(batch.value) == str(single.value)
         assert "complete-only mode requires at least one complete row" in str(single.value)
 
