@@ -11,18 +11,36 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
 from .data import destandardize  # unused here; perfbench/tracing.py wraps it
-from .data import fit_standardizer, standardize
+from .data import DataMatrix, _fit_observed, _standardized, fit_standardizer, standardize
 from .evaluation import deletion_curve, modality_proportions
-from .imputation import ImputationReport, _with_fills, apply_column_mean_fallback, impute, impute_multi
+from .imputation import (
+    ImputationReport,
+    _observed_means,
+    _with_column_means,
+    _with_fills,
+    apply_column_mean_fallback,
+    impute,
+    impute_multi,
+)
 from .model_io import (
     DEFAULT_MISSING_MARKERS,
     SomModel,
+    _append_rows,
+    _assignment_text,
+    _provenance_text,
+    _read_blocks,
+    _read_table,
+    _table_text,
     check_model_col_names,
     load_model,
     read_csv,
@@ -158,9 +176,43 @@ def _outdir(args) -> Path:
     return out
 
 
-# the flags that name files a run reads; main digests each into args before
-# the run, and the manifest records the digests
+@contextmanager
+def _staged(output_dir, *names):
+    """One text file open for writing per name in ``names``, in a new
+    temporary directory inside ``output_dir`` (or inside its nearest
+    existing parent, while it does not exist yet).  When the block ends
+    without an error, ``output_dir`` is made and each file is renamed into
+    it; otherwise the temporary directory is removed with everything in it,
+    so a failed run leaves no output behind."""
+    out = Path(output_dir)
+    home = next(p for p in (out, *out.parents) if p.is_dir())
+    with tempfile.TemporaryDirectory(prefix=".somimpute-", dir=home) as tmp:
+        paths = [Path(tmp) / name for name in names]
+        with ExitStack() as files:
+            yield [files.enter_context(p.open("w", newline="", encoding="utf-8")) for p in paths]
+        out.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            os.replace(path, out / path.name)
+
+
+# the flags that name files a run reads; each run digests them into args
+# before it reads them, and the manifest records the digests
 _INPUT_FLAGS = ("input", "model")
+
+
+def _digest_inputs(args) -> None:
+    """Digest each file a run reads into ``args``.  A command calls this once
+    its own arguments have passed, so that a refused command line reads no
+    file, and before any output exists, since an output may overwrite an
+    input."""
+    for name in _INPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is None or not os.path.exists(path):
+            continue  # the run's own read names a missing file
+        if not os.path.isfile(path):
+            raise ValueError(f"--{name} {path!r} is not a regular file: the manifest "
+                             "records its digest, and replay reads it again")
+        setattr(args, f"{name}_sha256", sha256_file(path))
 
 
 def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
@@ -174,36 +226,55 @@ def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
     return topo, schedule, TrainingMode(args.mode)
 
 
-def _read_input(args, model: SomModel | None = None):
-    """``(data, params, std)``: the input CSV, standardized once with the
-    model's parameters, after its numeric columns are checked to be the
-    model's by name and in order (the error names the first position that
-    differs), or with parameters fitted on the table when there is no model."""
-    data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
+def _check_model_columns(args, got, model: SomModel) -> None:
+    """Refuse an input whose numeric columns ``got`` are not the model's, by
+    name and in order; the error names the first position that differs."""
+    expected = model.codebook.col_names
+    if got != expected:
+        k = next(
+            (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+            min(len(got), len(expected)),
+        )
+        seen = repr(got[k]) if k < len(got) else "missing"
+        want = repr(expected[k]) if k < len(expected) else "no column"
+        raise ValueError(
+            f"{args.input}: numeric column {k + 1} is {seen}, the model has {want} there"
+        )
+
+
+def _read_standardized(args, model: SomModel | None = None):
+    """``(std, params)``: the input CSV standardized with the model's
+    parameters, once its columns are checked to be the model's, or with
+    parameters fitted on the table when there is no model.  The table is
+    standardized in place before it becomes a matrix, so it is held once."""
+    values, mask, *rest = _read_table(args.input, args.missing_markers, args.label_col,
+                                         args.categorical_col)
+    names = rest[1]
     if model is None:
-        params = fit_standardizer(data)
+        params = _fit_observed(values, mask, names)
     else:
-        got, expected = data.col_names, model.codebook.col_names
-        if got != expected:
-            k = next(
-                (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
-                min(len(got), len(expected)),
-            )
-            seen = repr(got[k]) if k < len(got) else "missing"
-            want = repr(expected[k]) if k < len(expected) else "no column"
-            raise ValueError(
-                f"{args.input}: numeric column {k + 1} is {seen}, the model has {want} there"
-            )
+        _check_model_columns(args, names, model)
         params = model.standardizer
-    return data, params, standardize(data, params)
+    _standardized(values, params, out=values)
+    return DataMatrix._of(values, mask, *rest), params
+
+
+def _model_blocks(args, model: SomModel):
+    """The input CSV's row blocks, in its own units, each checked to have
+    the model's columns."""
+    for block in _read_blocks(args.input, args.missing_markers, args.label_col,
+                              args.categorical_col):
+        _check_model_columns(args, block.col_names, model)
+        yield block
 
 
 def cmd_train(args) -> None:
     topo, schedule, mode = _training_args(args)
     if args.superclasses is not None and not 1 <= args.superclasses <= topo.n_units:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
-    data, params, std = _read_input(args)
-    check_model_col_names(data.col_names)  # before the map is trained
+    _digest_inputs(args)
+    std, params = _read_standardized(args)
+    check_model_col_names(std.col_names)  # before the map is trained
     result = train(std, topo, schedule, mode)
     outdir = _outdir(args)
     save_model(SomModel(result.codebook, params, schedule, mode), outdir / "model.txt")
@@ -215,7 +286,7 @@ def cmd_train(args) -> None:
         write_dendrogram_csv(outdir / "dendrogram.csv", sc)
         row_sc = superclass_of_rows(result.assignment, sc)
     write_assignment_csv(
-        outdir / "assignments.csv", data.row_labels, result.assignment, topo,
+        outdir / "assignments.csv", std.row_labels, result.assignment, topo,
         superclass_labels=row_sc, supplementary=supplementary,
     )
     n_all_missing = int((~std.mask.any(axis=1)).sum())
@@ -228,13 +299,16 @@ def cmd_train(args) -> None:
 
 
 def cmd_classify(args) -> None:
+    """Classify the input one row block at a time, so that the run holds one
+    block of rows, not the table."""
+    _digest_inputs(args)
     model = load_model(args.model)
-    data, _, std = _read_input(args, model)
-    assignment = classify_supplementary(model.codebook, std)
-    outdir = _outdir(args)
-    write_assignment_csv(
-        outdir / "assignments.csv", data.row_labels, assignment, model.codebook.topology
-    )
+    with _staged(args.output_dir, "assignments.csv") as (out,):
+        for block in _model_blocks(args, model):
+            assignment = classify_supplementary(model.codebook,
+                                                standardize(block, model.standardizer))
+            _append_rows(out, *_assignment_text(block.row_labels, assignment,
+                                                model.codebook.topology))
 
 
 def _destandardized_report(report: ImputationReport, data, params) -> ImputationReport:
@@ -249,7 +323,6 @@ def _destandardized_report(report: ImputationReport, data, params) -> Imputation
 def cmd_impute(args) -> None:
     if args.n_maps < 1:
         raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
-    model = None
     if args.model is not None:
         if args.n_maps != 1:
             raise ValueError("--n-maps > 1 trains its own maps; it cannot be combined with --model")
@@ -261,16 +334,17 @@ def cmd_impute(args) -> None:
             if getattr(args, dest) != default:
                 raise ValueError(f"--{dest.replace('_', '-')} sets how the maps impute trains; "
                                  "it cannot be combined with --model")
-        model = load_model(args.model)
-    else:
-        if args.grid_rows is None or args.grid_cols is None:
-            raise ValueError("impute without --model needs --grid-rows and --grid-cols")
-        topo, schedule, mode = _training_args(args)
-    data, params, std = _read_input(args, model)
-    if model is not None:
-        report = impute(model.codebook, std)
-    else:
-        report = impute_multi(std, topo, schedule, args.n_maps, mode)
+        _digest_inputs(args)
+        _impute_with_model(args, load_model(args.model))
+        return
+    if args.grid_rows is None or args.grid_cols is None:
+        raise ValueError("impute without --model needs --grid-rows and --grid-cols")
+    topo, schedule, mode = _training_args(args)
+    _digest_inputs(args)
+    data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
+    params = fit_standardizer(data)
+    std = standardize(data, params)
+    report = impute_multi(std, topo, schedule, args.n_maps, mode)
     del std  # the report holds its own copy of the table
     if args.fallback == "column-mean":
         report = apply_column_mean_fallback(report)
@@ -282,6 +356,39 @@ def cmd_impute(args) -> None:
     write_provenance_csv(outdir / "provenance.csv", report)
 
 
+def _impute_with_model(args, model: SomModel) -> None:
+    """``impute --model``, one row block at a time, so that the run holds
+    one block of rows, not the table.
+
+    Each block's report is the whole table's report restricted to the
+    block's rows.  ``--fallback column-mean`` needs the column means of the
+    whole table before the first block is filled, so the input is read once
+    more for them first.  ``provenance.csv`` lists the cells the map filled
+    before those the fallback filled or left unresolved (the cells of the
+    all-missing rows), so those lines wait in a side file until the end.
+    """
+    params = model.standardizer
+    means = None
+    if args.fallback == "column-mean":
+        means = _observed_means(standardize(b, params) for b in _model_blocks(args, model))
+    with _staged(args.output_dir, "imputed.csv", "provenance.csv") as (imputed, provenance), \
+            tempfile.TemporaryFile("w+", newline="", encoding="utf-8",
+                                   dir=Path(provenance.name).parent) as later:
+        for block in _model_blocks(args, model):
+            report = impute(model.codebook, standardize(block, params))
+            from_map = len(report.fills)
+            if means is not None:
+                report = _with_column_means(report, means)
+            report = _destandardized_report(report, block, params)
+            # missing cells as the first marker, so that the file reads back under --missing-marker
+            _append_rows(imputed, *_table_text(report.filled, args.missing_markers))
+            header, lines = _provenance_text(report)
+            _append_rows(provenance, header, islice(lines, from_map))
+            later.writelines(line + "\n" for line in lines)
+        later.seek(0)
+        shutil.copyfileobj(later, provenance)
+
+
 def cmd_evaluate(args) -> None:
     topo, schedule, mode = _training_args(args)
     if args.d_min < 1 or args.d_max < args.d_min:
@@ -290,6 +397,7 @@ def cmd_evaluate(args) -> None:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     if args.n_maps < 1:
         raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
+    _digest_inputs(args)
     data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
     report = deletion_curve(
         data, range(args.d_min, args.d_max + 1), topo, schedule,
@@ -306,23 +414,24 @@ def cmd_render(args) -> None:
     n_units = model.codebook.topology.n_units
     if args.superclasses is not None and not 1 <= args.superclasses <= n_units:
         raise ValueError(f"--superclasses must lie in [1, {n_units}]")
-    data, _, std = _read_input(args, model)
+    _digest_inputs(args)
+    std, _ = _read_standardized(args, model)
     assignment = classify_supplementary(model.codebook, std)
     supplementary = ~pool_mask(std, model.mode) & (assignment.units >= 0)
     sc = None
     if args.superclasses is not None:
         sc = hierarchical_codes(model.codebook, args.superclasses)
     modality = None
-    if data.categorical is not None:
-        modality = modality_proportions(assignment, data)
+    if std.categorical is not None:
+        modality = modality_proportions(assignment, std)
     outdir = _outdir(args)
     (outdir / "map.txt").write_text(
-        render_map_text(model.codebook, assignment, data.row_labels, supplementary, sc),
+        render_map_text(model.codebook, assignment, std.row_labels, supplementary, sc),
         encoding="utf-8",
     )
     (outdir / "map.svg").write_text(
         render_map_svg(
-            model.codebook, assignment, data.row_labels, supplementary, sc, modality
+            model.codebook, assignment, std.row_labels, supplementary, sc, modality
         ),
         encoding="utf-8",
     )
@@ -384,15 +493,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in _INPUT_FLAGS:
-            path = getattr(args, name, None)
-            if path is None or not os.path.exists(path):
-                continue  # the run's own read names a missing file
-            if not os.path.isfile(path):
-                raise ValueError(f"--{name} {path!r} is not a regular file: the manifest "
-                                 "records its digest, and replay reads it again")
-            # digested before the run, whose outputs may overwrite an input
-            setattr(args, f"{name}_sha256", sha256_file(path))
         if args.func is cmd_replay:
             return cmd_replay(args)  # the replayed run writes its own manifest
         _effective_markers(args)  # before the input is read or an output is made

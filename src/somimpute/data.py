@@ -87,10 +87,7 @@ class DataMatrix:
             raise ValueError(f"expected {p} column names, got {len(names)}")
         if not np.isfinite(values, where=mask, out=np.ones(mask.shape, bool)).all():
             raise ValueError("observed cells must be finite numbers")
-        observed_per_col = mask.sum(axis=0)
-        empty = np.flatnonzero(observed_per_col == 0)
-        if empty.size:
-            raise ValueError(f"column {names[int(empty[0])]!r} has no observed values")
+        self._check_columns(mask, names)
         cat = self.categorical
         if cat is not None:
             cat = tuple(None if c is None else str(c) for c in cat)
@@ -102,6 +99,9 @@ class DataMatrix:
         object.__setattr__(self, "row_labels", labels)
         object.__setattr__(self, "col_names", names)
         object.__setattr__(self, "categorical", cat)
+
+    def _check_columns(self, mask: np.ndarray, names: tuple[str, ...]) -> None:
+        _every_column_observed(mask.any(axis=0), names)
 
     @property
     def n_rows(self) -> int:
@@ -138,8 +138,31 @@ class DataMatrix:
         """Same labels and metadata, new cell values and mask; ``values`` and
         ``mask`` are kept, not copied, when they are handed over (see the
         class docstring)."""
-        return DataMatrix._of(values, mask, self.row_labels, self.col_names,
+        return type(self)._of(values, mask, self.row_labels, self.col_names,
                               self.categorical, self.categorical_name)
+
+
+def _every_column_observed(observed: np.ndarray, names) -> None:
+    """Raise for the first column whose entry of ``observed`` is False: a
+    table has an observed value in every column."""
+    empty = np.flatnonzero(~observed)
+    if empty.size:
+        raise ValueError(f"column {names[int(empty[0])]!r} has no observed values")
+
+
+class RowBlock(DataMatrix):
+    """Consecutive rows of a table, as the model commands read, scale,
+    classify, fill and write them, one block at a time.
+
+    A block is a :class:`DataMatrix` in all but one check: a column of the
+    table may have no observed value within one block, so the reader checks
+    that over the whole table instead (see
+    :func:`somimpute.model_io._read_blocks`).  :meth:`with_cells` of a block
+    is a block.
+    """
+
+    def _check_columns(self, mask: np.ndarray, names: tuple[str, ...]) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -172,18 +195,25 @@ def fit_standardizer(data: DataMatrix) -> StandardizationParams:
     Missing cells are ignored, never treated as zero.  Columns with fewer
     than two observed values or zero observed variance are rejected by name.
     """
-    counts = data.mask.sum(axis=0)
+    return _fit_observed(data.values, data.mask, data.col_names)
+
+
+def _fit_observed(values: np.ndarray, mask: np.ndarray, col_names) -> StandardizationParams:
+    """:func:`fit_standardizer` of the table with these ``values`` (NaN in
+    every unobserved slot), ``mask`` and ``col_names``, which need not be a
+    :class:`DataMatrix` yet."""
+    counts = mask.sum(axis=0)
     short = np.flatnonzero(counts < 2)
     if short.size:
         raise ValueError(
-            f"column {data.col_names[int(short[0])]!r} has fewer than 2 observed values"
+            f"column {col_names[int(short[0])]!r} has fewer than 2 observed values"
         )
-    means = np.nanmean(data.values, axis=0)
-    stds = np.nanstd(data.values, axis=0)
+    means = np.nanmean(values, axis=0)
+    stds = np.nanstd(values, axis=0)
     flat = np.flatnonzero(stds == 0.0)
     if flat.size:
         raise ValueError(
-            f"column {data.col_names[int(flat[0])]!r} has zero variance over observed values"
+            f"column {col_names[int(flat[0])]!r} has zero variance over observed values"
         )
     return StandardizationParams(means, stds)
 
@@ -194,9 +224,15 @@ def standardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:
         raise ValueError(
             f"params cover {params.n_cols} columns, data has {data.n_cols}"
         )
-    values = data.values - params.means
-    values /= params.stds
-    return data.with_cells(values, data.mask)
+    return data.with_cells(_standardized(data.values, params), data.mask)
+
+
+def _standardized(values: np.ndarray, params: StandardizationParams, out=None) -> np.ndarray:
+    """``(values - mean) / std`` column by column, into ``out`` when given
+    (``values`` itself scales a table in place)."""
+    out = np.subtract(values, params.means, out=out)
+    out /= params.stds
+    return out
 
 
 def destandardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:

@@ -156,13 +156,45 @@ def apply_column_mean_fallback(report: ImputationReport) -> ImputationReport:
     skip the report's fills.  The new cells follow the report's own; their
     rows have no winner, so their source is ``"column-mean"``.
     """
+    if report.filled.mask.all():
+        return report
+    observed = report.filled.values.copy()
+    observed[report.fills.rows, report.fills.cols] = np.nan
+    return _with_column_means(report, np.nanmean(observed, axis=0))
+
+
+def _with_column_means(report: ImputationReport, means: np.ndarray) -> ImputationReport:
+    """``report`` with each unresolved cell filled with its column's entry
+    of ``means``, as :func:`apply_column_mean_fallback` fills it."""
     rows, cols = np.nonzero(~report.filled.mask)
     if not rows.size:
         return report
     old = report.fills
-    observed = report.filled.values.copy()
-    observed[old.rows, old.cols] = np.nan
     fills = Fills(np.concatenate([old.rows, rows]), np.concatenate([old.cols, cols]),
                   old.winners, old.seeds)
-    means = np.nanmean(observed, axis=0)[cols]
-    return ImputationReport(_with_fills(report.filled, rows, cols, means), fills)
+    return ImputationReport(_with_fills(report.filled, rows, cols, means[cols]), fills)
+
+
+def _observed_means(blocks) -> np.ndarray:
+    """The per-column means of the observed cells of the table that
+    ``blocks`` (consecutive row blocks) make up, bit for bit as
+    ``np.nanmean`` over the whole table gives them, holding one block at a
+    time but for a table of one column.
+
+    ``np.nanmean`` adds the rows of a table of two columns or more one at a
+    time, in order, so one running sum carried across the blocks repeats
+    its sums (summing each block, then the block sums, would not); a single
+    column it adds pairwise, over all of its rows at once, so that column
+    is kept whole.
+    """
+    sums, counts, column = None, 0, []
+    for block in blocks:
+        observed = np.where(block.mask, block.values, 0.0)
+        counts = counts + block.mask.sum(axis=0)
+        if observed.shape[1] == 1:
+            column.append(observed)
+        else:
+            sums = observed.sum(axis=0) if sums is None else np.vstack([sums, observed]).sum(axis=0)
+    if column:
+        sums = np.concatenate(column).sum(axis=0)
+    return sums / counts

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
@@ -22,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import DataMatrix, StandardizationParams
+from .data import DataMatrix, RowBlock, StandardizationParams, _every_column_observed
 from .evaluation import EvalReport
 from .imputation import ImputationReport
 from .metric import UNCLASSIFIABLE, Assignment, CodeBook
@@ -117,8 +118,43 @@ def read_csv(
     written in ASCII, without ``_`` digit separators.
     Blank lines are skipped (messages keep physical line numbers) and a
     UTF-8 byte order mark is ignored.  Numeric column names must be unique.
-    Records are parsed ``_BLOCK_ROWS`` at a time, so that beyond the table
-    itself only one block of text is held.
+    Records are parsed ``_BLOCK_ROWS`` at a time (:func:`_read_blocks`) into
+    one table that grows a block at a time, so that beyond the table itself
+    only one block is held.
+    """
+    return DataMatrix._of(*_read_table(path, missing_markers, label_col, categorical_col))
+
+
+def _read_table(path, missing_markers, label_col, categorical_col):
+    """The fields of :func:`read_csv`'s matrix, in the order
+    :meth:`DataMatrix._of` takes them; its ``values`` and ``mask`` are each
+    one writeable array that owns its data and that no matrix holds yet."""
+    blocks = _read_blocks(path, missing_markers, label_col, categorical_col)
+    first = next(blocks)
+    values, mask = first.values.copy(), first.mask.copy()
+    labels = list(first.row_labels)
+    cats = None if first.categorical is None else list(first.categorical)
+    for block in blocks:
+        n, p = values.shape
+        # no view of either array exists, so each grows in place where the
+        # allocator can, and is copied once where it cannot
+        values.resize((n + block.n_rows, p), refcheck=False)
+        mask.resize((n + block.n_rows, p), refcheck=False)
+        values[n:], mask[n:] = block.values, block.mask
+        labels += block.row_labels
+        if cats is not None:
+            cats += block.categorical
+    return (values, mask, tuple(labels), first.col_names,
+            None if cats is None else tuple(cats), first.categorical_name)
+
+
+def _read_blocks(path, missing_markers, label_col, categorical_col) -> Iterator[RowBlock]:
+    """The table :func:`read_csv` reads, as consecutive blocks of
+    ``_BLOCK_ROWS`` rows (the last one shorter), from one pass over the file.
+
+    A bad record or cell is a ``ValueError`` raised when its block is
+    reached; one that names a column with no observed value in the whole
+    file is raised after the last block.
     """
     markers = set(_checked_markers(missing_markers))
     path = Path(path)
@@ -145,23 +181,22 @@ def read_csv(
         numeric_idx = [j for j in range(len(header)) if j != label_idx and j != cat_idx]
         if not numeric_idx:
             raise ValueError(f"{path}: no numeric columns")
-        names = [header[j] for j in numeric_idx]
+        names = tuple(header[j] for j in numeric_idx)
         for k, name in enumerate(names):
             if name in names[:k]:
                 raise ValueError(f"{path}: duplicate column name {name!r}")
 
-        values, mask, labels, cats = [], [], [], []
-        while block:
+        def parsed(block) -> RowBlock:
             rows = [row for _, row in block]
             if any(len(row) != len(header) for row in rows):
                 raise _first_bad_cell(path, block, header, numeric_idx, markers)
-            block_values = np.full((len(rows), len(numeric_idx)), np.nan)
-            block_mask = np.empty(block_values.shape, dtype=bool)
+            values = np.full((len(rows), len(numeric_idx)), np.nan)
+            mask = np.empty(values.shape, dtype=bool)
             for out_k, j in enumerate(numeric_idx):
                 cells = list(map(str.strip, map(itemgetter(j), rows)))
                 observed = ~np.fromiter(map(markers.__contains__, cells), dtype=bool,
                                         count=len(cells))
-                block_mask[:, out_k] = observed
+                mask[:, out_k] = observed
                 numbers = list(compress(cells, observed.tolist()))
                 text = "".join(numbers)
                 if not text.isascii() or "_" in text:
@@ -172,16 +207,22 @@ def read_csv(
                     raise _first_bad_cell(path, block, header, numeric_idx, markers) from None
                 if not np.isfinite(col).all():
                     raise _first_bad_cell(path, block, header, numeric_idx, markers)
-                block_values[observed, out_k] = col
-            values.append(block_values)
-            mask.append(block_mask)
-            labels.extend(row[label_idx].strip() for row in rows)
+                values[observed, out_k] = col
+            cats = None
             if cat_idx is not None:
-                cats.extend(None if c in markers else c
-                            for c in (row[cat_idx].strip() for row in rows))
+                cats = tuple(None if c in markers else c
+                             for c in (row[cat_idx].strip() for row in rows))
+            return RowBlock._of(values, mask, tuple(row[label_idx].strip() for row in rows),
+                                names, cats, categorical_col)
+
+        seen = np.zeros(len(names), dtype=bool)
+        while block:
+            rows = parsed(block)
+            del block  # its text is not held while the caller works on the rows
+            seen |= rows.mask.any(axis=0)
+            yield rows
             block = list(islice(records, _BLOCK_ROWS))
-    return DataMatrix._of(np.concatenate(values), np.concatenate(mask), tuple(labels),
-                          tuple(names), None if cat_idx is None else tuple(cats), categorical_col)
+    _every_column_observed(seen, names)
 
 
 # a formatted one-field record ``field,\r\n`` less its empty second field and
@@ -205,14 +246,23 @@ def _quoted(fields) -> list[str]:
 
 
 def _write_rows(path, header, lines) -> None:
-    """Write the text fields of ``header`` quoted, then ``lines`` (each a
-    formatted CSV line without its ending), with ``\\n`` line endings, one
-    block of ``_BLOCK_ROWS`` lines at a time."""
+    """Write ``header`` and ``lines`` to the file ``path`` as
+    :func:`_append_rows` writes them."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        _append_rows(fh, header, lines)
+
+
+def _append_rows(fh, header, lines) -> None:
+    """Append ``lines`` (each a formatted CSV line without its ending) to
+    the text file ``fh``, open for writing with ``newline=""``, with ``\\n``
+    line endings, one block of ``_BLOCK_ROWS`` lines at a time; when nothing
+    has been written to ``fh`` yet, the text fields of ``header``, quoted,
+    go first.  A file written a block of rows at a time so gets one header."""
+    if fh.tell() == 0:
         fh.write(",".join(_quoted(header)) + "\n")
-        lines = iter(lines)
-        while block := list(islice(lines, _BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        fh.write("\n".join(block) + "\n")
 
 
 def _blocks(n_rows: int, lines_of):
@@ -252,6 +302,12 @@ def write_csv(data: DataMatrix, path, markers=DEFAULT_MISSING_MARKERS) -> None:
     category equal to one of ``markers``) is a ``ValueError`` naming its
     row and column, raised before the file is opened.
     """
+    _write_rows(path, *_table_text(data, markers))
+
+
+def _table_text(data: DataMatrix, markers):
+    """The header and the lines :func:`write_csv` writes for ``data``; text
+    it refuses is refused here, before any line is formatted."""
     header = ["label"]
     if data.categorical is not None:
         header.append(data.categorical_name or "category")
@@ -274,7 +330,7 @@ def write_csv(data: DataMatrix, path, markers=DEFAULT_MISSING_MARKERS) -> None:
                                data.mask[block].tolist())
         ]
 
-    _write_rows(path, header, _blocks(data.n_rows, lines_of))
+    return header, _blocks(data.n_rows, lines_of)
 
 
 @dataclass(frozen=True)
@@ -411,6 +467,13 @@ def write_assignment_csv(
     superclass_labels=None,
     supplementary=None,
 ) -> None:
+    _write_rows(path, *_assignment_text(row_labels, assignment, topology,
+                                        superclass_labels, supplementary))
+
+
+def _assignment_text(row_labels, assignment, topology, superclass_labels=None,
+                     supplementary=None):
+    """The header and the lines :func:`write_assignment_csv` writes."""
     header = ["label", "unit", "grid_row", "grid_col", "sq_distance", "status"]
     if superclass_labels is not None:
         header.append("superclass")
@@ -437,7 +500,7 @@ def write_assignment_csv(
             templates = [t + ",%s" for t in templates]
         return [t % row for t, row in zip(templates, zip(*columns))]
 
-    _write_rows(path, header, _blocks(assignment.n_rows, lines_of))
+    return header, _blocks(assignment.n_rows, lines_of)
 
 
 def write_provenance_csv(path, report: ImputationReport) -> None:
@@ -446,6 +509,13 @@ def write_provenance_csv(path, report: ImputationReport) -> None:
     Cells are named from ``report.filled``; units and seeds are listed for
     cells a map filled and left empty for cells a fallback filled.
     """
+    _write_rows(path, *_provenance_text(report))
+
+
+def _provenance_text(report: ImputationReport):
+    """The header and the lines :func:`write_provenance_csv` writes: one
+    line per cell of ``report.fills``, in its order, then one per unresolved
+    cell."""
     f = report.fills
     row_labels = report.filled.row_labels
     names = _quoted(report.filled.col_names)
@@ -477,8 +547,8 @@ def write_provenance_csv(path, report: ImputationReport) -> None:
             for label, (_, k) in zip(_quoted([row_labels[i] for i, _ in cells]), cells)
         ]
 
-    _write_rows(path, ["label", "column", "estimate", "units", "seeds", "source"],
-                chain(_blocks(len(f), lines_of), _blocks(len(unresolved), unresolved_of)))
+    return (["label", "column", "estimate", "units", "seeds", "source"],
+            chain(_blocks(len(f), lines_of), _blocks(len(unresolved), unresolved_of)))
 
 
 def write_eval_csv(path, report: EvalReport) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _readonly
-from .metric import UNCLASSIFIABLE, Assignment, CodeBook
+from .metric import _CHUNK_CELLS, UNCLASSIFIABLE, Assignment, CodeBook
 
 UNLABELED = -1
 
@@ -66,8 +66,13 @@ def ward_dendrogram(points: np.ndarray) -> list[tuple[int, int, float]]:
         n = len(active)
         sub_sizes = sizes[active]
         sub_means = means[active]
-        diff = sub_means[:, None, :] - sub_means[None, :, :]
-        sq = (diff**2).sum(axis=-1)
+        # squared distances a chunk of rows at a time, never the (n, n, p) cube
+        sq = np.empty((n, n))
+        step = max(1, _CHUNK_CELLS // (n * pts.shape[1]))
+        for lo in range(0, n, step):
+            diff = sub_means[lo:lo + step, None, :] - sub_means[None, :, :]
+            diff *= diff
+            sq[lo:lo + step] = diff.sum(axis=-1)
         weight = sub_sizes[:, None] * sub_sizes[None, :] / (sub_sizes[:, None] + sub_sizes[None, :])
         cost = weight * sq
         cost[lower[:n, :n]] = np.inf

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from somimpute import (
     superclass_of_rows,
     ward_dendrogram,
 )
+from somimpute import superclass
 from somimpute.superclass import UNLABELED, cut_dendrogram
 from helpers import best_partition_at_k, labels_to_partition, reference_ward_dendrogram
 
@@ -111,6 +114,29 @@ def _tie_heavy_points(draw):
 def test_merges_equal_the_reference_on_tie_heavy_points(points):
     # ids and heights compared exactly, ties included
     assert ward_dendrogram(points) == reference_ward_dendrogram(points)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 500, superclass._CHUNK_CELLS])
+def test_distances_summed_in_row_chunks_change_no_merge(monkeypatch, chunk_cells):
+    # each row's squared distances are summed over its own last axis, as
+    # in the whole (n, n, p) cube, however many rows a chunk holds
+    points = np.random.default_rng(11).normal(size=(60, 9))
+    monkeypatch.setattr(superclass, "_CHUNK_CELLS", chunk_cells)
+    assert ward_dendrogram(points) == reference_ward_dendrogram(points)
+
+
+def test_ward_builds_no_cube_of_differences():
+    # the (n, n, p) differences of 100 codes of 20 components take 1.6 MB,
+    # and their squares as much again (a 3.6 MB peak); summed a chunk of
+    # rows at a time, the peak is 1.5 MB
+    points = np.random.default_rng(12).normal(size=(100, 20))
+    tracemalloc.start()
+    try:
+        ward_dendrogram(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 100 * 20 * 8, peak
 
 
 def test_agrees_with_scipy_ward_partitions():
