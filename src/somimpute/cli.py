@@ -183,13 +183,20 @@ def _staged(output_dir, *names):
     existing parent, while it does not exist yet).  When the block ends
     without an error, ``output_dir`` is made and each file is renamed into
     it; otherwise the temporary directory is removed with everything in it,
-    so a failed run leaves no output behind."""
+    so a failed run leaves no output behind.  A directory where a file goes
+    cannot be replaced by it, so one is refused, by name, before the first
+    rename."""
     out = Path(output_dir)
     home = next(p for p in (out, *out.parents) if p.is_dir())
     with tempfile.TemporaryDirectory(prefix=".somimpute-", dir=home) as tmp:
         paths = [Path(tmp) / name for name in names]
         with ExitStack() as files:
             yield [files.enter_context(p.open("w", newline="", encoding="utf-8")) for p in paths]
+        for name in names:
+            # os.replace replaces a symbolic link, to a directory too, but not a directory
+            if (out / name).is_dir() and not (out / name).is_symlink():
+                raise ValueError(f"{out / name} is a directory, which the output {name} "
+                                 "cannot replace")
         out.mkdir(parents=True, exist_ok=True)
         for path in paths:
             os.replace(path, out / path.name)

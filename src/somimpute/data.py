@@ -14,17 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# rows per block: the CSV reader parses, the table writers format and the
+# standardizer's sums add one block of rows at a time, and a map trains on
+# one block of steps at a time, so that beside a table only one block is held
+_BLOCK_ROWS = 1024
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
 def _handed_over(a, dtype) -> np.ndarray:
-    """``a`` itself if it is a writeable ``dtype`` array that owns its data,
-    else a copy: a borrowed or read-only array is never written into."""
-    if type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata and a.flags.writeable:
+    """``a`` itself if it is a writeable C-ordered ``dtype`` array that owns
+    its data, else a C-ordered copy: a borrowed or read-only array is never
+    written into."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata and a.flags.writeable
+            and a.flags.c_contiguous):
         return a
-    return np.array(a, dtype=dtype)
+    return np.array(a, dtype=dtype, order="C")
 
 
 @dataclass(frozen=True)
@@ -37,12 +45,13 @@ class DataMatrix:
     observed value at all, so some row always has an observed cell.
 
     Instances are immutable after construction and safe to share across
-    workers; the backing arrays are marked read-only.  The constructor
-    copies ``values`` and ``mask``, so the caller's arrays stay its own.
+    workers; the backing arrays are C-ordered and marked read-only.  The
+    constructor copies ``values`` and ``mask``, so the caller's arrays stay
+    its own.
     :meth:`with_cells` (and :func:`somimpute.model_io.read_csv`, through
     :meth:`_of`) keeps an array it is handed when that array is a writeable
-    float (bool) array that owns its data, writing NaN into its masked slots
-    and marking it read-only, and copies anything else.
+    C-ordered float (bool) array that owns its data, writing NaN into its
+    masked slots and marking it read-only, and copies anything else.
     """
 
     values: np.ndarray
@@ -53,7 +62,8 @@ class DataMatrix:
     categorical_name: str | None = None
 
     def __post_init__(self) -> None:
-        self._take(np.array(self.values, dtype=float), np.array(self.mask, dtype=bool))
+        self._take(np.array(self.values, dtype=float, order="C"),
+                   np.array(self.mask, dtype=bool, order="C"))
 
     @classmethod
     def _of(cls, values, mask, row_labels, col_names, categorical, categorical_name):
@@ -208,14 +218,38 @@ def _fit_observed(values: np.ndarray, mask: np.ndarray, col_names) -> Standardiz
         raise ValueError(
             f"column {col_names[int(short[0])]!r} has fewer than 2 observed values"
         )
-    means = np.nanmean(values, axis=0)
-    stds = np.nanstd(values, axis=0)
+    blocks = [(values[lo:lo + _BLOCK_ROWS], mask[lo:lo + _BLOCK_ROWS])
+              for lo in range(0, values.shape[0], _BLOCK_ROWS)]
+    # np.nanmean and np.nanstd (ddof 0) bit for bit, without their copies of the table
+    means = _column_sums(np.where(m, v, 0.0) for v, m in blocks) / counts
+    stds = np.sqrt(_column_sums(np.square(np.where(m, v - means, 0.0)) for v, m in blocks)
+                   / counts)
     flat = np.flatnonzero(stds == 0.0)
     if flat.size:
         raise ValueError(
             f"column {col_names[int(flat[0])]!r} has zero variance over observed values"
         )
     return StandardizationParams(means, stds)
+
+
+def _column_sums(blocks) -> np.ndarray:
+    """``np.sum(table, axis=0)``, bit for bit, of the table that ``blocks``
+    (consecutive row blocks) make up, holding one block at a time but for a
+    table of one column.
+
+    numpy adds the rows of a C-ordered table of two columns or more one at
+    a time, in order, so one running sum carried across the blocks repeats
+    its sums (summing each block, then the block sums, would not); a single
+    column it adds pairwise, over all of its rows at once, so that column
+    is kept whole.
+    """
+    sums, column = None, []
+    for block in blocks:
+        if block.shape[1] == 1:
+            column.append(block)
+        else:
+            sums = block.sum(axis=0) if sums is None else np.vstack([sums, block]).sum(axis=0)
+    return np.concatenate(column).sum(axis=0) if column else sums
 
 
 def standardize(data: DataMatrix, params: StandardizationParams) -> DataMatrix:

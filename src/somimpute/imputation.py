@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, _handed_over, _readonly
+from .data import DataMatrix, _column_sums, _handed_over, _readonly
 from .metric import UNCLASSIFIABLE, CodeBook, assign
 from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule, train_maps
@@ -179,22 +179,13 @@ def _observed_means(blocks) -> np.ndarray:
     """The per-column means of the observed cells of the table that
     ``blocks`` (consecutive row blocks) make up, bit for bit as
     ``np.nanmean`` over the whole table gives them, holding one block at a
-    time but for a table of one column.
+    time but for a table of one column (see :func:`~somimpute.data._column_sums`)."""
+    counts = []
 
-    ``np.nanmean`` adds the rows of a table of two columns or more one at a
-    time, in order, so one running sum carried across the blocks repeats
-    its sums (summing each block, then the block sums, would not); a single
-    column it adds pairwise, over all of its rows at once, so that column
-    is kept whole.
-    """
-    sums, counts, column = None, 0, []
-    for block in blocks:
-        observed = np.where(block.mask, block.values, 0.0)
-        counts = counts + block.mask.sum(axis=0)
-        if observed.shape[1] == 1:
-            column.append(observed)
-        else:
-            sums = observed.sum(axis=0) if sums is None else np.vstack([sums, observed]).sum(axis=0)
-    if column:
-        sums = np.concatenate(column).sum(axis=0)
-    return sums / counts
+    def observed():
+        for block in blocks:
+            counts.append(block.mask.sum(axis=0))
+            yield np.where(block.mask, block.values, 0.0)
+
+    sums = _column_sums(observed())
+    return sums / sum(counts)

@@ -80,8 +80,8 @@ class Assignment:
 
 
 # rows per chunk are chosen so that a chunk's (rows, n_units) distance buffer
-# holds about this many float64 cells (512 KiB)
-_CHUNK_CELLS = 1 << 16
+# holds about this many float64 cells (128 KiB)
+_CHUNK_CELLS = 1 << 14
 
 
 def _sq_distances(codes: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:

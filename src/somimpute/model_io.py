@@ -23,7 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import DataMatrix, RowBlock, StandardizationParams, _every_column_observed
+from .data import (_BLOCK_ROWS, DataMatrix, RowBlock, StandardizationParams,
+                   _every_column_observed)
 from .evaluation import EvalReport
 from .imputation import ImputationReport
 from .metric import UNCLASSIFIABLE, Assignment, CodeBook
@@ -32,11 +33,6 @@ from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule
 
 DEFAULT_MISSING_MARKERS = ("", "NA")
-
-
-# rows per block: the reader parses, and the table writers format, one block
-# of records at a time, so that at most one block of CSV text is alive
-_BLOCK_ROWS = 1024
 
 
 def _utf8_lines(path, lines):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import _BLOCK_ROWS, DataMatrix
 # UNCLASSIFIABLE and Assignment live in metric and stay importable from here
 from .metric import UNCLASSIFIABLE, Assignment, CodeBook, assign
 from .topology import GridTopology
@@ -96,20 +96,23 @@ def _draw_initial_codes(rng: np.random.Generator, data: DataMatrix, topology: Gr
     return rng.uniform(lo, hi, size=(topology.n_units, data.n_cols))
 
 
-def _schedule_arrays(schedule: TrainingSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Every step's learning rate and radius, as two arrays.  Of ``n`` steps,
-    step ``t`` has rate ``alpha0 + (alpha_final - alpha0) * (t / (n - 1))``
-    (``alpha0`` when ``n == 1``) and radius ``ceil(radius0 * (d - t) / d)``,
-    in exact integers, while ``t < d = decay_iters``, then 0."""
+def _schedule_arrays(schedule: TrainingSchedule, lo: int = 0,
+                     hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The learning rate and radius of the steps ``lo <= t < hi`` (``hi``
+    the run's length when None), as two arrays; a step's values do not
+    depend on the range.  Of ``n`` steps, step ``t`` has rate ``alpha0 +
+    (alpha_final - alpha0) * (t / (n - 1))`` (``alpha0`` when ``n == 1``)
+    and radius ``ceil(radius0 * (d - t) / d)``, in exact integers, while
+    ``t < d = decay_iters``, then 0."""
     n = schedule.total_iters
-    t = np.arange(n)
+    t = np.arange(lo, n if hi is None else hi)
     if n == 1:
-        alphas = np.full(1, schedule.alpha0)
+        alphas = np.full(t.size, schedule.alpha0)
     else:
         alphas = schedule.alpha0 + (schedule.alpha_final - schedule.alpha0) * (t / (n - 1))
     d = schedule.decay_iters
     if d == 0:
-        return alphas, np.zeros(n, dtype=np.int64)
+        return alphas, np.zeros(t.size, dtype=np.int64)
     # ceil(radius0 * left / d), split so that no product exceeds radius0 or d * d
     q, rem = divmod(schedule.radius0, d)
     left = np.maximum(d - t, 0)
@@ -147,12 +150,12 @@ def _online_updates(c3, values, mask, draws, alphas, radii) -> None:
     blocks = {r: _neighbor_blocks(c3, r) for r in set(radii)}
     xs = values[:, :, None, None]
     ms = mask[:, :, None, None]
-    complete = mask.all(axis=1).tolist()
-    for i, a, r in zip(draws.tolist(), alphas.tolist(), radii):
+    complete = mask[draws].all(axis=1).tolist()
+    for i, whole, a, r in zip(draws.tolist(), complete, alphas.tolist(), radii):
         x = xs[i]
         sq = c3 - x
         sq *= sq
-        if complete[i]:
+        if whole:
             b = blocks[r][np.add.reduce(sq, axis=0).argmin()]
             b += a * (x - b)
         else:
@@ -189,9 +192,10 @@ def train(
     Reproducibility contract: a single ``np.random.default_rng(rng_seed)``
     stream first draws the initial codes uniformly from the per-column
     observed ranges in one ``(n_units, p)`` call, then draws one row index
-    per iteration, uniform over the trainable pool, in a single
-    ``rng.integers(pool_size, size=total_iters)`` call (the same stream as
-    one ``rng.integers(pool_size)`` per iteration).
+    per iteration, uniform over the trainable pool, in
+    ``rng.integers(pool_size, size=k)`` calls over consecutive blocks of
+    ``k`` steps (the same stream as one ``rng.integers(pool_size)`` per
+    iteration, whatever the block sizes).
     The pool is :func:`pool_mask`.  Every row is classified under the final
     codes: rows outside the pool that have an observed component are
     supplementary observations, and rows with none are flagged
@@ -330,7 +334,6 @@ def train_maps(
     # each seed checked as a schedule's own
     rngs = [np.random.default_rng(replace(schedule, rng_seed=s).rng_seed) for s in seeds]
     codes = [_draw_initial_codes(rng, d, topology) for rng, d in zip(rngs, datas)]
-    steps = _schedule_arrays(schedule)
     p = datas[0].n_cols
     if (len(datas) > 1 and p * topology.n_units <= _LOCKSTEP_MAX_CELLS
             and all(d.n_cols == p for d in datas)):
@@ -340,14 +343,18 @@ def train_maps(
         rows = np.empty((schedule.total_iters, len(datas)), dtype=np.intp)
         for k, (pool, rng, off) in enumerate(zip(pools, rngs, offsets)):
             rows[:, k] = pool[rng.integers(pool.size, size=rows.shape[0])] + off
-        _lockstep_updates(C, values, mask, rows, *steps, topology.distance_matrix())
+        _lockstep_updates(C, values, mask, rows, *_schedule_arrays(schedule),
+                          topology.distance_matrix())
         finals = [c.T for c in C]
     else:
         finals = []
         for d, pool, rng, c in zip(datas, pools, rngs, codes):
             c3 = _transposed(c, topology)
-            draws = pool[rng.integers(pool.size, size=schedule.total_iters)]
-            _online_updates(c3, d.values, d.mask, draws, *steps)
+            # a block of steps at a time: the draws continue one stream
+            for lo in range(0, schedule.total_iters, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, schedule.total_iters)
+                draws = pool[rng.integers(pool.size, size=hi - lo)]
+                _online_updates(c3, d.values, d.mask, draws, *_schedule_arrays(schedule, lo, hi))
             finals.append(c3.reshape(d.n_cols, -1).T)
     return [CodeBook(codes, topology, d.col_names) for d, codes in zip(datas, finals)]
 

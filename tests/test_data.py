@@ -13,6 +13,8 @@ from somimpute import (
     standardize,
 )
 from somimpute.cli import _destandardized_report
+from somimpute.data import _BLOCK_ROWS, RowBlock
+from somimpute.imputation import _observed_means
 from somimpute.trainer import TrainingMode, pool_mask
 from conftest import random_incomplete
 from helpers import (
@@ -242,6 +244,38 @@ def test_in_place_scaling_equals_the_one_expression_bit_for_bit(table):
     out = _destandardized_report(report, data, params)
     expected = reference_destandardized_report(data.values, data.mask, filled.values, m, s)
     _same_bits(out.filled, expected, filled.mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([-1, 0, 1, "2B+1"]),
+       st.sampled_from([0.0, 0.2, 0.6]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_fit_and_column_means_equal_numpy_bit_for_bit(p, rows, missing, fortran, seed):
+    # the fit and the fallback's column means add the observed cells a
+    # block of rows at a time; np.nanmean and np.nanstd add the rows of a
+    # table of two columns or more one at a time, in order, and a single
+    # column pairwise, so a sum restarted at a block's edge, or a column
+    # added in the wrong order, shows in the last bits of some of these
+    # tables: values spread over twelve orders of magnitude, one row short
+    # of a block, one block, and one or two blocks and a row, handed over
+    # in either memory order
+    block = _BLOCK_ROWS
+    n = 2 * block + 1 if rows == "2B+1" else block + rows
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-6, 7, size=(n, p))
+    values += rng.normal(size=p) * 1e3
+    mask = rng.random((n, p)) >= missing
+    mask[:2] = True  # two observed values in every column
+    if fortran:
+        values, mask = np.asfortranarray(values), np.asfortranarray(mask)
+    data = DataMatrix(values, mask, tuple(f"r{i}" for i in range(n)),
+                      tuple(f"c{k}" for k in range(p)))
+    params = fit_standardizer(data)
+    assert params.means.tobytes() == np.nanmean(data.values, axis=0).tobytes()
+    assert params.stds.tobytes() == np.nanstd(data.values, axis=0).tobytes()
+    blocks = [RowBlock(data.values[lo:lo + block], data.mask[lo:lo + block],
+                       data.row_labels[lo:lo + block], data.col_names)
+              for lo in range(0, n, block)]
+    assert _observed_means(blocks).tobytes() == np.nanmean(data.values, axis=0).tobytes()
 
 
 _TWO_BY_TWO = np.arange(4.0).reshape(2, 2)

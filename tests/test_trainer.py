@@ -22,6 +22,7 @@ from somimpute import (
 from somimpute.metric import assign
 from somimpute.synthetic import gaussian_blobs
 from somimpute import trainer
+from somimpute.data import _BLOCK_ROWS
 from somimpute.trainer import (
     _LOCKSTEP_MAX_CELLS,
     _draw_initial_codes,
@@ -677,6 +678,42 @@ class TestKernelSegments:
             _lockstep_updates(parts, values, mask, table[a:b], alphas[a:b], radii[a:b], cheb)
         _lockstep_updates(whole, values, mask, table, alphas, radii, cheb)
         assert parts.tobytes() == whole.tobytes()
+
+
+class TestStepBlocks:
+    @pytest.mark.parametrize("total_iters", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                             2 * _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("complete_only", [False, True])
+    def test_train_in_blocks_of_steps_equals_the_reference_bit_for_bit(
+            self, total_iters, complete_only):
+        # a map trains a block of steps at a time: its draws, rates and
+        # radii are made for one block, then the kernel runs it
+        data = random_incomplete(3, n=60, p=5, missing=0.3)
+        topo = GridTopology(3, 4)
+        sched = TrainingSchedule(total_iters=total_iters, radius0=3, rng_seed=11)
+        mode = TrainingMode.COMPLETE_ONLY if complete_only else TrainingMode.INCLUDE_INCOMPLETE
+        ref = reference_train_codes(data, topo, sched, complete_only)
+        assert train(data, topo, sched, mode).codebook.codes.tobytes() == ref.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 40), st.sampled_from([0.0, 0.4, 1.0]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(1, 0, 0.4, 0.0, 1.0)  # one step
+    @example(1, 3, 1.0, 0.0, 1.0)  # one step, decay_iters == 0
+    @example(50, 2, 1.0, 0.2, 0.7)  # decay_iters == 0
+    def test_schedule_arrays_of_a_step_range_are_the_slice_of_the_whole(
+            self, total_iters, radius0, zero_fraction, a, b):
+        try:
+            s = TrainingSchedule(total_iters=total_iters, radius0=radius0,
+                                 zero_radius_fraction=zero_fraction)
+        except ValueError:
+            assume(False)
+        lo, hi = sorted(round(x * total_iters) for x in (a, b))
+        alphas, radii = _schedule_arrays(s)
+        part_alphas, part_radii = _schedule_arrays(s, lo, hi)
+        assert part_alphas.tobytes() == alphas[lo:hi].tobytes()
+        assert part_radii.tobytes() == radii[lo:hi].tobytes()
+        assert part_radii.dtype == radii.dtype
 
 
 class TestClassifySupplementary:
