@@ -27,7 +27,6 @@ from .evaluation import (
 from .imputation import (
     Fills,
     ImputationReport,
-    apply_column_mean_fallback,
     impute,
     impute_ensemble,
     impute_multi,
@@ -73,7 +72,6 @@ __all__ = [
     "TrainingMode",
     "TrainingSchedule",
     "UNCLASSIFIABLE",
-    "apply_column_mean_fallback",
     "assign",
     "classify_supplementary",
     "deletion_curve",

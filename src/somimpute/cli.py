@@ -20,17 +20,15 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .data import destandardize  # unused here; perfbench/tracing.py wraps it
-from .data import DataMatrix, _fit_observed, _standardized, fit_standardizer, standardize
+from .data import (DataMatrix, _fit_observed, _observed_means, _row_blocks, _standardized,
+                   standardize)
 from .evaluation import deletion_curve, modality_proportions
 from .imputation import (
     ImputationReport,
-    _observed_means,
+    _map_seeds,
     _with_column_means,
     _with_fills,
-    apply_column_mean_fallback,
-    impute,
-    impute_multi,
+    impute_ensemble,
 )
 from .model_io import (
     DEFAULT_MISSING_MARKERS,
@@ -48,17 +46,21 @@ from .model_io import (
     save_model,
     sha256_file,
     write_assignment_csv,
-    write_csv,
     write_dendrogram_csv,
     write_eval_csv,
     write_manifest,
-    write_provenance_csv,
     write_superclass_csv,
 )
 from .render import render_curve_svg, render_map_svg, render_map_text
 from .superclass import hierarchical_codes, superclass_of_rows
 from .topology import GridTopology
-from .trainer import TrainingMode, TrainingSchedule, classify_supplementary, pool_mask, train
+from .trainer import (TrainingMode, TrainingSchedule, classify_supplementary, pool_mask, train,
+                      train_maps)
+
+# unused here; perfbench/tracing.py wraps them
+from .data import destandardize, fit_standardizer
+from .imputation import impute, impute_multi
+from .model_io import write_csv, write_provenance_csv
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -233,10 +235,10 @@ def _training_args(args) -> tuple[GridTopology, TrainingSchedule, TrainingMode]:
     return topo, schedule, TrainingMode(args.mode)
 
 
-def _check_model_columns(args, got, model: SomModel) -> None:
-    """Refuse an input whose numeric columns ``got`` are not the model's, by
-    name and in order; the error names the first position that differs."""
-    expected = model.codebook.col_names
+def _check_model_columns(args, got, codebook) -> None:
+    """Refuse an input whose numeric columns ``got`` are not ``codebook``'s,
+    by name and in order; the error names the first position that differs."""
+    expected = codebook.col_names
     if got != expected:
         k = next(
             (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
@@ -260,18 +262,18 @@ def _read_standardized(args, model: SomModel | None = None):
     if model is None:
         params = _fit_observed(values, mask, names)
     else:
-        _check_model_columns(args, names, model)
+        _check_model_columns(args, names, model.codebook)
         params = model.standardizer
     _standardized(values, params, out=values)
     return DataMatrix._of(values, mask, *rest), params
 
 
-def _model_blocks(args, model: SomModel):
+def _model_blocks(args, codebook):
     """The input CSV's row blocks, in its own units, each checked to have
-    the model's columns."""
+    ``codebook``'s columns."""
     for block in _read_blocks(args.input, args.missing_markers, args.label_col,
                               args.categorical_col):
-        _check_model_columns(args, block.col_names, model)
+        _check_model_columns(args, block.col_names, codebook)
         yield block
 
 
@@ -311,7 +313,7 @@ def cmd_classify(args) -> None:
     _digest_inputs(args)
     model = load_model(args.model)
     with _staged(args.output_dir, "assignments.csv") as (out,):
-        for block in _model_blocks(args, model):
+        for block in _model_blocks(args, model.codebook):
             assignment = classify_supplementary(model.codebook,
                                                 standardize(block, model.standardizer))
             _append_rows(out, *_assignment_text(block.row_labels, assignment,
@@ -328,8 +330,12 @@ def _destandardized_report(report: ImputationReport, data, params) -> Imputation
 
 
 def cmd_impute(args) -> None:
+    """Fill the input from a saved model (``--model``), or from ``--n-maps``
+    maps trained on the input, held once while they train; either way the
+    cells are then filled and written one row block at a time."""
     if args.n_maps < 1:
         raise ValueError(f"--n-maps must be >= 1, got {args.n_maps}")
+    means = None
     if args.model is not None:
         if args.n_maps != 1:
             raise ValueError("--n-maps > 1 trains its own maps; it cannot be combined with --model")
@@ -342,47 +348,45 @@ def cmd_impute(args) -> None:
                 raise ValueError(f"--{dest.replace('_', '-')} sets how the maps impute trains; "
                                  "it cannot be combined with --model")
         _digest_inputs(args)
-        _impute_with_model(args, load_model(args.model))
-        return
-    if args.grid_rows is None or args.grid_cols is None:
-        raise ValueError("impute without --model needs --grid-rows and --grid-cols")
-    topo, schedule, mode = _training_args(args)
-    _digest_inputs(args)
-    data = read_csv(args.input, args.missing_markers, args.label_col, args.categorical_col)
-    params = fit_standardizer(data)
-    std = standardize(data, params)
-    report = impute_multi(std, topo, schedule, args.n_maps, mode)
-    del std  # the report holds its own copy of the table
-    if args.fallback == "column-mean":
-        report = apply_column_mean_fallback(report)
-    report = _destandardized_report(report, data, params)
-    del data  # only the table in the input's units is alive while the outputs are written
-    outdir = _outdir(args)
-    # missing cells as the first marker, so that the file reads back under --missing-marker
-    write_csv(report.filled, outdir / "imputed.csv", args.missing_markers)
-    write_provenance_csv(outdir / "provenance.csv", report)
+        model = load_model(args.model)
+        codebooks, params, seeds = [model.codebook], model.standardizer, None
+        if args.fallback == "column-mean":
+            # the whole table's means, before the first block is filled: one more read
+            stds = (standardize(b, params) for b in _model_blocks(args, model.codebook))
+            means = _observed_means((s.values, s.mask) for s in stds)
+    else:
+        if args.grid_rows is None or args.grid_cols is None:
+            raise ValueError("impute without --model needs --grid-rows and --grid-cols")
+        topo, schedule, mode = _training_args(args)
+        _digest_inputs(args)
+        std, params = _read_standardized(args)
+        seeds = _map_seeds(schedule.rng_seed, args.n_maps)
+        codebooks = train_maps([std] * args.n_maps, topo, schedule, seeds, mode)
+        if args.fallback == "column-mean":
+            means = _observed_means(_row_blocks(std.values, std.mask))
+        # the standardized table would not give the observed cells back
+        # verbatim, so the blocks are read again
+        del std
+    _impute_blocks(args, codebooks, params, seeds, means)
 
 
-def _impute_with_model(args, model: SomModel) -> None:
-    """``impute --model``, one row block at a time, so that the run holds
-    one block of rows, not the table.
+def _impute_blocks(args, codebooks, params, seeds, means) -> None:
+    """Fill the input one row block at a time, so that the run holds one
+    block of rows, not the table: each block is standardized with
+    ``params`` and filled by :func:`impute_ensemble` of ``codebooks`` and
+    ``seeds``, its unresolved cells then take their columns' entries of
+    ``means`` (unless None), and it is written back in its own units.
 
     Each block's report is the whole table's report restricted to the
-    block's rows.  ``--fallback column-mean`` needs the column means of the
-    whole table before the first block is filled, so the input is read once
-    more for them first.  ``provenance.csv`` lists the cells the map filled
-    before those the fallback filled or left unresolved (the cells of the
+    block's rows.  ``provenance.csv`` lists the cells the maps filled before
+    those the fallback filled or left unresolved (the cells of the
     all-missing rows), so those lines wait in a side file until the end.
     """
-    params = model.standardizer
-    means = None
-    if args.fallback == "column-mean":
-        means = _observed_means(standardize(b, params) for b in _model_blocks(args, model))
     with _staged(args.output_dir, "imputed.csv", "provenance.csv") as (imputed, provenance), \
             tempfile.TemporaryFile("w+", newline="", encoding="utf-8",
                                    dir=Path(provenance.name).parent) as later:
-        for block in _model_blocks(args, model):
-            report = impute(model.codebook, standardize(block, params))
+        for block in _model_blocks(args, codebooks[0]):
+            report = impute_ensemble(codebooks, standardize(block, params), seeds)
             from_map = len(report.fills)
             if means is not None:
                 report = _with_column_means(report, means)

@@ -218,10 +218,9 @@ def _fit_observed(values: np.ndarray, mask: np.ndarray, col_names) -> Standardiz
         raise ValueError(
             f"column {col_names[int(short[0])]!r} has fewer than 2 observed values"
         )
-    blocks = [(values[lo:lo + _BLOCK_ROWS], mask[lo:lo + _BLOCK_ROWS])
-              for lo in range(0, values.shape[0], _BLOCK_ROWS)]
+    blocks = _row_blocks(values, mask)
     # np.nanmean and np.nanstd (ddof 0) bit for bit, without their copies of the table
-    means = _column_sums(np.where(m, v, 0.0) for v, m in blocks) / counts
+    means = _observed_means(blocks)
     stds = np.sqrt(_column_sums(np.square(np.where(m, v - means, 0.0)) for v, m in blocks)
                    / counts)
     flat = np.flatnonzero(stds == 0.0)
@@ -230,6 +229,29 @@ def _fit_observed(values: np.ndarray, mask: np.ndarray, col_names) -> Standardiz
             f"column {col_names[int(flat[0])]!r} has zero variance over observed values"
         )
     return StandardizationParams(means, stds)
+
+
+def _row_blocks(values: np.ndarray, mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of consecutive ``_BLOCK_ROWS``-row blocks of ``values`` and
+    ``mask``, as ``(values, mask)`` pairs."""
+    return [(values[lo:lo + _BLOCK_ROWS], mask[lo:lo + _BLOCK_ROWS])
+            for lo in range(0, values.shape[0], _BLOCK_ROWS)]
+
+
+def _observed_means(blocks) -> np.ndarray:
+    """The per-column means of the observed cells of the table that
+    ``blocks`` (``(values, mask)`` pairs of consecutive row blocks) make up,
+    bit for bit as ``np.nanmean`` over the whole table gives them, holding
+    one block at a time but for a table of one column (see
+    :func:`_column_sums`)."""
+    counts = []
+
+    def observed():
+        for values, mask in blocks:
+            counts.append(mask.sum(axis=0))
+            yield np.where(mask, values, 0.0)
+
+    return _column_sums(observed()) / sum(counts)
 
 
 def _column_sums(blocks) -> np.ndarray:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataMatrix, fit_standardizer, standardize
-from .imputation import Fills, ImputationReport, apply_column_mean_fallback, impute, impute_ensemble
+from .data import DataMatrix, _observed_means, _row_blocks, fit_standardizer, standardize
+from .imputation import (Fills, ImputationReport, _map_seeds, _with_column_means, impute,
+                         impute_ensemble)
 from .imputation import impute_multi  # unused here; perfbench/tracing.py wraps it
 from .metric import Assignment
 from .topology import GridTopology
@@ -121,7 +122,7 @@ def mean_impute_baseline(data: DataMatrix) -> ImputationReport:
     cell's source is ``"column-mean"``.
     """
     nothing = ImputationReport(data, Fills((), (), np.empty((data.n_rows, 0))))
-    return apply_column_mean_fallback(nothing)
+    return _with_column_means(nothing, _observed_means(_row_blocks(data.values, data.mask)))
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,7 @@ def deletion_curve(
             _pool(arms[-1][0], mode)
         except ValueError as exc:
             raise ValueError(f"deletion arm d={d}, repeat={rep}: {exc}") from exc
-    seeds = [tuple(_derive_seed(schedule.rng_seed, d, rep, 1) + j for j in range(n_maps))
-             for d, rep in keys]
+    seeds = [_map_seeds(_derive_seed(schedule.rng_seed, d, rep, 1), n_maps) for d, rep in keys]
     codebooks = train_maps([std for std, _ in arms for _ in range(n_maps)], topology, schedule,
                            [s for arm in seeds for s in arm], mode)
     som: list[float] = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, _column_sums, _handed_over, _readonly
+from .data import DataMatrix, _handed_over, _readonly
 from .metric import UNCLASSIFIABLE, CodeBook, assign
 from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule, train_maps
@@ -131,6 +131,12 @@ def impute_ensemble(
                             Fills(rows, cols, winners, seeds or ()))
 
 
+def _map_seeds(first: int, n_maps: int) -> tuple[int, ...]:
+    """The training seeds of ``n_maps`` maps averaged together: ``first``,
+    ``first + 1``, ..., ``first + n_maps - 1``."""
+    return tuple(first + j for j in range(n_maps))
+
+
 def impute_multi(
     data: DataMatrix,
     topology: GridTopology,
@@ -138,34 +144,25 @@ def impute_multi(
     n_maps: int,
     mode: TrainingMode = TrainingMode.INCLUDE_INCOMPLETE,
 ) -> ImputationReport:
-    """Train ``n_maps`` maps with seeds ``schedule.rng_seed + j`` for ``j <
-    n_maps`` (in one :func:`somimpute.trainer.train_maps` call) and average
-    their estimates for each missing cell."""
+    """Train ``n_maps`` maps with the seeds :func:`_map_seeds` gives from
+    ``schedule.rng_seed`` (in one :func:`somimpute.trainer.train_maps`
+    call) and average their estimates for each missing cell."""
     if n_maps < 1:
         raise ValueError(f"n_maps must be >= 1, got {n_maps}")
-    seeds = tuple(schedule.rng_seed + j for j in range(n_maps))
+    seeds = _map_seeds(schedule.rng_seed, n_maps)
     codebooks = train_maps([data] * n_maps, topology, schedule, seeds, mode)
     return impute_ensemble(codebooks, data, seeds)
 
 
-def apply_column_mean_fallback(report: ImputationReport) -> ImputationReport:
-    """Fill the report's unresolved cells with per-column observed means.
-
-    Deliberately a separate, explicit step: the codebook method gives those
-    cells no winner, and falling back silently would hide that.  The means
-    skip the report's fills.  The new cells follow the report's own; their
-    rows have no winner, so their source is ``"column-mean"``.
-    """
-    if report.filled.mask.all():
-        return report
-    observed = report.filled.values.copy()
-    observed[report.fills.rows, report.fills.cols] = np.nan
-    return _with_column_means(report, np.nanmean(observed, axis=0))
-
-
 def _with_column_means(report: ImputationReport, means: np.ndarray) -> ImputationReport:
     """``report`` with each unresolved cell filled with its column's entry
-    of ``means``, as :func:`apply_column_mean_fallback` fills it."""
+    of ``means``, the column-mean fallback.
+
+    Deliberately a separate, explicit step: the codebook method gives those
+    cells no winner, and falling back silently would hide that.  The new
+    cells follow the report's own; their rows have no winner, so their
+    source is ``"column-mean"``.
+    """
     rows, cols = np.nonzero(~report.filled.mask)
     if not rows.size:
         return report
@@ -173,19 +170,3 @@ def _with_column_means(report: ImputationReport, means: np.ndarray) -> Imputatio
     fills = Fills(np.concatenate([old.rows, rows]), np.concatenate([old.cols, cols]),
                   old.winners, old.seeds)
     return ImputationReport(_with_fills(report.filled, rows, cols, means[cols]), fills)
-
-
-def _observed_means(blocks) -> np.ndarray:
-    """The per-column means of the observed cells of the table that
-    ``blocks`` (consecutive row blocks) make up, bit for bit as
-    ``np.nanmean`` over the whole table gives them, holding one block at a
-    time but for a table of one column (see :func:`~somimpute.data._column_sums`)."""
-    counts = []
-
-    def observed():
-        for block in blocks:
-            counts.append(block.mask.sum(axis=0))
-            yield np.where(block.mask, block.values, 0.0)
-
-    sums = _column_sums(observed())
-    return sums / sum(counts)

@@ -238,7 +238,9 @@ def _lockstep_updates(C, values, mask, rows, alphas, radii, cheb) -> None:
 
     The steps run on a component-major copy, a C-contiguous ``(p, K,
     n_units)`` array, so that every operation of a step runs over rows of
-    ``K * n_units`` cells, not over one map's ``n_units``.  The winner sums
+    ``K * n_units`` cells, not over one map's ``n_units``; each step
+    gathers its K rows from the shared table in place, so the table is
+    never copied.  The winner sums
     reduce over axis 0, the outer axis, which numpy accumulates one
     component row at a time, in ascending order: the sequential sum of
     ``assign`` (numpy sums pairwise only along the contiguous inner axis).
@@ -249,18 +251,17 @@ def _lockstep_updates(C, values, mask, rows, alphas, radii, cheb) -> None:
     unobserved component's NaN is computed but never picked.
     """
     S = np.ascontiguousarray(C.transpose(1, 0, 2))
-    xs, ms = values.T.copy(), mask.T.copy()
     balls = {r: cheb <= r for r in set(radii.tolist())}
     complete = mask.all(axis=1)[rows].all(axis=1).tolist()
     for i, a, r, whole in zip(rows, alphas.tolist(), radii.tolist(), complete):
-        diff = xs.take(i, axis=1)[:, :, None] - S
+        diff = values.take(i, axis=0).T[:, :, None] - S
         sq = diff * diff
         if whole:
             move = balls[r].take(np.add.reduce(sq, axis=0).argmin(axis=1), axis=0)
         else:
             # the row's mask repeated over the units, so that neither the
             # zeroing nor the update broadcasts along the short unit axis
-            m = np.repeat(ms.take(i, axis=1), S.shape[2], axis=1).reshape(S.shape)
+            m = np.repeat(mask.take(i, axis=0).T, S.shape[2], axis=1).reshape(S.shape)
             np.putmask(sq, ~m, 0.0)
             move = m & balls[r].take(np.add.reduce(sq, axis=0).argmin(axis=1), axis=0)
         diff *= a

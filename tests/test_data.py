@@ -13,8 +13,7 @@ from somimpute import (
     standardize,
 )
 from somimpute.cli import _destandardized_report
-from somimpute.data import _BLOCK_ROWS, RowBlock
-from somimpute.imputation import _observed_means
+from somimpute.data import _BLOCK_ROWS, _observed_means, _row_blocks
 from somimpute.trainer import TrainingMode, pool_mask
 from conftest import random_incomplete
 from helpers import (
@@ -272,9 +271,8 @@ def test_fit_and_column_means_equal_numpy_bit_for_bit(p, rows, missing, fortran,
     params = fit_standardizer(data)
     assert params.means.tobytes() == np.nanmean(data.values, axis=0).tobytes()
     assert params.stds.tobytes() == np.nanstd(data.values, axis=0).tobytes()
-    blocks = [RowBlock(data.values[lo:lo + block], data.mask[lo:lo + block],
-                       data.row_labels[lo:lo + block], data.col_names)
-              for lo in range(0, n, block)]
+    blocks = _row_blocks(data.values, data.mask)
+    assert [len(v) for v, _ in blocks] == [min(block, n - lo) for lo in range(0, n, block)]
     assert _observed_means(blocks).tobytes() == np.nanmean(data.values, axis=0).tobytes()
 
 

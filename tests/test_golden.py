@@ -39,6 +39,10 @@ RUNS = [
                       "--fallback", "column-mean"]),
     ("impute_maps", ["impute", "--input", "table.csv", "--output-dir", "impute_maps",
                      "--categorical-col", "level", "--n-maps", "3", *_MAP, "--seed", "11"]),
+    # the all-missing row's four cells take their columns' observed means
+    ("impute_maps_mean", ["impute", "--input", "table.csv", "--output-dir", "impute_maps_mean",
+                          "--categorical-col", "level", "--n-maps", "2", *_MAP, "--seed", "13",
+                          "--fallback", "column-mean"]),
     ("evaluate", ["evaluate", "--input", "complete.csv", "--output-dir", "evaluate",
                   *_MAP, "--d-min", "1", "--d-max", "2", "--repeats", "2", "--n-maps", "2",
                   "--seed", "5"]),

@@ -11,7 +11,6 @@ from somimpute import (
     Fills,
     GridTopology,
     TrainingSchedule,
-    apply_column_mean_fallback,
     forgy_train,
     impute,
     impute_ensemble,
@@ -19,8 +18,16 @@ from somimpute import (
     imputation,
     train,
 )
+from somimpute.data import _observed_means, _row_blocks
+from somimpute.imputation import _with_column_means
 from helpers import brute_winner, estimate
 from conftest import random_incomplete
+
+
+def _column_mean_fallback(report, data):
+    """``--fallback column-mean``: the report's unresolved cells take the
+    means of the observed cells of ``data``, the table it filled."""
+    return _with_column_means(report, _observed_means(_row_blocks(data.values, data.mask)))
 
 
 def _codebook(codes):
@@ -190,14 +197,14 @@ def test_unresolved_is_read_from_the_filled_matrix(small_incomplete):
     cb = _codebook(np.ones((2, 3)))
     report = impute(cb, small_incomplete)
     assert report.unresolved == tuple(map(tuple, np.argwhere(~report.filled.mask).tolist()))
-    fb = apply_column_mean_fallback(report)
+    fb = _column_mean_fallback(report, small_incomplete)
     assert replace(report, filled=fb.filled).unresolved == ()
 
 
 def test_column_mean_fallback_is_explicit(small_incomplete):
     cb = _codebook(np.ones((2, 3)))
     report = impute(cb, small_incomplete)
-    fb = apply_column_mean_fallback(report)
+    fb = _column_mean_fallback(report, small_incomplete)
     assert fb.unresolved == ()
     col_means = np.nanmean(small_incomplete.values, axis=0)
     for k in range(3):
@@ -216,7 +223,7 @@ def test_fills_keep_one_winner_row_per_table_row(small_incomplete):
     assert f.winners.shape == (small_incomplete.n_rows, 1)
     assert f.winners[:, 0].tolist() == [UNCLASSIFIABLE, 0, UNCLASSIFIABLE, 0]
     assert f.winners[f.rows, 0].tolist() == [0] * len(f)
-    fb = apply_column_mean_fallback(report)
+    fb = _column_mean_fallback(report, small_incomplete)
     assert fb.fills.winners.tobytes() == f.winners.tobytes()
     assert fb.fills.source_of(slice(None)).tolist() == ["codebook"] * len(f) + ["column-mean"] * 3
     with pytest.raises(ValueError, match="outside the 4 rows"):

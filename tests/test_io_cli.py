@@ -32,6 +32,8 @@ from somimpute import (
     model_io,
     standardize,
 )
+from somimpute import data as data_module
+from somimpute import trainer as trainer_module
 from somimpute.cli import _destandardized_report, main
 from somimpute.model_io import (
     SomModel,
@@ -588,34 +590,47 @@ def test_block_size_changes_no_byte_of_the_model_commands(tmp_path, monkeypatch)
     (tmp_path / "t.csv").write_text("id,level,x,y,z,w\n" + "".join(
         f"r{i},{['lo', 'hi', 'NA'][i % 3]},{cells}\n" for i, cells in enumerate(rows)))
     monkeypatch.chdir(tmp_path)
+    model = ["--model", "run/model.txt"]
+    maps = ["--n-maps", "2", "--grid-rows", "2", "--grid-cols", "2", "--iters", "200"]
     runs = {
-        "classify": ["classify"],
-        "impute": ["impute"],
-        "impute_mean": ["impute", "--fallback", "column-mean"],
+        "classify": ["classify", *model],
+        "impute": ["impute", *model],
+        "impute_mean": ["impute", *model, "--fallback", "column-mean"],
+        "impute_maps": ["impute", *maps],
+        "impute_maps_mean": ["impute", *maps, "--fallback", "column-mean"],
     }
     seen = []
     for block_rows in (1, 3, model_io._BLOCK_ROWS):
-        monkeypatch.setattr(model_io, "_BLOCK_ROWS", block_rows)
+        # the reader and writers, the standardizer's sums and the training steps
+        for module in (data_module, model_io, trainer_module):
+            monkeypatch.setattr(module, "_BLOCK_ROWS", block_rows)
         outputs = {}
         for out, argv in runs.items():
-            assert main([*argv, "--input", "t.csv", "--model", "run/model.txt",
-                         "--categorical-col", "level", "--output-dir", out]) == 0
+            assert main([*argv, "--input", "t.csv", "--categorical-col", "level",
+                         "--output-dir", out]) == 0
             outputs.update({f"{out}/{p.name}": p.read_bytes() for p in Path(out).iterdir()})
             shutil.rmtree(out)
         seen.append(outputs)
     assert seen[0] == seen[1] == seen[2]
     assert sorted(seen[0]) == [
         "classify/assignments.csv", "classify/manifest.txt", "impute/imputed.csv",
-        "impute/manifest.txt", "impute/provenance.csv", "impute_mean/imputed.csv",
+        "impute/manifest.txt", "impute/provenance.csv", "impute_maps/imputed.csv",
+        "impute_maps/manifest.txt", "impute_maps/provenance.csv",
+        "impute_maps_mean/imputed.csv", "impute_maps_mean/manifest.txt",
+        "impute_maps_mean/provenance.csv", "impute_mean/imputed.csv",
         "impute_mean/manifest.txt", "impute_mean/provenance.csv"]
-    assert seen[0]["impute/provenance.csv"].count(b",unresolved\n") == 12
-    assert seen[0]["impute_mean/provenance.csv"].count(b",column-mean\n") == 12
+    for out in ("impute", "impute_maps"):
+        assert seen[0][f"{out}/provenance.csv"].count(b",unresolved\n") == 12
+    for out in ("impute_mean", "impute_maps_mean"):
+        assert seen[0][f"{out}/provenance.csv"].count(b",column-mean\n") == 12
     assert seen[0]["classify/assignments.csv"].count(b",unclassifiable\n") == 3
 
 
 @pytest.mark.parametrize("command, name", [("impute", "provenance.csv"),
                                            ("impute", "imputed.csv"),
-                                           ("classify", "assignments.csv")])
+                                           ("classify", "assignments.csv"),
+                                           ("impute-maps", "provenance.csv"),
+                                           ("impute-maps", "imputed.csv")])
 def test_an_output_that_cannot_be_replaced_refuses_the_run_before_any_rename(
         tmp_path, capsys, command, name):
     # a directory where an output goes cannot be replaced by that output:
@@ -626,8 +641,10 @@ def test_an_output_that_cannot_be_replaced_refuses_the_run_before_any_rename(
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     capsys.readouterr()
-    rc = main([command, "--input", str(tmp_path / "data.csv"), "--model",
-               str(tmp_path / "run" / "model.txt"), "--categorical-col", "level",
+    source = {"impute-maps": ["impute", "--n-maps", "2", "--grid-rows", "2", "--grid-cols", "2",
+                              "--iters", "100"]}.get(
+        command, [command, "--model", str(tmp_path / "run" / "model.txt")])
+    rc = main([*source, "--input", str(tmp_path / "data.csv"), "--categorical-col", "level",
                "--output-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
@@ -705,13 +722,14 @@ def test_train_is_handed_its_table_held_once(tmp_path, monkeypatch):
     assert at_train[0] < 1.3 * held, at_train[0] / held
 
 
-def _train_peak(tmp_path, n) -> tuple[int, int]:
-    """Traced peak of ``train`` on an ``n`` x 20 table, and the bytes it
-    holds of the table."""
+def _training_peak(tmp_path, n, argv) -> tuple[int, int]:
+    """Traced peak of the training command ``argv`` on an ``n`` x 20 table,
+    on a 4x4 map for 3 000 iterations, and the bytes it holds of the
+    table."""
     held = _training_table(tmp_path / "t.csv", n, n)
     tracemalloc.start()
     try:
-        assert main(["train", "--input", str(tmp_path / "t.csv"), "--output-dir",
+        assert main([*argv, "--input", str(tmp_path / "t.csv"), "--output-dir",
                      str(tmp_path / "out"), "--grid-rows", "4", "--grid-cols", "4",
                      "--iters", "3000"]) == 0
         return tracemalloc.get_traced_memory()[1], held
@@ -719,15 +737,26 @@ def _train_peak(tmp_path, n) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def test_train_holds_its_table_and_one_block_whatever_the_row_count(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["impute", "--n-maps", "2"],
+    ["impute", "--n-maps", "2", "--fallback", "column-mean"],
+], ids=["train", "impute_maps", "impute_maps_mean"])
+def test_train_holds_its_table_and_one_block_whatever_the_row_count(tmp_path, argv):
     # beside the table it trains on, train holds a few numbers per row (the
     # pool, each row's winner and distance) and one block of rows or of
     # steps at a time; fitting the standardizer on copies of the whole table
     # or listing every row's completeness grew the peak 1.65 times as fast
-    # as the table from 5 000 to 40 000 rows
-    _train_peak(tmp_path, 100)  # imports and caches filled once
-    small, small_table = _train_peak(tmp_path, 5_000)
-    large, large_table = _train_peak(tmp_path, 40_000)
+    # as the table from 5 000 to 40 000 rows.  impute --n-maps holds its
+    # table once while its maps train, then fills the input again one block
+    # at a time (1.03 times as fast as the table); holding the raw table, a
+    # standardized copy and the filled report together grew its peak 3.05
+    # times as fast, the lockstep kernel's transposed copy of the table 1.76
+    # times, and the fallback's means taken from the whole table at once
+    # 1.55 times
+    _training_peak(tmp_path, 100, argv)  # imports and caches filled once
+    small, small_table = _training_peak(tmp_path, 5_000, argv)
+    large, large_table = _training_peak(tmp_path, 40_000, argv)
     growth = (large - small) / (large_table - small_table)
     assert growth < 1.1, (small, large, growth)
 
