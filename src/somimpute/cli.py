@@ -2,9 +2,9 @@
 
 Every run validates its numeric parameters before touching the input, and
 writes a ``manifest.txt`` (key=value, json-encoded values) recording the
-subcommand, all parameters, seeds and input digests; ``replay`` re-executes
-a manifest into a fresh output directory and reproduces the CSV outputs byte
-for byte.
+subcommand, all parameters, seeds and the digests of its inputs and outputs;
+``replay`` re-executes a manifest into a fresh output directory and checks
+that it reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
@@ -172,36 +172,28 @@ def _effective_markers(args) -> None:
     args.missing_markers = decoded
 
 
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @contextmanager
-def _staged(output_dir, *names):
-    """One text file open for writing per name in ``names``, in a new
-    temporary directory inside ``output_dir`` (or inside its nearest
-    existing parent, while it does not exist yet).  When the block ends
-    without an error, ``output_dir`` is made and each file is renamed into
-    it; otherwise the temporary directory is removed with everything in it,
-    so a failed run leaves no output behind.  A directory where a file goes
-    cannot be replaced by it, so one is refused, by name, before the first
-    rename."""
+def _staged(output_dir):
+    """A new temporary directory inside ``output_dir`` (or inside its
+    nearest existing parent, while it does not exist yet), for a run's
+    outputs.  When the block ends without an error, ``output_dir`` is made
+    and every file in it is renamed into ``output_dir``; otherwise the
+    temporary directory is removed with everything in it, so a failed run
+    leaves no output behind.  A directory where a file goes cannot be
+    replaced by it, so one is refused, by name, before the first rename."""
     out = Path(output_dir)
     home = next(p for p in (out, *out.parents) if p.is_dir())
     with tempfile.TemporaryDirectory(prefix=".somimpute-", dir=home) as tmp:
-        paths = [Path(tmp) / name for name in names]
-        with ExitStack() as files:
-            yield [files.enter_context(p.open("w", newline="", encoding="utf-8")) for p in paths]
+        yield Path(tmp)
+        names = sorted(os.listdir(tmp))
         for name in names:
             # os.replace replaces a symbolic link, to a directory too, but not a directory
             if (out / name).is_dir() and not (out / name).is_symlink():
                 raise ValueError(f"{out / name} is a directory, which the output {name} "
                                  "cannot replace")
         out.mkdir(parents=True, exist_ok=True)
-        for path in paths:
-            os.replace(path, out / path.name)
+        for name in names:
+            os.replace(Path(tmp) / name, out / name)
 
 
 # the flags that name files a run reads; each run digests them into args
@@ -277,7 +269,7 @@ def _model_blocks(args, codebook):
         yield block
 
 
-def cmd_train(args) -> None:
+def cmd_train(args, out: Path) -> None:
     topo, schedule, mode = _training_args(args)
     if args.superclasses is not None and not 1 <= args.superclasses <= topo.n_units:
         raise ValueError(f"--superclasses must lie in [1, {topo.n_units}]")
@@ -285,17 +277,16 @@ def cmd_train(args) -> None:
     std, params = _read_standardized(args)
     check_model_col_names(std.col_names)  # before the map is trained
     result = train(std, topo, schedule, mode)
-    outdir = _outdir(args)
-    save_model(SomModel(result.codebook, params, schedule, mode), outdir / "model.txt")
+    save_model(SomModel(result.codebook, params, schedule, mode), out / "model.txt")
     supplementary = ~pool_mask(std, mode) & (result.assignment.units >= 0)
     row_sc = None
     if args.superclasses is not None:
         sc = hierarchical_codes(result.codebook, args.superclasses)
-        write_superclass_csv(outdir / "superclasses.csv", sc)
-        write_dendrogram_csv(outdir / "dendrogram.csv", sc)
+        write_superclass_csv(out / "superclasses.csv", sc)
+        write_dendrogram_csv(out / "dendrogram.csv", sc)
         row_sc = superclass_of_rows(result.assignment, sc)
     write_assignment_csv(
-        outdir / "assignments.csv", std.row_labels, result.assignment, topo,
+        out / "assignments.csv", std.row_labels, result.assignment, topo,
         superclass_labels=row_sc, supplementary=supplementary,
     )
     n_all_missing = int((~std.mask.any(axis=1)).sum())
@@ -307,17 +298,17 @@ def cmd_train(args) -> None:
         )
 
 
-def cmd_classify(args) -> None:
+def cmd_classify(args, out: Path) -> None:
     """Classify the input one row block at a time, so that the run holds one
     block of rows, not the table."""
     _digest_inputs(args)
     model = load_model(args.model)
-    with _staged(args.output_dir, "assignments.csv") as (out,):
+    with (out / "assignments.csv").open("w", newline="", encoding="utf-8") as assignments:
         for block in _model_blocks(args, model.codebook):
             assignment = classify_supplementary(model.codebook,
                                                 standardize(block, model.standardizer))
-            _append_rows(out, *_assignment_text(block.row_labels, assignment,
-                                                model.codebook.topology))
+            _append_rows(assignments, *_assignment_text(block.row_labels, assignment,
+                                                        model.codebook.topology))
 
 
 def _destandardized_report(report: ImputationReport, data, params) -> ImputationReport:
@@ -329,7 +320,7 @@ def _destandardized_report(report: ImputationReport, data, params) -> Imputation
     return replace(report, filled=_with_fills(data, f.rows, f.cols, est))
 
 
-def cmd_impute(args) -> None:
+def cmd_impute(args, out: Path) -> None:
     """Fill the input from a saved model (``--model``), or from ``--n-maps``
     maps trained on the input, held once while they train; either way the
     cells are then filled and written one row block at a time."""
@@ -367,24 +358,26 @@ def cmd_impute(args) -> None:
         # the standardized table would not give the observed cells back
         # verbatim, so the blocks are read again
         del std
-    _impute_blocks(args, codebooks, params, seeds, means)
+    _impute_blocks(args, out, codebooks, params, seeds, means)
 
 
-def _impute_blocks(args, codebooks, params, seeds, means) -> None:
+def _impute_blocks(args, out, codebooks, params, seeds, means) -> None:
     """Fill the input one row block at a time, so that the run holds one
     block of rows, not the table: each block is standardized with
     ``params`` and filled by :func:`impute_ensemble` of ``codebooks`` and
     ``seeds``, its unresolved cells then take their columns' entries of
-    ``means`` (unless None), and it is written back in its own units.
+    ``means`` (unless None), and it is written back in its own units into
+    ``out``.
 
     Each block's report is the whole table's report restricted to the
     block's rows.  ``provenance.csv`` lists the cells the maps filled before
     those the fallback filled or left unresolved (the cells of the
     all-missing rows), so those lines wait in a side file until the end.
     """
-    with _staged(args.output_dir, "imputed.csv", "provenance.csv") as (imputed, provenance), \
-            tempfile.TemporaryFile("w+", newline="", encoding="utf-8",
-                                   dir=Path(provenance.name).parent) as later:
+    text = {"newline": "", "encoding": "utf-8"}
+    with (out / "imputed.csv").open("w", **text) as imputed, \
+            (out / "provenance.csv").open("w", **text) as provenance, \
+            tempfile.TemporaryFile("w+", dir=out, **text) as later:
         for block in _model_blocks(args, codebooks[0]):
             report = impute_ensemble(codebooks, standardize(block, params), seeds)
             from_map = len(report.fills)
@@ -400,7 +393,7 @@ def _impute_blocks(args, codebooks, params, seeds, means) -> None:
         shutil.copyfileobj(later, provenance)
 
 
-def cmd_evaluate(args) -> None:
+def cmd_evaluate(args, out: Path) -> None:
     topo, schedule, mode = _training_args(args)
     if args.d_min < 1 or args.d_max < args.d_min:
         raise ValueError(f"invalid deletion range [{args.d_min}, {args.d_max}]")
@@ -415,12 +408,11 @@ def cmd_evaluate(args) -> None:
         n_maps=args.n_maps, n_repeats=args.repeats, mode=mode,
         global_mcar=args.deletion_mode == "global-mcar",
     )
-    outdir = _outdir(args)
-    write_eval_csv(outdir / "eval.csv", report)
-    (outdir / "curve.svg").write_text(render_curve_svg(report), encoding="utf-8")
+    write_eval_csv(out / "eval.csv", report)
+    (out / "curve.svg").write_text(render_curve_svg(report), encoding="utf-8")
 
 
-def cmd_render(args) -> None:
+def cmd_render(args, out: Path) -> None:
     model = load_model(args.model)
     n_units = model.codebook.topology.n_units
     if args.superclasses is not None and not 1 <= args.superclasses <= n_units:
@@ -435,12 +427,11 @@ def cmd_render(args) -> None:
     modality = None
     if std.categorical is not None:
         modality = modality_proportions(assignment, std)
-    outdir = _outdir(args)
-    (outdir / "map.txt").write_text(
+    (out / "map.txt").write_text(
         render_map_text(model.codebook, assignment, std.row_labels, supplementary, sc),
         encoding="utf-8",
     )
-    (outdir / "map.svg").write_text(
+    (out / "map.svg").write_text(
         render_map_svg(
             model.codebook, assignment, std.row_labels, supplementary, sc, modality
         ),
@@ -448,7 +439,7 @@ def cmd_render(args) -> None:
     )
 
 
-_REPLAY_SKIP = {"subcommand", "tool_version", "output_dir"}
+_REPLAY_SKIP = {"subcommand", "tool_version", "output_dir", "outputs"}
 
 # argparse dests whose flag spelling differs from the default dash translation
 _REPLAY_FLAGS = {"missing_markers": "--missing-marker"}
@@ -461,6 +452,9 @@ def cmd_replay(args) -> int:
     for key in ("input", "model", "output_dir"):
         if manifest.get(key) is not None and not isinstance(manifest[key], str):
             raise ValueError(f"{args.manifest}: {key} must be a string, got {manifest[key]!r}")
+    outputs = manifest.get("outputs") or {}  # none before manifests recorded them
+    if not isinstance(outputs, dict):
+        raise ValueError(f"{args.manifest}: outputs must be a mapping, got {outputs!r}")
     # relative inputs start from the original run's directory: the manifest's
     # directory less the relative output_dir it was written into, else "."
     out = Path(manifest.get("output_dir") or ".").parts
@@ -497,7 +491,13 @@ def cmd_replay(args) -> int:
         else:
             argv.extend([flag, str(value)])
     argv.extend(["--output-dir", args.output_dir])
-    return main(argv)
+    if main(argv):
+        return 2
+    redo = read_manifest(Path(args.output_dir) / "manifest.txt")["outputs"]
+    for name, digest in sorted(outputs.items()):
+        if redo.get(name) != digest:
+            raise ValueError(f"replay output {name!r} differs from the original run")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -507,10 +507,12 @@ def main(argv=None) -> int:
         if args.func is cmd_replay:
             return cmd_replay(args)  # the replayed run writes its own manifest
         _effective_markers(args)  # before the input is read or an output is made
-        args.func(args)
-        entries = {k: v for k, v in vars(args).items() if k != "func"}
-        entries["tool_version"] = __version__
-        write_manifest(Path(args.output_dir) / "manifest.txt", entries)
+        with _staged(args.output_dir) as out:
+            args.func(args, out)
+            entries = {k: v for k, v in vars(args).items() if k != "func"}
+            entries["outputs"] = {p.name: sha256_file(p) for p in sorted(out.iterdir())}
+            entries["tool_version"] = __version__
+            write_manifest(out / "manifest.txt", entries)  # the last file of the run
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

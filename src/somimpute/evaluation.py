@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataMatrix, _observed_means, _row_blocks, fit_standardizer, standardize
-from .imputation import (Fills, ImputationReport, _map_seeds, _with_column_means, impute,
+from .imputation import (Fills, ImputationReport, _map_seeds, _with_column_means,
                          impute_ensemble)
-from .imputation import impute_multi  # unused here; perfbench/tracing.py wraps it
+from .imputation import impute, impute_multi  # unused here; perfbench/tracing.py wraps them
 from .metric import Assignment
 from .topology import GridTopology
 from .trainer import TrainingMode, TrainingSchedule, _pool, train_maps
@@ -213,10 +213,7 @@ def deletion_curve(
     for a, ((d, rep), (std_masked, ledger)) in enumerate(zip(keys, arms)):
         maps = codebooks[a * n_maps:(a + 1) * n_maps]
         try:
-            if n_maps == 1:
-                report = impute(maps[0], std_masked)
-            else:
-                report = impute_ensemble(maps, std_masked, seeds[a])
+            report = impute_ensemble(maps, std_masked, seeds[a])
             som.append(rmse_deleted(ledger, report))
             base.append(rmse_deleted(ledger, mean_impute_baseline(std_masked)))
         except ValueError as exc:

@@ -630,22 +630,35 @@ def test_block_size_changes_no_byte_of_the_model_commands(tmp_path, monkeypatch)
                                            ("impute", "imputed.csv"),
                                            ("classify", "assignments.csv"),
                                            ("impute-maps", "provenance.csv"),
-                                           ("impute-maps", "imputed.csv")])
+                                           ("impute-maps", "imputed.csv"),
+                                           ("train", "assignments.csv"),
+                                           ("train-superclasses", "model.txt"),
+                                           ("evaluate", "curve.svg"),
+                                           ("render", "map.svg"),
+                                           ("impute", "manifest.txt")])
 def test_an_output_that_cannot_be_replaced_refuses_the_run_before_any_rename(
         tmp_path, capsys, command, name):
-    # a directory where an output goes cannot be replaced by that output:
-    # the run exits 2 naming it, before any other output is renamed into
-    # place, so that no output of the run is left beside it
+    # a directory where an output, or the manifest, goes cannot be replaced
+    # by it: the run exits 2 naming it, before any other output is renamed
+    # into place, so that no output of the run is left beside it
     _write_training_csv(tmp_path / "data.csv")
     assert main(_train_args(tmp_path / "data.csv", tmp_path / "run")) == 0
+    write_csv(DataMatrix.from_nan(np.random.default_rng(8).normal(size=(10, 4))),
+              tmp_path / "complete.csv")
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     capsys.readouterr()
-    source = {"impute-maps": ["impute", "--n-maps", "2", "--grid-rows", "2", "--grid-cols", "2",
-                              "--iters", "100"]}.get(
-        command, [command, "--model", str(tmp_path / "run" / "model.txt")])
-    rc = main([*source, "--input", str(tmp_path / "data.csv"), "--categorical-col", "level",
-               "--output-dir", str(out)])
+    data = ["--input", str(tmp_path / "data.csv"), "--categorical-col", "level"]
+    # train warns of data.csv's all-missing row; the complete table has none
+    complete = ["--input", str(tmp_path / "complete.csv")]
+    grid = ["--grid-rows", "2", "--grid-cols", "2", "--iters", "100"]
+    source = {
+        "impute-maps": ["impute", *data, "--n-maps", "2", *grid],
+        "train": ["train", *complete, *grid],
+        "train-superclasses": ["train", *complete, *grid, "--superclasses", "2"],
+        "evaluate": ["evaluate", *complete, *grid, "--d-max", "1"],
+    }.get(command, [command, *data, "--model", str(tmp_path / "run" / "model.txt")])
+    rc = main([*source, "--output-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: {out / name} is a directory, which the output {name} cannot replace\n")
@@ -1613,7 +1626,8 @@ class TestCli:
             "evaluate-range", "render-superclasses"])
     def test_a_refused_command_line_digests_no_input(self, tmp_path, monkeypatch, argv):
         # each command checks its own arguments before it reads (digests) an
-        # input, yet digests every input before it makes any output
+        # input, yet digests every input before it makes any output; the
+        # manifest then digests the outputs
         _write_training_csv(tmp_path / "data.csv")
         assert main(_train_args(tmp_path / "data.csv", tmp_path / "run")) == 0
         (tmp_path / "run" / "model.txt").rename(tmp_path / "model.txt")
@@ -1623,7 +1637,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["classify", "--input", "data.csv", "--model", "model.txt",
                      "--output-dir", "ok", "--categorical-col", "level"]) == 0
-        assert digested == ["data.csv", "model.txt"]
+        assert digested[:2] == ["data.csv", "model.txt"]
+        assert [Path(p).name for p in digested[2:]] == ["assignments.csv"]
         digested.clear()
         assert main([*argv, "--input", "data.csv", "--output-dir", "out"]) == 2
         assert digested == []
@@ -1647,7 +1662,7 @@ class TestCli:
     def test_a_bug_in_a_command_propagates_out_of_main(self, tmp_path, monkeypatch):
         # only ValueError and OSError are refusals of the user's input; any
         # other exception is a bug and must not become an "error:" line
-        def broken(args):
+        def broken(args, out):
             raise KeyError("bug")
 
         monkeypatch.setattr(cli, "cmd_train", broken)
@@ -1897,6 +1912,8 @@ def test_every_command_exits_cleanly_repeats_and_replays_its_bytes(run):
             return
         first = _outputs(tmp / "a")
         assert first
+        assert read_manifest(tmp / "a" / "manifest.txt")["outputs"] == {
+            name: hashlib.sha256(content).hexdigest() for name, content in first.items()}
         if "imputed.csv" in first:
             imputed = read_csv(tmp / "a" / "imputed.csv", categorical_col=data.categorical_name)
             assert imputed.values[data.mask].tobytes() == data.values[data.mask].tobytes()
@@ -2012,6 +2029,49 @@ class TestReplay:
         assert main(["replay", "--manifest", "manifest.txt", "--output-dir", "redo"]) == 2
         assert ("replay input 'imputed.csv' changed since the original run"
                 in capsys.readouterr().err)
+
+    def test_a_rerun_manifest_lists_only_the_files_that_run_wrote(self, tmp_path):
+        # the first run's superclasses.csv and dendrogram.csv stay in the
+        # directory, but not in the second run's outputs
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path)
+        out = tmp_path / "run"
+        assert main(_train_args(csv_path, out, ("--superclasses", "2"))) == 0
+        assert main([*_train_args(csv_path, out), "--grid-rows", "1"]) == 0
+        outputs = read_manifest(out / "manifest.txt")["outputs"]
+        assert sorted(outputs) == ["assignments.csv", "model.txt"]
+        assert outputs["model.txt"] == hashlib.sha256((out / "model.txt").read_bytes()).hexdigest()
+        assert (out / "superclasses.csv").exists() and (out / "dendrogram.csv").exists()
+
+    def test_replay_refuses_an_output_that_differs_from_the_manifest(self, tmp_path, capsys):
+        # the first recorded output whose replayed digest differs is named;
+        # a manifest without outputs (as written before they were recorded)
+        # replays unchecked, and one whose outputs is not a mapping is refused
+        csv_path = tmp_path / "data.csv"
+        _write_training_csv(csv_path, all_missing_row=False)  # so train warns of none
+        run = tmp_path / "run"
+        assert main(_train_args(csv_path, run, ("--superclasses", "2"))) == 0
+        entries = read_manifest(run / "manifest.txt")
+        edited = tmp_path / "edited.txt"
+        write_manifest(edited, {**entries, "outputs": {**entries["outputs"],
+                                                       "dendrogram.csv": "0" * 64,
+                                                       "superclasses.csv": "0" * 64}})
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(edited), "--output-dir",
+                     str(tmp_path / "redo")]) == 2
+        assert capsys.readouterr().err == (
+            "error: replay output 'dendrogram.csv' differs from the original run\n")
+        del entries["outputs"]
+        write_manifest(edited, entries)
+        assert main(["replay", "--manifest", str(edited), "--output-dir",
+                     str(tmp_path / "old")]) == 0
+        assert _outputs(tmp_path / "old") == _outputs(run)
+        write_manifest(edited, {**entries, "outputs": ["model.txt"]})
+        assert main(["replay", "--manifest", str(edited), "--output-dir",
+                     str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {edited}: outputs must be a mapping, got ['model.txt']\n")
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("line, fault", [
         (b"bogus line", "not key=value: 'bogus line'"),
